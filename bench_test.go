@@ -376,6 +376,33 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineStandingQueue is the event loop under a standing queue:
+// 256 pending events, each rescheduling itself 1–64 µs ahead, so every push
+// and pop sifts through a full heap — the depth the campaigns run at (the
+// Figure 2 campaign averages 174 pending events). Delays have nanosecond
+// resolution, so equal due times are as rare as they are in the campaigns.
+// BenchmarkEngineEventThroughput keeps one event pending and times the loop
+// alone.
+func BenchmarkEngineStandingQueue(b *testing.B) {
+	const depth = 256
+	e := sim.NewEngine()
+	rng := sim.NewRand(1)
+	delay := func() sim.Time { return sim.Microsecond + sim.Time(rng.Int63n(int64(63*sim.Microsecond))) }
+	left := b.N
+	var tick func()
+	tick = func() {
+		if left > 0 {
+			left--
+			e.Schedule(delay(), tick)
+		}
+	}
+	for i := 0; i < depth; i++ {
+		e.Schedule(delay(), tick)
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
 func BenchmarkTransportThroughput(b *testing.B) {
 	// One connection moving b.N segments of 64 KiB.
 	e := sim.NewEngine()

@@ -59,7 +59,7 @@ func RenderServerSeries(title string, tl *Timeline) *report.Table {
 			}
 			t.Add(ts, s,
 				float64(cur.DevBytes-prev.DevBytes)/1e6/dt,
-				(cur.DevBusy - prev.DevBusy).Seconds()/dt,
+				(cur.DevBusy-prev.DevBusy).Seconds()/dt,
 				float64(cur.DevQueuedBytes)/1e6,
 				cur.DevSeeks-prev.DevSeeks,
 				cur.PortDrops-prev.PortDrops,

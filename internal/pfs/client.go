@@ -139,7 +139,7 @@ func (cl *Client) ioAsync(f *File, off, size int64, read bool, onDone func()) {
 		}
 		st := &srvReqState{
 			remaining: len(p.chunks), bytes: bytes,
-			issued: cl.fs.jitteredIssue(),
+			issued:  cl.fs.jitteredIssue(),
 			issueAt: cl.fs.E.Now(), read: read,
 		}
 		for _, ck := range p.chunks {

@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -157,11 +158,36 @@ func TestPropertyPerServerConserves(t *testing.T) {
 	}
 }
 
+// Property: PerServer is Map's pieces merged per server — contiguous
+// pieces on one server joined into a run, in file order.
+func TestPropertyPerServerMatchesMap(t *testing.T) {
+	f := func(width8 uint8, stripe16 uint16, off32, size32 uint32) bool {
+		l := Layout{Width: int(width8%12) + 1, Stripe: int64(stripe16%2048) + 1}
+		off := int64(off32 % (1 << 20))
+		size := int64(size32 % (1 << 18))
+		want := make([][]Run, l.Width)
+		for _, p := range l.Map(off, size) {
+			rs := want[p.SrvPos]
+			if n := len(rs); n > 0 && rs[n-1].Local+rs[n-1].Size == p.Local {
+				rs[n-1].Size += p.Size
+			} else {
+				want[p.SrvPos] = append(rs, Run{Local: p.Local, Size: p.Size})
+			}
+		}
+		return reflect.DeepEqual(l.PerServer(off, size), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLayoutPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { Layout{Width: 0, Stripe: 1}.Map(0, 1) },
 		func() { Layout{Width: 1, Stripe: 0}.Map(0, 1) },
 		func() { Layout{Width: 1, Stripe: 1}.Map(-1, 1) },
+		func() { Layout{Width: 0, Stripe: 1}.PerServer(0, 1) },
+		func() { Layout{Width: 1, Stripe: 1}.PerServer(0, -1) },
 	} {
 		func() {
 			defer func() {

@@ -152,6 +152,11 @@ type Server struct {
 	// it to kill every request holding a slot. Slice appends reuse capacity
 	// and schedule nothing, so maintaining it unconditionally is free.
 	activeReqs []*srvReqState
+	// devFree recycles the device requests that store and read chunks. A
+	// device drops its reference to a request once the request's Done has
+	// run, so Done hands it back here and the chunk path allocates no
+	// request in steady state.
+	devFree []*storage.Request
 
 	// down marks the server crashed (fail-stop): every queued and in-flight
 	// request was killed, and chunks arriving while down are read off the
@@ -305,6 +310,7 @@ func (s *Server) onReadable(c *netsim.Conn, m *netsim.Message) {
 	st.pending = append(st.pending, m)
 	if !st.arrived {
 		st.arrived = true
+		st.srv = s
 		st.conn = c
 		st.arriveAt = s.E.Now()
 		s.stats.Requests++
@@ -440,51 +446,59 @@ func (s *Server) consume(st *srvReqState) {
 		s.stats.Chunks++
 		s.stats.Bytes += ck.size
 		s.Tel.Consume(st.conn.App, ck.size)
-		chunk := ck
-		s.cpu.Send(chunk.size, func() { s.store(st.conn, chunk) })
+		s.cpu.SendCall(ck.size, ck, 0, 0, 0)
 	}
 }
 
-// store hands the chunk to the backend according to the sync mode.
+// store hands the chunk to the backend according to the sync mode. Reads
+// always go to the device: the write-back cache only absorbs writes.
 func (s *Server) store(c *netsim.Conn, ck *chunkMsg) {
-	if ck.read {
-		// Read chunk: fetch from the device and ship the data back on the
-		// reply path; each chunk replies individually with its data.
-		done := func() {
-			if ck.srvState.dead {
-				return
-			}
-			s.stats.Replies++
-			s.Tel.Done(c.App, ck.size)
-			c.Reply(ck.size, &replyMsg{req: ck.req, st: ck.srvState})
-			s.readChunkDone(ck.srvState)
+	r := s.devReq(c, ck)
+	r.Done = func() {
+		s.devFree = append(s.devFree, r)
+		if ck.read {
+			s.readChunkServed(c, ck)
+		} else {
+			s.chunkDone(c, ck)
 		}
-		if s.P.Sync == NullAIO {
-			s.E.Schedule(0, done)
-			return
-		}
-		s.Dev.Submit(&storage.Request{
-			File: ck.fileID, Offset: ck.local, Size: ck.size,
-			Stream: storage.StreamID(c.App), Read: true, Done: done,
-		})
+	}
+	switch {
+	case s.P.Sync == NullAIO:
+		s.E.Schedule(0, r.Done)
+	case ck.read || s.P.Sync == SyncOn:
+		s.Dev.Submit(r)
+	case s.P.Sync == SyncOff:
+		s.Cache.Write(r)
+	}
+}
+
+// devReq returns a device request for chunk ck, taken from the free list
+// when one is there; the caller sets its Done.
+func (s *Server) devReq(c *netsim.Conn, ck *chunkMsg) *storage.Request {
+	var r *storage.Request
+	if n := len(s.devFree); n > 0 {
+		r = s.devFree[n-1]
+		s.devFree = s.devFree[:n-1]
+	} else {
+		r = new(storage.Request)
+	}
+	*r = storage.Request{
+		File: ck.fileID, Offset: ck.local, Size: ck.size,
+		Stream: storage.StreamID(c.App), Read: ck.read,
+	}
+	return r
+}
+
+// readChunkServed accounts a fetched read chunk and ships its data back on
+// the reply path; each read chunk replies individually.
+func (s *Server) readChunkServed(c *netsim.Conn, ck *chunkMsg) {
+	if ck.srvState.dead {
 		return
 	}
-	done := func() { s.chunkDone(c, ck) }
-	req := &storage.Request{
-		File:   ck.fileID,
-		Offset: ck.local,
-		Size:   ck.size,
-		Stream: storage.StreamID(c.App),
-		Done:   done,
-	}
-	switch s.P.Sync {
-	case SyncOn:
-		s.Dev.Submit(req)
-	case SyncOff:
-		s.Cache.Write(req)
-	case NullAIO:
-		s.E.Schedule(0, done)
-	}
+	s.stats.Replies++
+	s.Tel.Done(c.App, ck.size)
+	c.Reply(ck.size, &replyMsg{req: ck.req, st: ck.srvState})
+	s.readChunkDone(ck.srvState)
 }
 
 // chunkDone accounts a stored write chunk; when the whole request's share

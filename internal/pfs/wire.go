@@ -8,7 +8,8 @@ import (
 
 // chunkMsg is the wire metadata of one flow-protocol chunk of a write
 // request. The chunk's payload size is the Message size; the metadata rides
-// along for free (headers are negligible next to 64 KiB+ payloads).
+// along for free (headers are negligible next to 64 KiB+ payloads). On the
+// server the chunk is also the sim.Target of its transfer over the CPU line.
 type chunkMsg struct {
 	req      *clientReq
 	srvState *srvReqState
@@ -16,6 +17,13 @@ type chunkMsg struct {
 	local    int64
 	size     int64
 	read     bool // read request descriptor instead of write payload
+}
+
+// OnEvent implements sim.Target: the chunk has crossed the server's CPU
+// line and goes to the backend.
+func (ck *chunkMsg) OnEvent(op uint32, a, b int64) {
+	st := ck.srvState
+	st.srv.store(st.conn, ck)
 }
 
 // srvReqState tracks one client request's share on one server. The client
@@ -30,6 +38,7 @@ type srvReqState struct {
 	read      bool     // read request (client-written; Span.Read)
 
 	// Server-side flow scheduling state.
+	srv      *Server
 	conn     *netsim.Conn
 	arrived  bool
 	active   bool

@@ -10,17 +10,43 @@ import "testing"
 // functionally; testing.AllocsPerRun catches it deterministically where a
 // benchmark's B/op would only drift.
 
+// standingDepths are the queue depths the event-loop tests run at: a lone
+// pending event, and a standing queue of 256 far-future events like the
+// campaigns keep (the Figure 2 campaign averages 174 pending), where every
+// pop frees a slab slot and the next push must reuse it from the free list.
+var standingDepths = []int{0, 256}
+
+// standQueue parks depth no-op events an hour ahead so they stay pending
+// while the measured events run in front of them.
+func standQueue(e *Engine, depth int) {
+	for i := 0; i < depth; i++ {
+		e.Schedule(Hour+Time(i), func() {})
+	}
+}
+
 func TestEventLoopZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	fn := func() {}
-	// Prime the heap slice so steady state starts with capacity.
-	e.Schedule(0, fn)
-	e.Run()
-	if avg := testing.AllocsPerRun(1000, func() {
-		e.Schedule(Microsecond, fn)
-		e.Run()
-	}); avg != 0 {
-		t.Errorf("event loop allocates %.1f objects per schedule+run, want 0", avg)
+	for _, depth := range standingDepths {
+		e := NewEngine()
+		standQueue(e, depth)
+		fn := func() {}
+		// Prime the heap and slab so steady state starts with capacity.
+		e.Schedule(0, fn)
+		e.RunUntil(e.Now())
+		slab := len(e.slots)
+		if avg := testing.AllocsPerRun(1000, func() {
+			e.Schedule(Microsecond, fn)
+			e.RunUntil(e.Now() + Microsecond)
+		}); avg != 0 {
+			t.Errorf("depth %d: event loop allocates %.1f objects per schedule+run, want 0", depth, avg)
+		}
+		// AllocsPerRun rounds down, so amortized slab growth would hide
+		// behind a 0; a reused slot leaves the slab as it was.
+		if len(e.slots) != slab {
+			t.Errorf("depth %d: slab grew from %d to %d slots; freed slots are not reused", depth, slab, len(e.slots))
+		}
+		if e.Pending() != depth {
+			t.Fatalf("depth %d: %d events pending after the runs", depth, e.Pending())
+		}
 	}
 }
 
@@ -29,18 +55,28 @@ type countTarget struct{ n int64 }
 func (c *countTarget) OnEvent(op uint32, a, b int64) { c.n += a }
 
 func TestScheduleCallZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	tgt := &countTarget{}
-	e.ScheduleCall(0, tgt, 0, 1, 0)
-	e.Run()
-	if avg := testing.AllocsPerRun(1000, func() {
-		e.ScheduleCall(Microsecond, tgt, 0, 1, 0)
-		e.Run()
-	}); avg != 0 {
-		t.Errorf("ScheduleCall path allocates %.1f objects per event, want 0", avg)
-	}
-	if tgt.n != 1001+1 { // warmup run + 1000 measured + priming call
-		t.Fatalf("target ran %d times", tgt.n)
+	for _, depth := range standingDepths {
+		e := NewEngine()
+		standQueue(e, depth)
+		tgt := &countTarget{}
+		e.ScheduleCall(0, tgt, 0, 1, 0)
+		e.RunUntil(e.Now())
+		slab := len(e.slots)
+		if avg := testing.AllocsPerRun(1000, func() {
+			e.ScheduleCall(Microsecond, tgt, 0, 1, 0)
+			e.RunUntil(e.Now() + Microsecond)
+		}); avg != 0 {
+			t.Errorf("depth %d: ScheduleCall path allocates %.1f objects per event, want 0", depth, avg)
+		}
+		if len(e.slots) != slab {
+			t.Errorf("depth %d: slab grew from %d to %d slots; freed slots are not reused", depth, slab, len(e.slots))
+		}
+		if tgt.n != 1001+1 { // warmup run + 1000 measured + priming call
+			t.Fatalf("depth %d: target ran %d times", depth, tgt.n)
+		}
+		if e.Pending() != depth {
+			t.Fatalf("depth %d: %d events pending after the runs", depth, e.Pending())
+		}
 	}
 }
 

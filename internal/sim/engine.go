@@ -60,6 +60,13 @@ type event struct {
 	src    uint32 // shard that scheduled the event (0 on a serial engine)
 }
 
+// qent is one heap entry: an event's due time, inline, and the index of
+// its payload in the engine's slot slab.
+type qent struct {
+	at   Time
+	slot int64
+}
+
 // Engine is a discrete-event simulation executor. The zero value is not
 // usable; create engines with NewEngine.
 //
@@ -68,7 +75,9 @@ type event struct {
 // shared simulation state without locks.
 type Engine struct {
 	now     Time
-	events  []event // min-heap ordered by (at, sched, psched, gsched, src, seq)
+	heap    []qent  // min-heap ordered by the slots' (at, sched, psched, gsched, src, seq)
+	slots   []event // payload slab the heap entries index into
+	free    []int64 // indices of unused slots
 	seq     uint64
 	yield   chan struct{} // procs hand control back to the loop on this
 	current *Proc         // proc currently holding control, if any
@@ -101,7 +110,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // Parked returns the number of processes currently blocked. A simulation
 // that drains its event queue while processes remain parked has deadlocked;
@@ -116,23 +125,36 @@ func (e *Engine) ProcsSpawned() int { return e.spawned }
 
 // ---- heap ----------------------------------------------------------------
 //
-// A hand-specialized binary min-heap over the []event slice, keyed on
-// (at, sched, psched, gsched, src, seq). Compared with container/heap this removes the
-// interface boxing on every Push/Pop (two heap allocations per event), the
-// indirect Len/Less/Swap calls, and the zero-write of the vacated tail slot.
-// The trade-off of skipping that zero-write: pointers in the slice's unused
-// tail stay reachable until overwritten by a later push — harmless here
-// because engines live for one simulation and are then dropped wholesale.
+// An index heap: a binary min-heap of 16-byte (at, slot) entries over a
+// slab of event payloads. The campaigns keep a standing queue of a few
+// hundred events (the Figure 2 campaign averages 174 pending, peaking at
+// 842), so a heap of whole 96-byte events spends its time copying them on
+// every sift step. Here a sift moves 16-byte entries into a hole, a
+// comparison decides on the inline due time alone unless the times tie
+// (about 2% of the Figure 2 campaign's comparisons), and an event's payload
+// is written once on push and read once on dispatch. Slots are recycled
+// LIFO through the free list, so a steady-state queue allocates nothing; a
+// freed slot keeps its stale payload (and the pointers in it) until a later
+// push overwrites it — harmless, since engines live for one simulation.
+//
+// Every key is unique (seq is), so any valid heap pops the same sequence:
+// the heap's shape and sift strategy cannot change the execution order.
 
-// less orders events by time, then by scheduling time, then by the
-// parent's scheduling time, then by scheduling shard, then by per-engine
-// scheduling order. See the event type comment for why this reduces to
-// (at, seq) on a serial engine.
-func (e *Engine) less(i, j int) bool {
-	a, b := &e.events[i], &e.events[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
+// before reports whether heap entry x orders ahead of y. Only when the due
+// times tie does it read the payloads, to apply the rest of the key.
+func (e *Engine) before(x, y qent) bool {
+	return x.at < y.at || x.at == y.at && e.tieLess(x.slot, y.slot)
+}
+
+// tieLess orders two equal-time events by scheduling time, then by the
+// parent's and grandparent's scheduling times, then by scheduling shard,
+// then by per-engine scheduling order. See the event type comment for why
+// this reduces to seq order on a serial engine. Ties are rare, so it stays
+// out of line to keep before inlinable in the sift loops.
+//
+//go:noinline
+func (e *Engine) tieLess(i, j int64) bool {
+	a, b := &e.slots[i], &e.slots[j]
 	if a.sched != b.sched {
 		return a.sched < b.sched
 	}
@@ -148,62 +170,94 @@ func (e *Engine) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-// push inserts a locally scheduled event, stamping it with the engine's
-// clock, the dispatching event's sched, and the shard.
-func (e *Engine) push(ev event) {
+// alloc returns a free payload slot, growing the slab when none is free.
+func (e *Engine) alloc() int64 {
+	if n := len(e.free); n > 0 {
+		slot := e.free[n-1]
+		e.free = e.free[:n-1]
+		return slot
+	}
+	e.slots = append(e.slots, event{})
+	return int64(len(e.slots) - 1)
+}
+
+// push inserts the locally scheduled event whose payload the caller wrote
+// into slot, stamping it with the engine's clock, the dispatching event's
+// sched, and the shard. Writing the payload in place keeps the 96-byte
+// event from being copied on its way into the slab.
+func (e *Engine) push(slot int64) {
+	ev := &e.slots[slot]
 	ev.sched = e.now
 	ev.psched = e.curSched
 	ev.gsched = e.curPsched
 	ev.src = e.shard
-	e.pushRaw(ev)
+	e.insert(slot)
 }
 
 // pushRaw inserts ev with its sched/src stamps already set (the ShardSet
-// drain path injects cross-shard events with the sender's stamps), assigning
-// the tiebreaker sequence number.
+// drain path injects cross-shard events with the sender's stamps).
 func (e *Engine) pushRaw(ev event) {
-	e.seq++
-	ev.seq = e.seq
-	e.events = append(e.events, ev)
-	// Sift up.
-	h := e.events
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
+	slot := e.alloc()
+	e.slots[slot] = ev
+	e.insert(slot)
 }
 
-// popMin removes and returns the earliest event. The queue must not be
-// empty.
-func (e *Engine) popMin() event {
-	h := e.events
+// insert assigns the stamped event in slot its tiebreaker sequence number
+// and enters it into the heap.
+func (e *Engine) insert(slot int64) {
+	e.seq++
+	ev := &e.slots[slot]
+	ev.seq = e.seq
+	e.heap = append(e.heap, qent{})
+	e.siftUp(e.heap, len(e.heap)-1, qent{at: ev.at, slot: slot})
+}
+
+// popMin removes the earliest entry and returns it; its slot stays
+// allocated until the caller frees it. The queue must not be empty.
+func (e *Engine) popMin() qent {
+	h := e.heap
 	min := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
-	e.events = h[:n]
-	// Sift down.
+	x := h[n]
+	h = h[:n]
+	e.heap = h
+	if n == 0 {
+		return min
+	}
+	// Sift down, bottom-up: walk the hole from the root to a leaf along the
+	// earlier child (one comparison per level), then move the former last
+	// entry — which usually belongs near the bottom — back up into place.
 	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && e.less(l, smallest) {
-			smallest = l
+	for c := 1; c < n; c = 2*i + 1 {
+		if r := c + 1; r < n {
+			// Take the right child when it is due strictly earlier: the sign
+			// bit of the difference selects it without a branch, which
+			// mispredicts about half the time on a deep queue. Due times
+			// are non-negative, so the difference cannot overflow.
+			if d := h[r].at - h[c].at; d != 0 {
+				c += int(uint64(d) >> 63)
+			} else if e.tieLess(h[r].slot, h[c].slot) {
+				c = r
+			}
 		}
-		if r < n && e.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		h[i] = h[c]
+		i = c
+	}
+	e.siftUp(h, i, x)
+	return min
+}
+
+// siftUp moves the hole at h[i] toward the root until x fits, and stores x.
+func (e *Engine) siftUp(h []qent, i int, x qent) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(x, h[parent]) {
 			break
 		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
+		h[i] = h[parent]
+		i = parent
 	}
-	return min
+	h[i] = x
 }
 
 // ---- scheduling ----------------------------------------------------------
@@ -221,7 +275,9 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at %v, now %v", t, e.now))
 	}
-	e.push(event{at: t, fn: fn})
+	slot := e.alloc()
+	e.slots[slot] = event{at: t, fn: fn}
+	e.push(slot)
 }
 
 // ScheduleCall runs tgt.OnEvent(op, a, b) after delay d. It is the
@@ -239,7 +295,9 @@ func (e *Engine) AtCall(t Time, tgt Target, op uint32, a, b int64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: at %v, now %v", t, e.now))
 	}
-	e.push(event{at: t, tgt: tgt, op: op, a: a, b: b})
+	slot := e.alloc()
+	e.slots[slot] = event{at: t, tgt: tgt, op: op, a: a, b: b}
+	e.push(slot)
 }
 
 // scheduleProc schedules a handoff to p after delay d (the Sleep/wake
@@ -248,19 +306,9 @@ func (e *Engine) scheduleProc(d Time, p *Proc) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	e.push(event{at: e.now + d, p: p})
-}
-
-// dispatch executes one popped event according to its union tag.
-func (e *Engine) dispatch(ev event) {
-	switch {
-	case ev.p != nil:
-		e.handoff(ev.p)
-	case ev.tgt != nil:
-		ev.tgt.OnEvent(ev.op, ev.a, ev.b)
-	default:
-		ev.fn()
-	}
+	slot := e.alloc()
+	e.slots[slot] = event{at: e.now + d, p: p}
+	e.push(slot)
 }
 
 // ---- execution -----------------------------------------------------------
@@ -272,19 +320,8 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 // afterwards; later events remain queued. The clock never advances past the
 // time of the last executed event.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for len(e.events) > 0 {
-		if e.events[0].at > deadline {
-			break
-		}
-		ev := e.popMin()
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		e.curSched = ev.sched
-		e.curPsched = ev.psched
-		e.executed++
-		e.dispatch(ev)
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
+		e.dispatch(e.popMin())
 	}
 	return e.now
 }
@@ -292,19 +329,36 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // Step executes exactly one event if available and reports whether it did.
 // It applies the same time-monotonicity check as RunUntil.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if len(e.heap) == 0 {
 		return false
 	}
-	ev := e.popMin()
-	if ev.at < e.now {
+	e.dispatch(e.popMin())
+	return true
+}
+
+// dispatch advances the clock to the popped entry and executes its event
+// according to the union tag. It reads the payload in place and frees the
+// slot before the callback runs, so events the callback schedules can
+// reuse it.
+func (e *Engine) dispatch(top qent) {
+	if top.at < e.now {
 		panic("sim: time went backwards")
 	}
-	e.now = ev.at
+	ev := &e.slots[top.slot]
+	e.now = top.at
 	e.curSched = ev.sched
 	e.curPsched = ev.psched
 	e.executed++
-	e.dispatch(ev)
-	return true
+	p, tgt, fn, op, a, b := ev.p, ev.tgt, ev.fn, ev.op, ev.a, ev.b
+	e.free = append(e.free, top.slot)
+	switch {
+	case p != nil:
+		e.handoff(p)
+	case tgt != nil:
+		tgt.OnEvent(op, a, b)
+	default:
+		fn()
+	}
 }
 
 // ---- shard boundary ------------------------------------------------------
@@ -317,10 +371,10 @@ func (e *Engine) Shard() int { return int(e.shard) }
 // false when the queue is empty. It is the engine's safe-time report to the
 // ShardSet synchronizer.
 func (e *Engine) NextEventTime() (t Time, ok bool) {
-	if len(e.events) == 0 {
+	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return e.heap[0].at, true
 }
 
 // sameSet reports whether dst shares a shard set with e (or is e itself),

@@ -174,3 +174,169 @@ func TestPropertyRunUntilBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// orderKey is an event's full ordering key, (at, sched, psched, gsched,
+// src, seq), as the heap-order model records it at push time.
+type orderKey struct {
+	at, sched, psched, gsched Time
+	src                       uint32
+	seq                       uint64
+}
+
+func (k orderKey) less(o orderKey) bool {
+	switch {
+	case k.at != o.at:
+		return k.at < o.at
+	case k.sched != o.sched:
+		return k.sched < o.sched
+	case k.psched != o.psched:
+		return k.psched < o.psched
+	case k.gsched != o.gsched:
+		return k.gsched < o.gsched
+	case k.src != o.src:
+		return k.src < o.src
+	}
+	return k.seq < o.seq
+}
+
+// orderModel is the reference for TestPropertyHeapOrder: it mirrors every
+// event the engine holds, keyed by a test-assigned id, and checks that each
+// executed event was the smallest pending one by the full key.
+type orderModel struct {
+	t       *testing.T
+	e       *Engine
+	rng     *Rand
+	pending map[int64]orderKey
+	fired   []int64
+	budget  int // pushes left; bounds the run
+	nextID  int64
+}
+
+// stamped returns the key the engine gives a local push, made now, that is
+// due at `at` and gets sequence number seq.
+func (m *orderModel) stamped(at Time, seq uint64) orderKey {
+	e := m.e
+	return orderKey{at: at, sched: e.now, psched: e.curSched, gsched: e.curPsched, src: e.shard, seq: seq}
+}
+
+func (m *orderModel) id() int64 {
+	m.nextID++
+	m.budget--
+	return m.nextID
+}
+
+// push schedules one event through a randomly chosen path — At, AtCall, or
+// a pushRaw injection with arbitrary ancestry and shard stamps — due within
+// a few nanoseconds of now, so equal due times are the common case.
+func (m *orderModel) push() {
+	e := m.e
+	at := e.now + Time(m.rng.Intn(4))
+	id := m.id()
+	switch m.rng.Intn(3) {
+	case 0:
+		e.At(at, func() { m.fire(id) })
+		m.pending[id] = m.stamped(at, e.seq)
+	case 1:
+		e.AtCall(at, m, 0, id, 0)
+		m.pending[id] = m.stamped(at, e.seq)
+	default:
+		k := orderKey{
+			at:     at,
+			sched:  Time(m.rng.Intn(3)),
+			psched: Time(m.rng.Intn(3)),
+			gsched: Time(m.rng.Intn(3)),
+			src:    uint32(m.rng.Intn(3)),
+		}
+		e.pushRaw(event{at: k.at, sched: k.sched, psched: k.psched, gsched: k.gsched, src: k.src, fn: func() { m.fire(id) }})
+		k.seq = e.seq
+		m.pending[id] = k
+	}
+}
+
+func (m *orderModel) OnEvent(op uint32, a, b int64) { m.fire(a) }
+
+// fire runs as event id executes: it checks the clock, records the
+// execution and sometimes schedules follow-ups from inside the event.
+func (m *orderModel) fire(id int64) {
+	k, ok := m.pending[id]
+	if !ok {
+		m.t.Fatalf("event %d executed but not pending", id)
+	}
+	if m.e.now != k.at {
+		m.t.Fatalf("event %d executed at %v, due %v", id, m.e.now, k.at)
+	}
+	delete(m.pending, id)
+	m.fired = append(m.fired, id)
+	for n := m.rng.Intn(3); n > 0 && m.budget > 0; n-- {
+		m.push()
+	}
+}
+
+// sleeper is a proc body that repeatedly sleeps a random 0–3 ns, so its
+// resumptions ride the proc-wake path with their own ancestry stamps.
+func (m *orderModel) sleeper(startID int64, rounds int) func(*Proc) {
+	return func(p *Proc) {
+		m.fire(startID)
+		for i := 0; i < rounds; i++ {
+			d := Time(m.rng.Intn(4))
+			id := m.id()
+			// The wake-up is the next push on this engine.
+			m.pending[id] = m.stamped(m.e.now+d, m.e.seq+1)
+			p.Sleep(d)
+			m.fire(id)
+		}
+	}
+}
+
+// minPending returns the id of the smallest pending key.
+func (m *orderModel) minPending() int64 {
+	var best int64 = -1
+	for id, k := range m.pending {
+		if best < 0 || k.less(m.pending[best]) {
+			best = id
+		}
+	}
+	return best
+}
+
+// Property: whatever mix of pushes — At, AtCall, proc wake-ups, raw
+// injections with arbitrary (sched, psched, gsched, src) stamps — and pops,
+// every executed event is the minimum of the pending set by the full
+// (at, sched, psched, gsched, src, seq) key, so the final drain equals a
+// sort by that key.
+func TestPropertyHeapOrder(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		e := NewEngine()
+		m := &orderModel{t: t, e: e, rng: NewRand(seed), pending: map[int64]orderKey{}, budget: 600}
+		for i := 0; i < 3; i++ {
+			id := m.id()
+			e.Spawn("sleeper", m.sleeper(id, 20))
+			m.pending[id] = m.stamped(e.now, e.seq)
+		}
+		for {
+			for n := m.rng.Intn(4); n > 0 && m.budget > 0; n-- {
+				m.push()
+			}
+			if e.Pending() != len(m.pending) {
+				t.Fatalf("seed %d: engine holds %d events, model %d", seed, e.Pending(), len(m.pending))
+			}
+			if e.Pending() == 0 {
+				break
+			}
+			want := m.minPending()
+			if !e.Step() {
+				t.Fatalf("seed %d: Step found no event, model has %d", seed, len(m.pending))
+			}
+			if got := m.fired[len(m.fired)-1]; got != want {
+				t.Fatalf("seed %d: step %d executed event %d, want %d (key %+v) at %v",
+					seed, len(m.fired), got, want, m.pending[want], e.Now())
+			}
+		}
+		if e.Parked() != 0 || e.ProcsFinished() != 3 {
+			t.Fatalf("seed %d: procs parked=%d finished=%d", seed, e.Parked(), e.ProcsFinished())
+		}
+		if len(m.fired) != int(m.nextID) {
+			t.Fatalf("seed %d: executed %d of %d events", seed, len(m.fired), m.nextID)
+		}
+	}
+}

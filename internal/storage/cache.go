@@ -65,6 +65,7 @@ func (c *WriteCache) BlockedWrites() int64 { return c.blockedCount }
 
 // Write absorbs r; r.Done fires when the copy into memory completes. If the
 // dirty limit is exceeded the write waits (FIFO) for flushing to make room.
+// Like Device.Submit, it holds no reference to r once r.Done has been called.
 func (c *WriteCache) Write(r *Request) {
 	if c.hasRoom(r) && len(c.blocked) == 0 {
 		c.admit(r)

@@ -48,7 +48,9 @@ type Stats struct {
 type Device interface {
 	// Name identifies the device kind ("hdd", "ssd", "ram", "null").
 	Name() string
-	// Submit enqueues a request; r.Done fires at completion.
+	// Submit enqueues a request; r.Done fires at completion. The device
+	// holds no reference to r once r.Done has been called, so the caller
+	// may reuse it from there on.
 	Submit(r *Request)
 	// Queued returns the number of requests waiting to enter service
 	// (requests currently in service are excluded).
