@@ -26,13 +26,15 @@ race:
 scenarios:
 	$(GO) run ./cmd/scenarios -smoke -run all
 
-# mitigate sweeps every built-in scenario on HDD under each server-side QoS
-# scheduler ({off, fairshare, tokenbucket, controller}, internal/qos) at the
-# smoke scale and prints the per-scenario Pareto view — the same grid the
-# mitigation golden test pins, so a broken scheduler fails fast on every
-# push.
+# mitigate runs every built-in scenario on HDD at the smoke scale once under
+# each server-side QoS scheduler ({off, fairshare, tokenbucket, controller},
+# internal/qos) — the same grid the mitigation golden test pins, so a broken
+# scheduler fails fast on every push. The side-by-side Pareto view of these
+# arms is the what-if service's pareto_text (SCENARIOS.md).
 mitigate:
-	$(GO) run ./cmd/paperrepro -exp mitigate -scale 8
+	for q in off fairshare tokenbucket controller; do \
+		$(GO) run ./cmd/scenarios -smoke -backend hdd -run all -qos $$q || exit 1; \
+	done
 
 # trace smoke: record the periodic-checkpoint builtin at smoke scale,
 # summarize it (Darshan-style), replay it — the -replay step exits nonzero

@@ -10,25 +10,6 @@
 //
 // Experiments: table1, fig2, fig3, fig4, fig5, fig6 (includes table2),
 // fig7, fig8, fig9, fig10, fig11, fig12, ablation-policy, ablation-read.
-// Beyond the paper, "scenarios" runs every built-in N-application scenario
-// (see SCENARIOS.md) on HDD and SSD; "mitigate" sweeps every built-in
-// scenario on HDD under each server-side QoS scheduler — off, fairshare,
-// tokenbucket, controller (internal/qos) — and prints the per-scenario
-// Pareto view: interference removed versus aggregate throughput paid;
-// "trace" records the periodic-checkpoint builtin at request level
-// (internal/trace), prints its Darshan-style summary, replays it
-// bit-identically and replays it again under fair-share QoS; and "faults"
-// runs every built-in fault scenario (internal/fault: deterministic server
-// crashes, degraded devices, link flaps) against its healthy twin and
-// reports IF-under-faults plus the availability ledger; and "fleet" runs
-// every generated-population builtin (internal/population: ≥1000 tenants,
-// Zipf volumes, Poisson arrivals) through the fleet summarizer — per-class
-// IF distributions, slowdown-vs-alone percentiles and sampled
-// aggressor/victim pairs instead of the infeasible N×N matrix.
-// Note: for these extension experiments any -scale > 1 selects the fixed smoke
-// grid (procs/8, volume/16, ≤3 δ points) rather than acting as a divisor;
-// cmd/scenarios is the richer single-scheduler driver (-run, -file,
-// -backend, -smoke, -qos, -trace, -replay).
 //
 // -scale divides node/server counts (processes per server stay constant);
 // -coarse uses 5-point δ grids instead of the paper's 9-point grids;
@@ -57,11 +38,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/paper"
 	"repro/internal/pfs"
-	"repro/internal/qos"
-	qosreport "repro/internal/qos/report"
 	"repro/internal/report"
-	"repro/internal/scenario"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -73,7 +50,7 @@ func main() {
 }
 
 func realMain() error {
-	exp := flag.String("exp", "all", "experiment id (table1, fig2..fig12, table2, ablation-policy, ablation-read, scenarios, mitigate, trace, faults, fleet, all)")
+	exp := flag.String("exp", "all", "experiment id (table1, fig2..fig12, table2, ablation-policy, ablation-read, all)")
 	scale := flag.Int("scale", 1, "platform scale divisor (1 = paper size)")
 	coarse := flag.Bool("coarse", false, "use coarse 5-point delta grids")
 	format := flag.String("format", "ascii", "output format: ascii or tsv")
@@ -250,186 +227,9 @@ func (r *runner) one(id string) error {
 		r.emit(r.ablationPolicy())
 	case "ablation-read":
 		r.emit(r.ablationRead())
-	case "scenarios":
-		if err := r.scenarios(); err != nil {
-			return err
-		}
-	case "mitigate":
-		if err := r.mitigate(); err != nil {
-			return err
-		}
-	case "trace":
-		if err := r.trace(); err != nil {
-			return err
-		}
-	case "faults":
-		if err := r.faults(); err != nil {
-			return err
-		}
-	case "fleet":
-		if err := r.fleet(); err != nil {
-			return err
-		}
 	default:
 		return fmt.Errorf("unknown experiment %q", id)
 	}
-	return nil
-}
-
-// scenarios runs every built-in N-application scenario on its backend axis
-// (HDD and SSD) and emits the summary plus the per-result pairwise IF
-// matrices. -scale > 1 selects the smoke grid. cmd/scenarios offers finer
-// selection (-run, -file, -backend).
-func (r *runner) scenarios() error {
-	var all []*scenario.Result
-	for _, s := range scenario.Builtin() {
-		if r.scale > 1 {
-			s = s.Smoke()
-		}
-		results, err := scenario.RunAll(s, paper.Pool)
-		if err != nil {
-			return err
-		}
-		for _, res := range results {
-			all = append(all, res)
-			r.emit(scenario.RenderGraph(res), scenario.RenderMatrix(res))
-		}
-	}
-	r.emit(scenario.RenderSummary(all))
-	return nil
-}
-
-// mitigate sweeps every built-in scenario on HDD under the standard QoS
-// scheme set and emits, per scenario, the Pareto table (plus the raw
-// per-scheme δ-graphs) and a campaign summary. -scale > 1 selects the
-// smoke grid, like the scenarios experiment.
-func (r *runner) mitigate() error {
-	schemes := core.StandardSchemes()
-	var titles []string
-	var sweeps []*core.Sweep
-	for _, s := range scenario.Builtin() {
-		if r.scale > 1 {
-			s = s.Smoke()
-		}
-		sw, err := scenario.Sweep(s, cluster.HDD, schemes, paper.Pool)
-		if err != nil {
-			return err
-		}
-		names := scenario.AppNames(s)
-		titles = append(titles, s.Name)
-		sweeps = append(sweeps, sw)
-		r.emit(
-			qosreport.RenderPareto(fmt.Sprintf("%s on hdd: mitigation Pareto view", s.Name), sw),
-			qosreport.RenderSweepGraphs(fmt.Sprintf("%s on hdd: per-scheme delta-graphs", s.Name), sw, names),
-		)
-	}
-	r.emit(qosreport.RenderSummary(titles, sweeps))
-	return nil
-}
-
-// trace demonstrates the trace subsystem in memory: record the periodic
-// checkpoint builtin's δ=0 co-run on HDD, print the Darshan-style summary,
-// replay it on the recorded platform (verified bit-identical) and once more
-// under the fair-share QoS scheduler (the counterfactual arm). -scale > 1
-// selects the smoke grid, like the scenarios and mitigate experiments;
-// cmd/scenarios -trace/-replay is the file-based driver.
-func (r *runner) trace() error {
-	s, err := scenario.Lookup("periodic-checkpoint-4")
-	if err != nil {
-		return err
-	}
-	if r.scale > 1 {
-		s = s.Smoke()
-	}
-	t, _, err := scenario.Record(s, cluster.HDD)
-	if err != nil {
-		return err
-	}
-	rep, err := trace.Replay(t)
-	if err != nil {
-		return err
-	}
-	sums := trace.Summarize(t)
-	r.emit(
-		trace.RenderSummary(fmt.Sprintf("%s on hdd: Darshan-style per-app summary", s.Name), sums),
-		trace.RenderSizeHist(fmt.Sprintf("%s on hdd: request-size histogram", s.Name), sums),
-		trace.RenderRoundTrip(fmt.Sprintf("%s on hdd: recorded vs replayed completions", s.Name), rep),
-	)
-	if !rep.Identical() {
-		return fmt.Errorf("trace: replay diverged from the recording")
-	}
-	// FlowSlots 4 serializes the flow layer enough that grant-time
-	// arbitration binds even at smoke scale.
-	qcfg := t.Header.Cfg
-	qcfg.Srv.QoS = qos.Params{Kind: qos.FairShare, FlowSlots: 4}
-	qrep, err := trace.ReplayOn(t, qcfg)
-	if err != nil {
-		return err
-	}
-	r.emit(trace.RenderRoundTrip(
-		fmt.Sprintf("%s on hdd: counterfactual replay under qos=fairshare", s.Name), qrep))
-	return nil
-}
-
-// faults runs every built-in fault scenario's healthy-vs-faulted
-// comparison on HDD and SSD: the same apps twice, with and without the
-// injected crash/degrade timeline, reported as IF-under-faults plus the
-// availability ledger. -scale > 1 selects the smoke grid, like the
-// scenarios experiment; cmd/scenarios -faults is the finer driver.
-func (r *runner) faults() error {
-	ran := false
-	for _, s := range scenario.Builtin() {
-		if s.Faults == nil {
-			continue
-		}
-		if r.scale > 1 {
-			s = s.Smoke()
-		}
-		axis, err := s.Backends()
-		if err != nil {
-			return err
-		}
-		for _, b := range axis {
-			fc, err := scenario.CompareFaults(s, b, paper.Pool.Shards)
-			if err != nil {
-				return err
-			}
-			r.emit(scenario.RenderFaults(s, b, fc), scenario.RenderAvailability(s, b, fc))
-			ran = true
-		}
-	}
-	if !ran {
-		return fmt.Errorf("no built-in fault scenarios in the registry")
-	}
-	return nil
-}
-
-// fleet runs every generated-population builtin on its pinned backend axis
-// through the fleet summarizer and emits the per-class, percentile and
-// top-pair views plus the campaign summary. -scale > 1 selects the smoke
-// grid (volume/16, procs/8, time knobs/128), like the other extension
-// experiments; the tenant count and class mix are preserved, so the smoke
-// fleet is the full fleet at reduced per-tenant weight.
-func (r *runner) fleet() error {
-	var all []*scenario.FleetResult
-	for _, s := range scenario.FleetBuiltin() {
-		if r.scale > 1 {
-			s = s.Smoke()
-		}
-		results, err := scenario.RunFleetAll(s, paper.Pool)
-		if err != nil {
-			return err
-		}
-		for _, f := range results {
-			all = append(all, f)
-			r.emit(
-				scenario.RenderFleetClasses(f),
-				scenario.RenderFleetSlowdown(f),
-				scenario.RenderFleetPairs(f, 10),
-			)
-		}
-	}
-	r.emit(scenario.RenderFleetSummary(all))
 	return nil
 }
 

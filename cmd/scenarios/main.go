@@ -9,6 +9,7 @@
 //	scenarios                                # run every built-in on HDD and SSD
 //	scenarios -run elephant-mice,mixed-transfer
 //	scenarios -file my_scenario.json         # run a hand-written spec
+//	scenarios -file examples/specs/deltagraph.json   # the paper's two-app δ-graph
 //	scenarios -smoke -run all                # the CI smoke grid (tiny)
 //	scenarios -backend ssd -tsv              # one backend, machine-readable
 //	scenarios -qos fairshare -run aggressor-victim   # under a QoS scheduler
@@ -35,8 +36,12 @@
 //
 // -qos runs every selected scenario with the named server-side QoS
 // scheduler (off, fairshare, tokenbucket, controller) at its calibrated
-// defaults, overriding any qos block in the spec; paperrepro -exp mitigate
-// sweeps all schedulers side by side.
+// defaults, overriding any qos block in the spec. -smoke, -qos and
+// -backend apply the same way in every mode, including -faults,
+// -timeline and -trace; a replay keeps its recorded platform, so only
+// -qos reaches it. `make mitigate` runs the smoke grid once per
+// scheduler; the what-if service (cmd/whatifd) sweeps all schedulers side
+// by side and reports the per-scenario Pareto view as pareto_text.
 //
 // -trace records one selected scenario's δ=0 co-run (on -backend, default
 // hdd) to a request-level trace file and prints the Darshan-style per-app
@@ -73,32 +78,34 @@ import (
 )
 
 func main() {
-	if err := realMain(); err != nil {
+	if err := realMain(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "scenarios: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func realMain() error {
+// realMain runs the mode that args select and writes its report to stdout.
+func realMain(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		list     = flag.Bool("list", false, "list built-in scenarios and exit")
-		run      = flag.String("run", "all", "comma-separated built-in scenario names, or all")
-		file     = flag.String("file", "", "run a scenario spec from a JSON `file` instead of the registry")
-		backend  = flag.String("backend", "", "run on one backend only (hdd, ssd, ram, null); default: the scenario's axis (hdd+ssd)")
-		smoke    = flag.Bool("smoke", false, "shrink every scenario to the CI smoke grid")
-		qosName  = flag.String("qos", "", "run under a server-side QoS `scheduler` (off, fairshare, tokenbucket, controller), overriding the spec")
-		traceOut = flag.String("trace", "", "record the selected scenario's delta=0 co-run to a trace `file` and summarize it")
-		replayIn = flag.String("replay", "", "summarize and replay a recorded trace `file`, verifying bit-identical completions")
-		faults   = flag.Bool("faults", false, "run each selected fault scenario's healthy-vs-faulted comparison (the scenario needs a faults block)")
-		timeline = flag.Bool("timeline", false, "dump each selected scenario's delta=0 co-run as deterministic sim-time series plus span breakdown (internal/obs)")
-		tlEvery  = flag.Duration("timeline-interval", 100*time.Millisecond, "sampling `period` of -timeline on the simulated clock")
-		tlCount  = flag.Int("timeline-samples", 600, "max samples per -timeline series (observation horizon = interval * samples)")
-		tlSpans  = flag.Int("timeline-spans", 1<<16, "per-server span buffer capacity of -timeline (0 disables spans)")
-		tsv      = flag.Bool("tsv", false, "TSV output instead of aligned tables")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial)")
-		shards   = flag.Int("shards", 0, "event-kernel shards per simulation (0 = each spec's own knob, 1 = serial oracle); results are bit-identical at any value")
+		list     = fs.Bool("list", false, "list built-in scenarios and exit")
+		run      = fs.String("run", "all", "comma-separated built-in scenario names, or all")
+		file     = fs.String("file", "", "run a scenario spec from a JSON `file` instead of the registry")
+		backend  = fs.String("backend", "", "run on one backend only (hdd, ssd, ram, null); default: the scenario's axis (hdd+ssd)")
+		smoke    = fs.Bool("smoke", false, "shrink every scenario to the CI smoke grid")
+		qosName  = fs.String("qos", "", "run under a server-side QoS `scheduler` (off, fairshare, tokenbucket, controller), overriding the spec")
+		traceOut = fs.String("trace", "", "record the selected scenario's delta=0 co-run to a trace `file` and summarize it")
+		replayIn = fs.String("replay", "", "summarize and replay a recorded trace `file`, verifying bit-identical completions")
+		faults   = fs.Bool("faults", false, "run each selected fault scenario's healthy-vs-faulted comparison (the scenario needs a faults block)")
+		timeline = fs.Bool("timeline", false, "dump each selected scenario's delta=0 co-run as deterministic sim-time series plus span breakdown (internal/obs)")
+		tlEvery  = fs.Duration("timeline-interval", 100*time.Millisecond, "sampling `period` of -timeline on the simulated clock")
+		tlCount  = fs.Int("timeline-samples", 600, "max samples per -timeline series (observation horizon = interval * samples)")
+		tlSpans  = fs.Int("timeline-spans", 1<<16, "per-server span buffer capacity of -timeline (0 disables spans)")
+		tsv      = fs.Bool("tsv", false, "TSV output instead of aligned tables")
+		jobs     = fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial)")
+		shards   = fs.Int("shards", 0, "event-kernel shards per simulation (0 = each spec's own knob, 1 = serial oracle); results are bit-identical at any value")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits before Parse returns
 
 	if *qosName != "" {
 		if _, err := qos.ParseKind(*qosName); err != nil {
@@ -122,11 +129,20 @@ func realMain() error {
 			}
 			t.Add(s.Name, s.Population.Count, axis, s.Description)
 		}
-		return emit(os.Stdout, *tsv, t)
+		return emit(stdout, *tsv, t)
+	}
+
+	o := overrides{smoke: *smoke, qos: *qosName}
+	if *backend != "" {
+		b, err := cluster.ParseBackend(*backend)
+		if err != nil {
+			return err
+		}
+		o.backends = []cluster.BackendKind{b}
 	}
 
 	if *replayIn != "" {
-		return replayTrace(os.Stdout, *replayIn, *qosName, *tsv)
+		return replayTrace(stdout, *replayIn, o, *tsv)
 	}
 
 	specs, err := selectSpecs(*file, *run)
@@ -138,36 +154,21 @@ func realMain() error {
 		if len(specs) != 1 {
 			return fmt.Errorf("-trace records one scenario; select it with -run name or -file (got %d)", len(specs))
 		}
-		s := specs[0]
-		if *smoke {
-			s = s.Smoke()
-		}
-		if *qosName != "" {
-			// Record under the scheduler too; the trace header embeds the
-			// QoS-enabled platform, so replays reproduce it.
-			s.QoS = &scenario.QoS{Scheduler: *qosName}
-		}
-		b := cluster.HDD
-		if *backend != "" {
-			var err error
-			if b, err = cluster.ParseBackend(*backend); err != nil {
-				return err
-			}
-		}
-		return recordTrace(os.Stdout, s, b, *traceOut, *tsv)
-	}
-
-	var backends []cluster.BackendKind
-	if *backend != "" {
-		b, err := cluster.ParseBackend(*backend)
+		// Under -qos the recording runs under the scheduler too; the trace
+		// header embeds the QoS-enabled platform, so replays reproduce it.
+		s, _, err := o.apply(specs[0])
 		if err != nil {
 			return err
 		}
-		backends = []cluster.BackendKind{b}
+		b := cluster.HDD
+		if o.backends != nil {
+			b = o.backends[0]
+		}
+		return recordTrace(stdout, s, b, *traceOut, *tsv)
 	}
 
 	if *faults {
-		return runFaults(os.Stdout, specs, backends, *smoke, *shards, *tsv)
+		return runFaults(stdout, specs, o, *shards, *tsv)
 	}
 
 	if *timeline {
@@ -176,67 +177,42 @@ func realMain() error {
 			Samples:  *tlCount,
 			SpanCap:  *tlSpans,
 		}
-		return runTimelines(os.Stdout, specs, backends, *smoke, *qosName, *shards, ocfg, *tsv)
+		return runTimelines(stdout, specs, o, *shards, ocfg, *tsv)
 	}
 
 	pool := core.Runner{Parallelism: *jobs, Shards: *shards}
 	var all []*scenario.Result
 	var fleets []*scenario.FleetResult
 	for _, s := range specs {
+		s, axis, err := o.apply(s)
+		if err != nil {
+			return err
+		}
 		if s.Trace != nil {
 			// A declarative trace scenario replays its recording.
-			if *qosName != "" {
-				s.QoS = &scenario.QoS{Scheduler: *qosName}
-			}
-			if err := emitReplay(os.Stdout, s, *tsv); err != nil {
+			if err := emitReplay(stdout, s, *tsv); err != nil {
 				return err
 			}
 			continue
 		}
-		if s.Population != nil {
-			// A population scenario runs through the fleet summarizer — a
-			// δ sweep plus full pairwise matrix is infeasible at fleet
-			// tenant counts.
-			if *smoke {
-				s = s.Smoke()
-			}
-			if *qosName != "" {
-				s.QoS = &scenario.QoS{Scheduler: *qosName}
-			}
-			axis := backends
-			if axis == nil {
-				if axis, err = s.Backends(); err != nil {
-					return err
-				}
-			}
-			for _, b := range axis {
+		for _, b := range axis {
+			if s.Population != nil {
+				// A population scenario runs through the fleet summarizer —
+				// a δ sweep plus full pairwise matrix is infeasible at fleet
+				// tenant counts.
 				f, err := scenario.RunFleet(s, b, pool)
 				if err != nil {
 					return err
 				}
 				fleets = append(fleets, f)
-				if err := emit(os.Stdout, *tsv,
+				if err := emit(stdout, *tsv,
 					scenario.RenderFleetClasses(f),
 					scenario.RenderFleetSlowdown(f),
 					scenario.RenderFleetPairs(f, 10)); err != nil {
 					return err
 				}
+				continue
 			}
-			continue
-		}
-		if *smoke {
-			s = s.Smoke()
-		}
-		if *qosName != "" {
-			s.QoS = &scenario.QoS{Scheduler: *qosName}
-		}
-		axis := backends
-		if axis == nil {
-			if axis, err = s.Backends(); err != nil {
-				return err
-			}
-		}
-		for _, b := range axis {
 			res, err := scenario.Run(s, b, pool)
 			if err != nil {
 				return err
@@ -248,13 +224,13 @@ func realMain() error {
 			if err != nil {
 				return err
 			}
-			if _, err := io.WriteString(os.Stdout, text); err != nil {
+			if _, err := io.WriteString(stdout, text); err != nil {
 				return err
 			}
 		}
 	}
 	if len(fleets) > 0 {
-		if err := emit(os.Stdout, *tsv, scenario.RenderFleetSummary(fleets)); err != nil {
+		if err := emit(stdout, *tsv, scenario.RenderFleetSummary(fleets)); err != nil {
 			return err
 		}
 	}
@@ -265,8 +241,34 @@ func realMain() error {
 	if err != nil {
 		return err
 	}
-	_, err = io.WriteString(os.Stdout, text)
+	_, err = io.WriteString(stdout, text)
 	return err
+}
+
+// overrides are the run-wide flags every mode applies to each selected
+// spec: -smoke, -qos and -backend.
+type overrides struct {
+	smoke    bool
+	qos      string
+	backends []cluster.BackendKind // nil: each spec's own axis
+}
+
+// apply returns the spec as a mode runs it — shrunk under -smoke, its qos
+// block replaced under -qos — and the backends to run it on: -backend if
+// given, else the spec's own axis. A trace scenario keeps its recording;
+// only the qos override reaches its replay.
+func (o overrides) apply(s scenario.Spec) (scenario.Spec, []cluster.BackendKind, error) {
+	if o.smoke {
+		s = s.Smoke()
+	}
+	if o.qos != "" {
+		s.QoS = &scenario.QoS{Scheduler: o.qos}
+	}
+	if o.backends != nil {
+		return s, o.backends, nil
+	}
+	axis, err := s.Backends()
+	return s, axis, err
 }
 
 // runFaults runs every selected fault scenario's healthy-vs-faulted
@@ -274,8 +276,7 @@ func realMain() error {
 // availability ledger. Selected scenarios without a faults block are an
 // error: asking for a fault comparison of a fault-free scenario is a typo,
 // not a no-op.
-func runFaults(w io.Writer, specs []scenario.Spec, backends []cluster.BackendKind,
-	smoke bool, shards int, tsv bool) error {
+func runFaults(w io.Writer, specs []scenario.Spec, o overrides, shards int, tsv bool) error {
 	ran := 0
 	for _, s := range specs {
 		if s.Faults == nil {
@@ -285,15 +286,9 @@ func runFaults(w io.Writer, specs []scenario.Spec, backends []cluster.BackendKin
 			}
 			continue // "-run all -faults" means "every fault scenario"
 		}
-		if smoke {
-			s = s.Smoke()
-		}
-		axis := backends
-		if axis == nil {
-			var err error
-			if axis, err = s.Backends(); err != nil {
-				return err
-			}
+		s, axis, err := o.apply(s)
+		if err != nil {
+			return err
 		}
 		for _, b := range axis {
 			fc, err := scenario.CompareFaults(s, b, shards)
@@ -319,8 +314,7 @@ func runFaults(w io.Writer, specs []scenario.Spec, backends []cluster.BackendKin
 // observability layer attached and prints the rendered timeline. Trace
 // scenarios are skipped (no co-run to observe) unless explicitly the only
 // selection, which is an error rather than silence.
-func runTimelines(w io.Writer, specs []scenario.Spec, backends []cluster.BackendKind,
-	smoke bool, qosName string, shards int, ocfg obs.Config, tsv bool) error {
+func runTimelines(w io.Writer, specs []scenario.Spec, o overrides, shards int, ocfg obs.Config, tsv bool) error {
 	if err := ocfg.Validate(); err != nil {
 		return err
 	}
@@ -331,18 +325,9 @@ func runTimelines(w io.Writer, specs []scenario.Spec, backends []cluster.Backend
 			}
 			continue
 		}
-		if smoke {
-			s = s.Smoke()
-		}
-		if qosName != "" {
-			s.QoS = &scenario.QoS{Scheduler: qosName}
-		}
-		axis := backends
-		if axis == nil {
-			var err error
-			if axis, err = s.Backends(); err != nil {
-				return err
-			}
+		s, axis, err := o.apply(s)
+		if err != nil {
+			return err
 		}
 		for _, b := range axis {
 			res, err := scenario.RunTimeline(s, b, shards, ocfg)
@@ -406,10 +391,10 @@ func recordTrace(w io.Writer, s scenario.Spec, b cluster.BackendKind, path strin
 // platform the replay is verified bit-identical to the recording (non-nil
 // error on divergence); under -qos it is a counterfactual and only
 // reported.
-func replayTrace(w io.Writer, path, qosName string, tsv bool) error {
-	spec := scenario.Spec{Name: "replay:" + path, Trace: &scenario.TraceBlock{Path: path}}
-	if qosName != "" {
-		spec.QoS = &scenario.QoS{Scheduler: qosName}
+func replayTrace(w io.Writer, path string, o overrides, tsv bool) error {
+	spec, _, err := o.apply(scenario.Spec{Name: "replay:" + path, Trace: &scenario.TraceBlock{Path: path}})
+	if err != nil {
+		return err
 	}
 	return emitReplay(w, spec, tsv)
 }

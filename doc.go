@@ -15,9 +15,9 @@
 // into a before/after mitigation experiment: pluggable schedulers —
 // deficit-round-robin fair sharing, token-bucket throttling, a feedback
 // congestion controller over LASSi-style telemetry — slot between the file
-// system's flow layer and the device, and core.RunMitigationSweep (with
-// paperrepro -exp mitigate) reports each scheme's interference reduction
-// against its aggregate-throughput cost. A trace subsystem
+// system's flow layer and the device, and core.RunMitigationSweep reports
+// each scheme's interference reduction against its aggregate-throughput
+// cost (cmd/whatifd serves that Pareto view per scenario). A trace subsystem
 // (internal/trace) records every request — time, app, rank, server,
 // offset, bytes, queue depth, latency — through an opt-in zero-allocation
 // hook on the file-system client path, summarizes traces Darshan-style,
@@ -48,7 +48,7 @@
 // δ-graph campaigns are embarrassingly parallel — every alone baseline,
 // δ point and figure series is an independent simulation on its own
 // platform — and run on a bounded worker pool (core.Runner, paper.Pool,
-// the -j flag of cmd/paperrepro and cmd/deltagraph). Each individual
+// the -j flag of cmd/paperrepro and cmd/scenarios). Each individual
 // simulation is single-threaded and deterministic, so results are
 // byte-identical at any parallelism level.
 //

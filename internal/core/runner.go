@@ -67,6 +67,11 @@ func (r Runner) workers(n int) int {
 // finished. Execution order is unspecified beyond the pool bound; callers
 // keep determinism by writing results into index-addressed slots. A serial
 // pool (effective size 1) runs fn in index order.
+//
+// A panic in fn reaches the caller at any pool size: once a task panics no
+// worker claims another, and after the running ones finish ForEach
+// re-panics with the first panic's value on the calling goroutine, where
+// the caller's recover can see it.
 func (r Runner) ForEach(n int, fn func(int)) {
 	if n <= 0 {
 		return
@@ -78,14 +83,22 @@ func (r Runner) ForEach(n int, fn func(int)) {
 		}
 		return
 	}
-	var next int64 // next task index to claim, accessed atomically
+	var next atomic.Int64 // next task index to claim
 	var wg sync.WaitGroup
+	var first sync.Once
+	var failure any // the first worker panic's value
 	wg.Add(w)
 	for k := 0; k < w; k++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					first.Do(func() { failure = v })
+					next.Store(int64(n))
+				}
+			}()
 			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
+				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -94,33 +107,16 @@ func (r Runner) ForEach(n int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
 }
 
 // RunDelta executes every alone baseline (one per application) and every δ
 // point of spec concurrently on the pool. The result is identical to
 // core.RunDelta(spec); see the Runner type comment for why.
 func (r Runner) RunDelta(spec DeltaSpec) *DeltaGraph {
-	spec.validate()
-	spec.Shards = r.shardsFor(spec)
-	n := len(spec.Apps)
-	g := &DeltaGraph{
-		Alone:  make([]sim.Time, n),
-		Points: make([]DeltaPoint, len(spec.Deltas)),
-	}
-	// Tasks 0..n-1 are the alone baselines; task n+i is δ point i. All
-	// n+len(Deltas) simulations are independent: IF values, the only
-	// cross-run quantity, are filled in afterwards.
-	r.ForEach(n+len(spec.Deltas), func(t int) {
-		if t < n {
-			g.Alone[t] = runAlone(spec, t)
-			return
-		}
-		g.Points[t-n] = runPoint(spec, spec.Deltas[t-n])
-	})
-	for i := range g.Points {
-		g.Points[i].applyAlone(g.Alone)
-	}
-	return g
+	return r.RunDeltas([]DeltaSpec{spec})[0]
 }
 
 // RunDeltas runs many independent δ-graph specs on one pool, flattening

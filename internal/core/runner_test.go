@@ -96,6 +96,26 @@ func TestForEachEdgeCases(t *testing.T) {
 	}
 }
 
+// TestForEachPanicReachesCaller pins that a panicking task surfaces on the
+// calling goroutine at every pool size. A panic left on a worker goroutine
+// would end the process before any recover of the caller could run.
+func TestForEachPanicReachesCaller(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			Runner{Parallelism: par}.ForEach(100, func(i int) {
+				if i == 7 {
+					panic("task 7")
+				}
+			})
+			return nil
+		}()
+		if got != "task 7" {
+			t.Fatalf("Parallelism=%d: recovered %v, want the task's panic value", par, got)
+		}
+	}
+}
+
 // TestRunnerDiagIdentical pins down that even the diagnostic counters —
 // the most scheduling-sensitive outputs — match the serial path exactly.
 func TestRunnerDiagIdentical(t *testing.T) {

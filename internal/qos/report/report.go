@@ -1,12 +1,11 @@
 // Package report renders mitigation-sweep results (core.Sweep) as tables:
 // the per-scheme Pareto view — interference removed versus aggregate
-// throughput paid — that cmd/scenarios -qos and paperrepro -exp mitigate
-// print. It builds on the repository-wide table writer (internal/report).
+// throughput paid — that whatifd serves as each report's pareto_text
+// (internal/whatif); internal/scenario's golden_mitigation.txt pins its
+// rows. It builds on the repository-wide table writer (internal/report).
 package report
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	basereport "repro/internal/report"
 )
@@ -41,22 +40,6 @@ func RenderSweepGraphs(title string, sweep *core.Sweep, names []string) *baserep
 				row = append(row, p.Elapsed[a].Seconds(), p.IF[a])
 			}
 			t.Add(row...)
-		}
-	}
-	return t
-}
-
-// RenderSummary tabulates one line per (scenario, scheme) over many sweeps
-// — the campaign-level view paperrepro -exp mitigate ends with.
-func RenderSummary(titles []string, sweeps []*core.Sweep) *basereport.Table {
-	if len(titles) != len(sweeps) {
-		panic(fmt.Sprintf("qos/report: %d titles for %d sweeps", len(titles), len(sweeps)))
-	}
-	t := basereport.New("mitigation summary",
-		"scenario", "scheduler", "peak_IF", "dIF_pct", "tp_cost_pct")
-	for i, s := range sweeps {
-		for _, r := range s.Pareto() {
-			t.Add(titles[i], r.Name, r.PeakIF, r.IFReductionPct, r.TPCostPct)
 		}
 	}
 	return t

@@ -57,17 +57,3 @@ func TestRenderSweepGraphs(t *testing.T) {
 		t.Fatalf("cols = %d", got)
 	}
 }
-
-func TestRenderSummary(t *testing.T) {
-	s := sweep()
-	tab := RenderSummary([]string{"scenario-x"}, []*core.Sweep{s})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched titles must panic")
-		}
-	}()
-	RenderSummary([]string{"a", "b"}, []*core.Sweep{s})
-}

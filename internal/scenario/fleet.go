@@ -65,23 +65,6 @@ func RunFleet(s Spec, backend cluster.BackendKind, pool core.Runner) (*FleetResu
 	}, nil
 }
 
-// RunFleetAll executes the population scenario on its whole backend axis.
-func RunFleetAll(s Spec, pool core.Runner) ([]*FleetResult, error) {
-	backends, err := s.Backends()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*FleetResult, 0, len(backends))
-	for _, b := range backends {
-		r, err := RunFleet(s, b, pool)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // Makespan is the fleet co-run's total span: the latest tenant completion.
 func (f *FleetResult) Makespan() float64 {
 	var end float64

@@ -98,7 +98,7 @@ func Builtin() []Spec {
 			Name: "aggressor-victim",
 			Description: "One bulk writer against a latency-bound strided writer — the mitigation " +
 				"showcase: the victim's small requests queue behind the aggressor's deep chunk pipelines " +
-				"at every server, exactly the backlog a QoS scheduler removes (paperrepro -exp mitigate).",
+				"at every server, exactly the backlog a QoS scheduler removes (scenarios -qos, make mitigate).",
 			Servers: 4,
 			DeltaS:  []float64{-10, 0, 10},
 			Apps: []App{
@@ -166,7 +166,7 @@ func Builtin() []Spec {
 			Description: "A checkpointing writer and a restart reader ride out a storage-server " +
 				"crash mid-burst: in-flight requests die with the server, the clients' deadlines " +
 				"fire, and capped-backoff retries land the lost work after the restart — the " +
-				"availability cost shows up as IF against the healthy twin (paperrepro -exp faults).",
+				"availability cost shows up as IF against the healthy twin (scenarios -faults).",
 			Servers: 4,
 			DeltaS:  []float64{-5, 0, 5},
 			Faults: &FaultBlock{

@@ -59,7 +59,9 @@ type replayApp struct {
 // ReplayOn re-executes the trace on cfg — the header's platform by default
 // (Replay), or a deliberately modified one (a different backend, a QoS
 // scheduler enabled) for counterfactual what-if replays, where timings may
-// of course diverge from the recording.
+// of course diverge from the recording. cfg keeps the header's node and
+// server counts: Validate checks the apps' placement against the header's
+// platform.
 //
 // The preparation mirrors core.Prepare operation for operation (file,
 // timer and client construction order fix server-local file IDs, client IDs
@@ -80,11 +82,6 @@ func ReplayOn(t *Trace, cfg cluster.Config) (*ReplayResult, error) {
 		stripe := info.Stripe
 		if stripe <= 0 {
 			stripe = cfg.StripeSize
-		}
-		lastNode := info.FirstNode + (info.Procs-1)/info.PPN
-		if info.FirstNode < 0 || lastNode >= cfg.ComputeNodes {
-			return nil, fmt.Errorf("trace: app %q spans nodes %d..%d beyond the %d-node platform",
-				info.Name, info.FirstNode, lastNode, cfg.ComputeNodes)
 		}
 		a := &replayApp{
 			info:    info,

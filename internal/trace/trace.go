@@ -180,15 +180,32 @@ func appQD(a core.AppSpec) int {
 	return a.Workload.QD
 }
 
-// Validate checks the trace for structural consistency: a present header,
-// and every record's app/rank within the header's application table.
+// Validate checks the trace for structural consistency: a present header
+// whose platform validates, every app placed on that platform's nodes and
+// servers, and every record's app/rank within the header's application
+// table.
 func (t *Trace) Validate() error {
 	if len(t.Header.Apps) == 0 {
 		return fmt.Errorf("trace: header has no applications")
 	}
+	cfg := t.Header.Cfg
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("trace: header platform: %w", err)
+	}
 	for i, a := range t.Header.Apps {
 		if a.Procs <= 0 || a.PPN <= 0 {
 			return fmt.Errorf("trace: app %d (%q): procs/ppn must be positive", i, a.Name)
+		}
+		lastNode := a.FirstNode + (a.Procs-1)/a.PPN
+		if a.FirstNode < 0 || lastNode >= cfg.ComputeNodes {
+			return fmt.Errorf("trace: app %q spans nodes %d..%d beyond the %d-node platform",
+				a.Name, a.FirstNode, lastNode, cfg.ComputeNodes)
+		}
+		for _, s := range a.TargetServers {
+			if s < 0 || s >= cfg.Servers {
+				return fmt.Errorf("trace: app %q targets server %d outside the %d-server platform",
+					a.Name, s, cfg.Servers)
+			}
 		}
 	}
 	for i, r := range t.Records {

@@ -295,15 +295,29 @@ func TestRecorderZeroAlloc(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	good := trace.Trace{Header: trace.Header{Apps: []trace.AppInfo{{Name: "A", Procs: 2, PPN: 2}}}}
+	good := trace.Trace{Header: trace.Header{Cfg: testCfg(),
+		Apps: []trace.AppInfo{{Name: "A", Procs: 2, PPN: 2}}}}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// header returns good's header with one edit applied to a copy.
+	header := func(edit func(*trace.Header)) trace.Header {
+		h := trace.Header{Cfg: good.Header.Cfg,
+			Apps: append([]trace.AppInfo(nil), good.Header.Apps...)}
+		edit(&h)
+		return h
+	}
 	cases := []trace.Trace{
 		{},
-		{Header: trace.Header{Apps: []trace.AppInfo{{Name: "A", Procs: 0, PPN: 2}}}},
+		{Header: header(func(h *trace.Header) { h.Apps[0].Procs = 0 })},
 		{Header: good.Header, Records: []trace.Record{{App: 1}}},
 		{Header: good.Header, Records: []trace.Record{{App: 0, Rank: 5}}},
+		// The header's platform must validate and hold every app.
+		{Header: header(func(h *trace.Header) { h.Cfg.Servers = 0 })},
+		{Header: header(func(h *trace.Header) { h.Apps[0].TargetServers = []int{99} })},
+		{Header: header(func(h *trace.Header) { h.Apps[0].TargetServers = []int{-1} })},
+		{Header: header(func(h *trace.Header) { h.Apps[0].FirstNode = 4 })},
+		{Header: header(func(h *trace.Header) { h.Apps[0].FirstNode = -1 })},
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {

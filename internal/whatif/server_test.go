@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // newTestServer starts a service plus an httptest front end; both are torn
@@ -353,6 +355,47 @@ func TestServerTraceEndpoint(t *testing.T) {
 	}
 	if !bytes.Equal(out, out2) {
 		t.Fatal("cache-hit response differs from the cold one")
+	}
+}
+
+// TestServerBadTraceHeader pins the upload boundary: a trace whose header
+// places an app on a server or node its own platform lacks, or whose
+// platform does not validate, is a 400 rather than a panic inside the
+// replay (which ran on a pool worker goroutine, beyond runJob's recover),
+// and the service keeps serving valid uploads afterwards. Jobs 4 keeps the
+// per-session pool parallel on any host.
+func TestServerBadTraceHeader(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Jobs: 4})
+	raw := recordTinyTrace(t)
+	corrupt := func(edit func(*trace.Header)) []byte {
+		tr, err := trace.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(&tr.Header)
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"target server out of range", corrupt(func(h *trace.Header) { h.Apps[0].TargetServers = []int{99} })},
+		{"zero servers", corrupt(func(h *trace.Header) { h.Cfg.Servers = 0 })},
+		{"app beyond the nodes", corrupt(func(h *trace.Header) { h.Apps[1].FirstNode = h.Cfg.ComputeNodes })},
+	}
+	for _, tc := range cases {
+		resp, out := postJSON(t, ts.URL+"/v1/whatif/trace?name=bad.trace", tc.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, out)
+		}
+	}
+	resp, out := postJSON(t, ts.URL+"/v1/whatif/trace?name=tiny.trace", raw)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid upload after the bad ones: status %d: %s", resp.StatusCode, out)
 	}
 }
 
