@@ -3,10 +3,10 @@
 GO      ?= go
 # BENCH_OUT is the perf snapshot consumed by CI artifacts and by future
 # perf PRs; the _N suffix tracks the PR number that produced it.
-BENCH_OUT ?= BENCH_12.json
+BENCH_OUT ?= BENCH_14.json
 # BENCH_PREV is the previous PR's committed snapshot; bench-check fails when
 # a serial-path benchmark regressed beyond the benchguard tolerance.
-BENCH_PREV ?= BENCH_10.json
+BENCH_PREV ?= BENCH_12.json
 
 .PHONY: test race bench bench-check fuzz-short scenarios mitigate trace faults fleet serve obs
 
@@ -75,8 +75,10 @@ bench:
 
 # bench-check guards the serial-path perf trajectory: the previous PR's
 # committed snapshot against the fresh one, with a generous cross-machine
-# tolerance (see cmd/benchguard). Sharded benches are excluded — their
-# wall-clock depends on the runner's core count, not on code quality.
+# tolerance on ns/op and a fixed 1% rule on allocs/op, which does not
+# depend on the machine (see cmd/benchguard). Sharded benches are excluded
+# — their wall-clock depends on the runner's core count, not on code
+# quality.
 bench-check:
 	$(GO) run ./cmd/benchguard -old $(BENCH_PREV) -new $(BENCH_OUT) \
 		-match '^Benchmark(EngineEventThroughput|EngineStandingQueue|TransportThroughput|HDDElevator|FairShareScheduler|TraceRecord|Figure2SyncOn|FleetScenario|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord)'

@@ -4,9 +4,17 @@
 //
 // It guards the *serial-path* trajectory across PRs: the bench job runs it
 // with the previous PR's committed snapshot as -old and the fresh one as
-// -new. The tolerance is deliberately generous — snapshots come from
+// -new. The time tolerance is deliberately generous — snapshots come from
 // different CI machines (different CPUs, frequencies, neighbors), so only
 // a gross regression (default 1.5×) is a signal rather than noise.
+//
+// Allocation counts do not depend on the machine, so they get a tight,
+// fixed rule instead: a benchmark whose median allocs/op exceeds the
+// baseline's by more than 1% fails. Micro-benchmarks allocate exactly the
+// same every run, and the Figure 2 campaign moved by at most 0.1% between
+// runs in BENCH_12 and BENCH_14, so the rule catches an allocation a hot
+// path gains that the time gate would miss. Benchmarks run without
+// -benchmem report no allocs/op and are guarded on time alone.
 //
 // Usage:
 //
@@ -71,9 +79,14 @@ func readBenchLines(path string) ([]string, error) {
 //	BenchmarkName[-procs] <tab> iters <tab> 123.4 ns/op [more metrics]
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op`)
 
-// parse returns ns/op samples per benchmark name.
-func parse(lines []string) map[string][]float64 {
-	out := make(map[string][]float64)
+// allocsMetric matches the allocs/op metric -benchmem appends to a result
+// line.
+var allocsMetric = regexp.MustCompile(`\s([0-9.e+]+) allocs/op`)
+
+// parse returns ns/op and allocs/op samples per benchmark name; a result
+// line without allocs/op contributes to ns/op only.
+func parse(lines []string) (ns, allocs map[string][]float64) {
+	ns, allocs = make(map[string][]float64), make(map[string][]float64)
 	for _, line := range lines {
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
@@ -83,9 +96,14 @@ func parse(lines []string) map[string][]float64 {
 		if err != nil {
 			continue
 		}
-		out[m[1]] = append(out[m[1]], v)
+		ns[m[1]] = append(ns[m[1]], v)
+		if a := allocsMetric.FindStringSubmatch(line); a != nil {
+			if v, err := strconv.ParseFloat(a[1], 64); err == nil {
+				allocs[m[1]] = append(allocs[m[1]], v)
+			}
+		}
 	}
-	return out
+	return ns, allocs
 }
 
 // median of a non-empty sample set; medians resist the occasional CI
@@ -116,7 +134,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	load := func(path string) map[string][]float64 {
+	load := func(path string) (ns, allocs map[string][]float64) {
 		lines, err := readBenchLines(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
@@ -124,12 +142,49 @@ func main() {
 		}
 		return parse(lines)
 	}
-	oldB, newB := load(*oldPath), load(*newPath)
+	oldB, oldA := load(*oldPath)
+	newB, newA := load(*newPath)
 
-	if !guard(os.Stdout, oldB, newB, *tolerance, re, *oldPath) {
+	timeOK := guard(os.Stdout, oldB, newB, *tolerance, re, *oldPath)
+	allocsOK := guardAllocs(os.Stdout, oldA, newA, re)
+	if !timeOK {
 		fmt.Fprintf(os.Stderr, "benchguard: regression beyond %.2fx tolerance\n", *tolerance)
+	}
+	if !allocsOK {
+		fmt.Fprintf(os.Stderr, "benchguard: allocs/op above the baseline by more than %.0f%%\n", 100*(allocsTolerance-1))
+	}
+	if !timeOK || !allocsOK {
 		os.Exit(1)
 	}
+}
+
+// allocsTolerance is the fixed allocs/op rule: a guarded benchmark fails
+// when its median exceeds the baseline's by more than 1%.
+const allocsTolerance = 1.01
+
+// guardAllocs applies the allocs/op rule to every matching benchmark that
+// reports allocs/op in both snapshots, printing one sorted line each, and
+// reports whether all of them pass. A benchmark without allocation samples
+// on either side is left to the time guard.
+func guardAllocs(w io.Writer, oldA, newA map[string][]float64, re *regexp.Regexp) bool {
+	names := make([]string, 0, len(newA))
+	for name := range newA {
+		if _, ok := oldA[name]; ok && re.MatchString(name) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	ok := true
+	for _, name := range names {
+		o, n := median(oldA[name]), median(newA[name])
+		verdict := "ok  "
+		if n > o*allocsTolerance {
+			verdict = "FAIL"
+			ok = false
+		}
+		fmt.Fprintf(w, "%s %-45s old %12.0f allocs/op  new %12.0f allocs/op\n", verdict, name, o, n)
+	}
+	return ok
 }
 
 // guard compares the two snapshots over their intersection, printing one

@@ -74,17 +74,23 @@ func TestGuardMatchFilter(t *testing.T) {
 
 func TestParseBenchLines(t *testing.T) {
 	lines := []string{
-		"BenchmarkEventKernel-8   \t 1000 \t 123.4 ns/op \t 5 B/op",
+		"BenchmarkEventKernel-8   \t 1000 \t 123.4 ns/op \t 5 B/op \t 2 allocs/op",
 		"BenchmarkEventKernel-8   \t 1200 \t 120.0 ns/op",
 		"not a benchmark line",
 		"BenchmarkOther 	 10 	 9e+03 ns/op",
 	}
-	got := parse(lines)
+	got, allocs := parse(lines)
 	if len(got["BenchmarkEventKernel"]) != 2 {
 		t.Fatalf("samples = %v, want 2 for BenchmarkEventKernel", got)
 	}
 	if v := got["BenchmarkOther"]; len(v) != 1 || v[0] != 9000 {
 		t.Fatalf("BenchmarkOther = %v, want [9000]", v)
+	}
+	if v := allocs["BenchmarkEventKernel"]; len(v) != 1 || v[0] != 2 {
+		t.Fatalf("BenchmarkEventKernel allocs = %v, want [2]", v)
+	}
+	if v, ok := allocs["BenchmarkOther"]; ok {
+		t.Fatalf("BenchmarkOther allocs = %v, want none (no -benchmem)", v)
 	}
 	if m := median([]float64{3, 1, 2}); m != 2 {
 		t.Fatalf("median = %v, want 2", m)
@@ -92,4 +98,54 @@ func TestParseBenchLines(t *testing.T) {
 	if m := median([]float64{1, 2, 3, 4}); m != 2.5 {
 		t.Fatalf("median = %v, want 2.5", m)
 	}
+}
+
+// TestGuardAllocs pins the fixed allocs/op rule: a median more than 1%
+// above the baseline's fails, anything within 1% or below passes, an exact
+// zero baseline admits no allocation at all, and benchmarks without
+// allocation samples on either side, or filtered out, are not reported.
+func TestGuardAllocs(t *testing.T) {
+	oldA := map[string][]float64{
+		"BenchmarkFlat":   {1000, 1000, 1000},
+		"BenchmarkDrift":  {1000000, 1000100, 999900},
+		"BenchmarkGrew":   {100, 100, 100},
+		"BenchmarkZero":   {0, 0},
+		"BenchmarkFewer":  {4},
+		"BenchmarkNoNew":  {7},
+		"BenchmarkHidden": {10},
+	}
+	newA := map[string][]float64{
+		"BenchmarkFlat":   {1000, 1000},
+		"BenchmarkDrift":  {1009000, 1008000, 1009500}, // +0.9%: within 1%
+		"BenchmarkGrew":   {102, 101, 103},             // +2%: fails
+		"BenchmarkZero":   {0, 1, 1},                   // 1 against an exact 0
+		"BenchmarkFewer":  {1},
+		"BenchmarkNoOld":  {3},
+		"BenchmarkHidden": {1000},
+	}
+	var b strings.Builder
+	if guardAllocs(&b, oldA, newA, regexp.MustCompile("^Benchmark[^H]")) {
+		t.Fatalf("allocs guard passed despite a 2%% rise and a new allocation:\n%s", b.String())
+	}
+	out := b.String()
+	for _, want := range []string{
+		"ok   BenchmarkDrift",
+		"ok   BenchmarkFewer",
+		"ok   BenchmarkFlat",
+		"FAIL BenchmarkGrew",
+		"FAIL BenchmarkZero",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, absent := range []string{"BenchmarkNoNew", "BenchmarkNoOld", "BenchmarkHidden"} {
+		if strings.Contains(out, absent) {
+			t.Errorf("output reports %s, which has no samples on one side or is filtered out:\n%s", absent, out)
+		}
+	}
+	if strings.Index(out, "BenchmarkDrift") > strings.Index(out, "BenchmarkZero") {
+		t.Errorf("output not sorted by name:\n%s", out)
+	}
+
 }

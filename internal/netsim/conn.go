@@ -6,12 +6,16 @@ import "repro/internal/sim"
 // are delivered in order; a message becomes *readable* at the receiver once
 // all of its bytes have been accepted, and occupies receive-buffer space
 // until the application consumes it with ReadHead.
+//
+// A Message is read-only from Send on: the receiver queues the sender's
+// pointer itself rather than a copy, so under a sim.ShardSet both shards
+// read it. The sender may reuse it only after it has been acknowledged
+// and the receiver has both announced it to OnReadable and read it.
 type Message struct {
 	Size int64
 	Meta interface{}
 
-	endSeq   int64 // stream position of the last byte + 1
-	notified bool
+	endSeq int64 // stream position of the last byte + 1, set by Send
 }
 
 // ConnStats are cumulative per-connection counters.
@@ -40,12 +44,10 @@ type Conn struct {
 	// OnReadable, set by the server side, fires when the head message has
 	// fully arrived. The server consumes it later with ReadHead.
 	OnReadable func(c *Conn, m *Message)
-	// OnReply, set by the client side, fires when a reverse-path message
-	// arrives.
-	OnReply func(meta interface{})
 
 	// ---- sender state ----
-	sendQ       []*Message
+	// sendQ holds the sent messages not yet fully acknowledged.
+	sendQ       MsgQueue
 	appendedSeq int64 // bytes ever queued
 	nextSeq     int64 // next byte to transmit
 	ackedSeq    int64 // cumulative ack
@@ -58,16 +60,19 @@ type Conn struct {
 	highSent    int64    // highest byte ever transmitted
 
 	// ---- receiver state ----
-	rcvNext  int64 // next in-order byte expected
-	readSeq  int64 // bytes consumed by the server application
-	rcvQ     []*Message
-	deliverQ int64 // bytes of fully-arrived (readable) head messages
+	rcvNext int64    // next in-order byte expected
+	readSeq int64    // bytes consumed by the server application
+	rcvQ    MsgQueue // unread messages, in stream order
+	// announced counts the messages at the head of rcvQ already announced
+	// to OnReadable: rcvQ.At(announced) is the first one not yet announced.
+	// A message is announced exactly when its last byte is accepted, and
+	// rcvNext only advances in receive, which always runs notifyReadable —
+	// so the announced messages are always a prefix of the unread ones.
+	announced int
 
 	// notifyQ holds messages announced to OnReadable but not yet
-	// dispatched, consumed head-first by the opReadable event. notifyHead
-	// indexes the head so dequeueing never copy-shifts.
-	notifyQ    []*Message
-	notifyHead int
+	// dispatched, consumed head-first by the opReadable event.
+	notifyQ MsgQueue
 
 	stats ConnStats
 	Trace *Trace // optional; set by probes
@@ -106,14 +111,7 @@ func (c *Conn) OnEvent(op uint32, a, b int64) {
 	case opAck:
 		c.handleAck(a, b)
 	case opReadable:
-		m := c.notifyQ[c.notifyHead]
-		c.notifyQ[c.notifyHead] = nil
-		c.notifyHead++
-		if c.notifyHead == len(c.notifyQ) {
-			c.notifyQ = c.notifyQ[:0]
-			c.notifyHead = 0
-		}
-		c.OnReadable(c, m)
+		c.OnReadable(c, c.notifyQ.Pop())
 	case opRTO:
 		c.checkRTO(sim.Time(a))
 	}
@@ -168,26 +166,24 @@ func (c *Conn) Send(m *Message) {
 	}
 	c.appendedSeq += m.Size
 	m.endSeq = c.appendedSeq
-	c.sendQ = append(c.sendQ, m)
-	mm := *m
-	mm.notified = false
-	// The receiver-side framing mirror is receiver-owned state: append it on
-	// the receiver's shard. The deferred cross-shard apply is invisible to
-	// the receiver — no byte of the message can arrive before one lookahead
-	// has passed, so notifyReadable and ReadHead cannot reach the mirrored
-	// entry until long after the next drain has delivered it.
+	c.sendQ.Push(m)
+	// The receive queue is receiver-owned state: append m on the receiver's
+	// shard. The deferred cross-shard apply is invisible to the receiver —
+	// no byte of the message can arrive before one lookahead has passed, so
+	// notifyReadable and ReadHead cannot reach the entry until long after
+	// the next drain has delivered it.
 	if se, de := c.srcE(), c.dstE(); se == de {
-		c.rcvQ = append(c.rcvQ, &mm)
+		c.rcvQ.Push(m)
 	} else {
-		se.PostApply(de, c, 0, 0, &mm)
+		se.PostApply(de, c, 0, 0, m)
 	}
 	c.pump()
 }
 
-// OnApply implements sim.Applier: the receiver-shard landing point for the
-// framing mirror of Send.
+// OnApply implements sim.Applier: the receiver-shard landing point for
+// Send's receive-queue append.
 func (c *Conn) OnApply(a, b int64, data any) {
-	c.rcvQ = append(c.rcvQ, data.(*Message))
+	c.rcvQ.Push(data.(*Message))
 }
 
 // pump transmits as many segments as the windows allow.
@@ -289,19 +285,16 @@ func (c *Conn) receive(seq, size int64) {
 	c.sendAck()
 }
 
-// notifyReadable fires OnReadable for every fully-arrived head message that
-// has not been announced yet.
+// notifyReadable fires OnReadable for every fully-arrived message that has
+// not been announced yet, resuming at the announce cursor.
 func (c *Conn) notifyReadable() {
-	for _, m := range c.rcvQ {
+	for ; c.announced < c.rcvQ.Len(); c.announced++ {
+		m := c.rcvQ.At(c.announced)
 		if m.endSeq > c.rcvNext {
 			break
 		}
-		if m.notified {
-			continue
-		}
-		m.notified = true
 		if c.OnReadable != nil {
-			c.notifyQ = append(c.notifyQ, m)
+			c.notifyQ.Push(m)
 			c.dstE().ScheduleCall(0, c, opReadable, 0, 0)
 		}
 	}
@@ -310,15 +303,15 @@ func (c *Conn) notifyReadable() {
 // ReadHead consumes the head message from the receive buffer, freeing its
 // bytes and advertising the wider window to the sender.
 func (c *Conn) ReadHead() *Message {
-	if len(c.rcvQ) == 0 {
+	if c.rcvQ.Len() == 0 {
 		panic("netsim: ReadHead on empty receive queue")
 	}
-	m := c.rcvQ[0]
+	m := c.rcvQ.At(0)
 	if m.endSeq > c.rcvNext {
 		panic("netsim: ReadHead before message fully arrived")
 	}
-	copy(c.rcvQ, c.rcvQ[1:])
-	c.rcvQ = c.rcvQ[:len(c.rcvQ)-1]
+	c.rcvQ.Pop()
+	c.announced-- // m has fully arrived, so it was announced
 	c.readSeq = m.endSeq
 	// Window update travels on the reverse path.
 	c.sendAck()
@@ -369,14 +362,8 @@ func (c *Conn) handleAck(ack, rwnd int64) {
 
 // dropHeadMessages releases fully-acknowledged messages from the send queue.
 func (c *Conn) dropHeadMessages() {
-	i := 0
-	for ; i < len(c.sendQ); i++ {
-		if c.sendQ[i].endSeq > c.ackedSeq {
-			break
-		}
-	}
-	if i > 0 {
-		c.sendQ = append(c.sendQ[:0], c.sendQ[i:]...)
+	for c.sendQ.Len() > 0 && c.sendQ.At(0).endSeq <= c.ackedSeq {
+		c.sendQ.Pop()
 	}
 }
 
@@ -429,10 +416,11 @@ func (c *Conn) checkRTO(deadline sim.Time) {
 	c.pump()
 }
 
-// Reply sends a small server-to-client message on the reverse path. It uses
-// the server's egress NIC and the switch, but no congestion control — the
+// Reply sends a size-byte server-to-client message on the reverse path: on
+// arrival, tgt.OnEvent(op, a, b) runs on the client side. It uses the
+// server's egress NIC and the switch, but no congestion control — the
 // forward data path dwarfs replies.
-func (c *Conn) Reply(size int64, meta interface{}) {
+func (c *Conn) Reply(size int64, tgt sim.Target, op uint32, a, b int64) {
 	if c.Dst.down {
 		// Admin-down server link: the reply is lost. The client-side retry
 		// layer (when active) recovers via its per-request deadline.
@@ -442,9 +430,5 @@ func (c *Conn) Reply(size int64, meta interface{}) {
 	// Reserve the server's NIC, deliver on the client's shard (delivery is
 	// at least SwitchLatency away — the Egress line's propagation delay).
 	at := c.Dst.Egress.Reserve(size)
-	c.dstE().PostFunc(c.srcE(), at, func() {
-		if c.OnReply != nil {
-			c.OnReply(meta)
-		}
-	})
+	c.dstE().PostCall(c.srcE(), at, tgt, op, a, b)
 }

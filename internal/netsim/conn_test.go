@@ -227,20 +227,40 @@ func TestExactlyOnceUnderLoss(t *testing.T) {
 	}
 }
 
+// replyRecorder is a reply target that remembers the last reply's words
+// and when it arrived.
+type replyRecorder struct {
+	e     *sim.Engine
+	op    uint32
+	a, b  int64
+	at    sim.Time
+	count int
+}
+
+func (r *replyRecorder) OnEvent(op uint32, a, b int64) {
+	r.op, r.a, r.b, r.at = op, a, b, r.e.Now()
+	r.count++
+}
+
 func TestReplyPath(t *testing.T) {
 	e := sim.NewEngine()
 	f, cl, srv := testFabric(e, DefaultParams(), 1, 1e9)
 	c := f.Dial(cl[0], srv, 0)
-	var reply interface{}
-	c.OnReply = func(meta interface{}) { reply = meta }
+	rec := &replyRecorder{e: e}
+	var readAt sim.Time
 	c.OnReadable = func(cc *Conn, m *Message) {
 		mm := cc.ReadHead()
-		cc.Reply(100, mm.Meta)
+		readAt = e.Now()
+		cc.Reply(100, rec, 3, mm.Size, 7)
 	}
-	c.Send(&Message{Size: 64 << 10, Meta: "req-1"})
+	c.Send(&Message{Size: 64 << 10})
 	e.Run()
-	if reply != "req-1" {
-		t.Fatalf("reply = %v", reply)
+	if rec.count != 1 || rec.op != 3 || rec.a != 64<<10 || rec.b != 7 {
+		t.Fatalf("reply = %+v, want one reply (op 3, a %d, b 7)", rec, 64<<10)
+	}
+	// The reply crosses the server NIC and the switch.
+	if min := readAt + f.P.SwitchLatency; rec.at < min {
+		t.Fatalf("reply arrived at %v, before %v", rec.at, min)
 	}
 }
 

@@ -41,14 +41,6 @@ func (cl *Client) ConnTo(srv *Server) *netsim.Conn {
 	}
 	c := cl.fs.Fabric.Dial(cl.Host, srv.Host, cl.App)
 	c.OnReadable = srv.onReadable
-	c.OnReply = func(meta interface{}) {
-		r := meta.(*replyMsg)
-		if r.st != nil && r.st.sub != nil {
-			r.st.sub.reply(r.st)
-			return
-		}
-		r.req.replied()
-	}
 	cl.conns[srv.ID] = c
 	return c
 }
@@ -74,37 +66,42 @@ func (cl *Client) ReadAsync(f *File, off, size int64, onDone func()) {
 // depth, the QD field of its trace records).
 func (cl *Client) Outstanding() int { return int(cl.inflight) }
 
-func (cl *Client) ioAsync(f *File, off, size int64, read bool, onDone func()) {
-	perSrv := f.layout.PerServer(off, size)
-	req := &clientReq{onDone: onDone, recIdx: -1}
+// srvPlan is one server's share of a request: the server's position in
+// the file's server list and the share's flow-sized chunks.
+type srvPlan struct {
+	pos    int
+	chunks []Run
+}
 
-	type srvPlan struct {
-		pos    int
-		chunks []Run
-	}
+// plan carves [off, off+size) of f into each involved server's chunks of
+// at most that server's flow buffer size, in server-position order.
+func (f *File) plan(off, size int64) []srvPlan {
 	var plans []srvPlan
-	for pos, runs := range perSrv {
+	for pos, runs := range f.layout.PerServer(off, size) {
 		if len(runs) == 0 {
 			continue
 		}
 		flow := f.servers[pos].P.FlowBufSize
-		var chunks []Run
+		n := int64(0)
+		for _, r := range runs {
+			n += (r.Size + flow - 1) / flow
+		}
+		chunks := make([]Run, 0, n)
 		for _, r := range runs {
 			for o := int64(0); o < r.Size; o += flow {
-				n := flow
-				if rem := r.Size - o; rem < n {
-					n = rem
-				}
-				chunks = append(chunks, Run{Local: r.Local + o, Size: n})
+				chunks = append(chunks, Run{Local: r.Local + o, Size: min(flow, r.Size-o)})
 			}
 		}
 		plans = append(plans, srvPlan{pos: pos, chunks: chunks})
 	}
-	if len(plans) == 0 {
-		cl.fs.E.Schedule(0, onDone)
-		return
-	}
-	req.cl = cl
+	return plans
+}
+
+// begin opens a request that reaches at least one server: it counts the
+// request in flight and, when a trace sink is attached, opens its trace
+// record.
+func (cl *Client) begin(f *File, plans []srvPlan, off, size int64, read bool) *clientReq {
+	req := &clientReq{cl: cl, recIdx: -1}
 	cl.inflight++
 	if s := cl.fs.Sink; s != nil {
 		srv := int32(-1)
@@ -121,6 +118,17 @@ func (cl *Client) ioAsync(f *File, off, size int64, read bool, onDone func()) {
 			QD: cl.inflight, Op: op,
 		})
 	}
+	return req
+}
+
+func (cl *Client) ioAsync(f *File, off, size int64, read bool, onDone func()) {
+	plans := f.plan(off, size)
+	if len(plans) == 0 {
+		cl.fs.E.Schedule(0, onDone)
+		return
+	}
+	req := cl.begin(f, plans, off, size, read)
+	req.onDone = onDone
 	// Writes: one reply per server. Reads: one reply per chunk (each reply
 	// carries a chunk of data).
 	if read {
@@ -143,21 +151,10 @@ func (cl *Client) ioAsync(f *File, off, size int64, read bool, onDone func()) {
 			issueAt: cl.fs.E.Now(), read: read,
 		}
 		for _, ck := range p.chunks {
-			meta := &chunkMsg{
-				req: req, srvState: st, fileID: f.locals[p.pos],
-				local: ck.Local, size: ck.Size, read: read,
-			}
-			wire := ck.Size
-			if read {
-				wire = reqDescriptorBytes // only the descriptor goes out
-			}
-			conn.Send(&netsim.Message{Size: wire, Meta: meta})
+			conn.Send(&newChunk(req, st, f.locals[p.pos], ck, read).msg)
 		}
 	}
 }
-
-// reqDescriptorBytes is the wire size of a read request descriptor.
-const reqDescriptorBytes = 128
 
 // Write performs a blocking write from within a simulated process.
 func (cl *Client) Write(p *sim.Proc, f *File, off, size int64) {

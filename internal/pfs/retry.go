@@ -72,17 +72,8 @@ func (so *subOp) send() {
 		issueAt: fs.E.Now(), read: so.read,
 	}
 	so.st = st
-	for i := range so.chunks {
-		ck := so.chunks[i]
-		meta := &chunkMsg{
-			req: so.req, srvState: st, fileID: so.fileID,
-			local: ck.Local, size: ck.Size, read: so.read,
-		}
-		wire := ck.Size
-		if so.read {
-			wire = reqDescriptorBytes
-		}
-		so.conn.Send(&netsim.Message{Size: wire, Meta: meta})
+	for _, ck := range so.chunks {
+		so.conn.Send(&newChunk(so.req, st, so.fileID, ck, so.read).msg)
 	}
 	fs.E.AtCall(fs.E.Now()+so.rp().Deadline, so, opDeadline, so.attempt, 0)
 }
@@ -131,52 +122,13 @@ func (so *subOp) OnEvent(op uint32, a, b int64) {
 // completion callback carries an error (nil, or ErrUnavailable when some
 // share exhausted its retries).
 func (cl *Client) ioRetry(f *File, off, size int64, read bool, onErr func(error)) {
-	perSrv := f.layout.PerServer(off, size)
-	req := &clientReq{onErr: onErr, recIdx: -1}
-
-	type srvPlan struct {
-		pos    int
-		chunks []Run
-	}
-	var plans []srvPlan
-	for pos, runs := range perSrv {
-		if len(runs) == 0 {
-			continue
-		}
-		flow := f.servers[pos].P.FlowBufSize
-		var chunks []Run
-		for _, r := range runs {
-			for o := int64(0); o < r.Size; o += flow {
-				n := flow
-				if rem := r.Size - o; rem < n {
-					n = rem
-				}
-				chunks = append(chunks, Run{Local: r.Local + o, Size: n})
-			}
-		}
-		plans = append(plans, srvPlan{pos: pos, chunks: chunks})
-	}
+	plans := f.plan(off, size)
 	if len(plans) == 0 {
 		cl.fs.E.Schedule(0, func() { onErr(nil) })
 		return
 	}
-	req.cl = cl
-	cl.inflight++
-	if s := cl.fs.Sink; s != nil {
-		srv := int32(-1)
-		if len(plans) == 1 {
-			srv = int32(f.servers[plans[0].pos].ID)
-		}
-		op := OpWrite
-		if read {
-			op = OpRead
-		}
-		req.recIdx = s.BeginRequest(IORecord{
-			Time: cl.fs.E.Now(), Off: off, Bytes: size,
-			App: int32(cl.App), Rank: int32(cl.Rank), Server: srv,
-			QD: cl.inflight, Op: op,
-		})
-	}
+	req := cl.begin(f, plans, off, size, read)
+	req.onErr = onErr
 	req.remaining = len(plans) // one subDone per server share
 	req.subs = make([]subOp, len(plans))
 	rp := cl.fs.Retry

@@ -156,7 +156,7 @@ type Server struct {
 	// device drops its reference to a request once the request's Done has
 	// run, so Done hands it back here and the chunk path allocates no
 	// request in steady state.
-	devFree []*storage.Request
+	devFree []*devReq
 
 	// down marks the server crashed (fail-stop): every queued and in-flight
 	// request was killed, and chunks arriving while down are read off the
@@ -274,11 +274,10 @@ func (s *Server) Restart() {
 func (s *Server) abortReq(st *srvReqState) {
 	st.dead = true
 	st.active = false
-	for _, m := range st.pending {
+	for st.pending.Len() > 0 {
 		st.conn.ReadHead()
-		s.Tel.Discard(m.Size)
+		s.Tel.Discard(st.pending.Pop().Size)
 	}
-	st.pending = st.pending[:0]
 }
 
 // QueuedRequests returns how many requests await a flow slot.
@@ -307,7 +306,7 @@ func (s *Server) onReadable(c *netsim.Conn, m *netsim.Message) {
 		s.Tel.Discard(m.Size)
 		return
 	}
-	st.pending = append(st.pending, m)
+	st.pending.Push(m)
 	if !st.arrived {
 		st.arrived = true
 		st.srv = s
@@ -433,20 +432,17 @@ func (s *Server) consume(st *srvReqState) {
 	if s.adv != nil {
 		appBudget = s.adv.AppDepth(st.conn.App)
 	}
-	for len(st.pending) > 0 && st.inflight < depth {
+	for st.pending.Len() > 0 && st.inflight < depth {
 		if appBudget > 0 && s.Tel.App(st.conn.App).InFlight >= int64(appBudget) {
 			return
 		}
-		m := st.pending[0]
-		copy(st.pending, st.pending[1:])
-		st.pending = st.pending[:len(st.pending)-1]
-		ck := m.Meta.(*chunkMsg)
+		ck := st.pending.Pop().Meta.(*chunkMsg)
 		st.conn.ReadHead()
 		st.inflight++
 		s.stats.Chunks++
 		s.stats.Bytes += ck.size
 		s.Tel.Consume(st.conn.App, ck.size)
-		s.cpu.SendCall(ck.size, ck, 0, 0, 0)
+		s.cpu.SendCall(ck.size, ck, opStore, 0, 0)
 	}
 }
 
@@ -454,39 +450,59 @@ func (s *Server) consume(st *srvReqState) {
 // always go to the device: the write-back cache only absorbs writes.
 func (s *Server) store(c *netsim.Conn, ck *chunkMsg) {
 	r := s.devReq(c, ck)
-	r.Done = func() {
-		s.devFree = append(s.devFree, r)
-		if ck.read {
-			s.readChunkServed(c, ck)
-		} else {
-			s.chunkDone(c, ck)
-		}
-	}
 	switch {
 	case s.P.Sync == NullAIO:
 		s.E.Schedule(0, r.Done)
 	case ck.read || s.P.Sync == SyncOn:
-		s.Dev.Submit(r)
+		s.Dev.Submit(&r.Request)
 	case s.P.Sync == SyncOff:
-		s.Cache.Write(r)
+		s.Cache.Write(&r.Request)
 	}
 }
 
+// devReq is a recycled device request: the storage request of one chunk,
+// plus what its completion needs — the server, the chunk and the chunk's
+// connection. done is the completion method value, bound once when the
+// devReq is first allocated, so handing a devReq out allocates no closure.
+type devReq struct {
+	storage.Request
+	srv  *Server
+	conn *netsim.Conn
+	ck   *chunkMsg
+	done func()
+}
+
 // devReq returns a device request for chunk ck, taken from the free list
-// when one is there; the caller sets its Done.
-func (s *Server) devReq(c *netsim.Conn, ck *chunkMsg) *storage.Request {
-	var r *storage.Request
+// when one is there. Done is set on every hand-out: a device may replace it
+// while the request is in service (storage.Degraded wraps it).
+func (s *Server) devReq(c *netsim.Conn, ck *chunkMsg) *devReq {
+	var r *devReq
 	if n := len(s.devFree); n > 0 {
 		r = s.devFree[n-1]
 		s.devFree = s.devFree[:n-1]
 	} else {
-		r = new(storage.Request)
+		r = &devReq{srv: s}
+		r.done = r.complete
 	}
-	*r = storage.Request{
+	r.Request = storage.Request{
 		File: ck.fileID, Offset: ck.local, Size: ck.size,
-		Stream: storage.StreamID(c.App), Read: ck.read,
+		Stream: storage.StreamID(c.App), Read: ck.read, Done: r.done,
 	}
+	r.conn, r.ck = c, ck
 	return r
+}
+
+// complete is the device request's Done: it recycles the request and
+// accounts the chunk.
+func (r *devReq) complete() {
+	s, c, ck := r.srv, r.conn, r.ck
+	r.conn, r.ck = nil, nil
+	s.devFree = append(s.devFree, r)
+	if ck.read {
+		s.readChunkServed(c, ck)
+	} else {
+		s.chunkDone(c, ck)
+	}
 }
 
 // readChunkServed accounts a fetched read chunk and ships its data back on
@@ -497,7 +513,7 @@ func (s *Server) readChunkServed(c *netsim.Conn, ck *chunkMsg) {
 	}
 	s.stats.Replies++
 	s.Tel.Done(c.App, ck.size)
-	c.Reply(ck.size, &replyMsg{req: ck.req, st: ck.srvState})
+	c.Reply(ck.size, ck, opReply, 0, 0)
 	s.readChunkDone(ck.srvState)
 }
 
@@ -513,7 +529,7 @@ func (s *Server) chunkDone(c *netsim.Conn, ck *chunkMsg) {
 	s.Tel.Done(c.App, ck.size)
 	if st.remaining == 0 {
 		s.stats.Replies++
-		c.Reply(s.P.RespBytes, &replyMsg{req: ck.req, st: st})
+		c.Reply(s.P.RespBytes, ck, opReply, 0, 0)
 		s.finishFlow(st)
 		return
 	}

@@ -6,11 +6,15 @@ import (
 	"repro/internal/storage"
 )
 
-// chunkMsg is the wire metadata of one flow-protocol chunk of a write
-// request. The chunk's payload size is the Message size; the metadata rides
-// along for free (headers are negligible next to 64 KiB+ payloads). On the
-// server the chunk is also the sim.Target of its transfer over the CPU line.
+// chunkMsg is one flow-protocol chunk of a request: its wire message and
+// the metadata that rides along for free (headers are negligible next to
+// 64 KiB+ payloads). The message is embedded and its Meta points back at
+// the chunk, so sending a chunk is one allocation. The chunk is read-only
+// once sent — both the client and the server shard read it — and it is
+// the sim.Target of two events: its transfer over the server's CPU line
+// (server side) and the reply it carries back (client side).
 type chunkMsg struct {
+	msg      netsim.Message
 	req      *clientReq
 	srvState *srvReqState
 	fileID   storage.FileID
@@ -19,10 +23,47 @@ type chunkMsg struct {
 	read     bool // read request descriptor instead of write payload
 }
 
-// OnEvent implements sim.Target: the chunk has crossed the server's CPU
-// line and goes to the backend.
+// newChunk builds the chunk of a request share st covering [local,
+// local+size) of the server-local file. A read chunk puts only its
+// descriptor on the wire.
+func newChunk(req *clientReq, st *srvReqState, file storage.FileID, ck Run, read bool) *chunkMsg {
+	c := &chunkMsg{
+		req: req, srvState: st, fileID: file,
+		local: ck.Local, size: ck.Size, read: read,
+	}
+	c.msg.Size = ck.Size
+	if read {
+		c.msg.Size = reqDescriptorBytes
+	}
+	c.msg.Meta = c
+	return c
+}
+
+// reqDescriptorBytes is the wire size of a read request descriptor.
+const reqDescriptorBytes = 128
+
+// chunkMsg event ops.
+const (
+	opStore uint32 = iota // server: the chunk crossed the CPU line
+	opReply               // client: the reply answering the chunk arrived
+)
+
+// OnEvent implements sim.Target. opStore hands the chunk to the backend;
+// opReply is the server's reply for the chunk's request share — sent for
+// the last stored chunk of a write and for every chunk of a read — and
+// runs on the client side. Replies are routed by attempt (the chunk's
+// srvState), so the retry layer can ignore replies to attempts it already
+// gave up on.
 func (ck *chunkMsg) OnEvent(op uint32, a, b int64) {
 	st := ck.srvState
+	if op == opReply {
+		if st.sub != nil {
+			st.sub.reply(st)
+			return
+		}
+		ck.req.replied()
+		return
+	}
 	st.srv.store(st.conn, ck)
 }
 
@@ -42,11 +83,12 @@ type srvReqState struct {
 	conn     *netsim.Conn
 	arrived  bool
 	active   bool
-	dead     bool              // killed by a server crash; chunks are discarded
-	inflight int               // chunks being processed/stored right now
-	arriveAt sim.Time          // server clock at arrival (Span.Arrive)
-	grantAt  sim.Time          // server clock at flow-slot grant (Span.Grant)
-	pending  []*netsim.Message // readable chunks not yet pulled from the socket
+	dead     bool     // killed by a server crash; chunks are discarded
+	inflight int      // chunks being processed/stored right now
+	arriveAt sim.Time // server clock at arrival (Span.Arrive)
+	grantAt  sim.Time // server clock at flow-slot grant (Span.Grant)
+	// pending holds the readable chunks not yet pulled from the socket.
+	pending netsim.MsgQueue
 
 	// Client-side retry state (only set on the retrying RPC path). sub is
 	// the sub-request this attempt belongs to; cgot counts replies received
@@ -58,20 +100,11 @@ type srvReqState struct {
 	cgot int
 }
 
-// replyMsg is the server's completion notification for one request (write)
-// or one chunk of data (read). st identifies which attempt the reply
-// answers — the retry layer uses it to route and to ignore replies to
-// requests it already gave up on.
-type replyMsg struct {
-	req *clientReq
-	st  *srvReqState
-}
-
 // clientReq is the client-side handle of an in-flight request. cl and
 // recIdx tie the completion back to the issuing client's outstanding count
 // and, when a trace sink is attached, to the request's trace record (recIdx
-// is -1 when recording is off; cl is nil only for degenerate zero-extent
-// requests that never reach a server).
+// is -1 when recording is off). Zero-extent requests never reach a server
+// and get no clientReq.
 //
 // Exactly one of onDone/onErr is set: onDone on the legacy path (remaining
 // counts replies), onErr on the retrying RPC path (remaining counts
@@ -111,9 +144,6 @@ func (r *clientReq) subDone() {
 }
 
 func (r *clientReq) finish() {
-	if r.cl == nil {
-		return
-	}
 	r.cl.inflight--
 	if s := r.cl.fs.Sink; s != nil && r.recIdx >= 0 {
 		s.EndRequest(r.recIdx)

@@ -183,8 +183,12 @@ func (e *Engine) alloc() int64 {
 
 // push inserts the locally scheduled event whose payload the caller wrote
 // into slot, stamping it with the engine's clock, the dispatching event's
-// sched, and the shard. Writing the payload in place keeps the 96-byte
-// event from being copied on its way into the slab.
+// sched, and the shard. Callers write the payload field by field through a
+// pointer into the slab: assigning a whole 96-byte event literal would copy
+// every field, stamps included, only for push to overwrite them. A recycled
+// slot keeps its stale payload, so every caller sets all three union
+// pointers (fn, p, tgt) — the dispatch tag — and the words its variant
+// reads.
 func (e *Engine) push(slot int64) {
 	ev := &e.slots[slot]
 	ev.sched = e.now
@@ -276,7 +280,8 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling into the past: at %v, now %v", t, e.now))
 	}
 	slot := e.alloc()
-	e.slots[slot] = event{at: t, fn: fn}
+	ev := &e.slots[slot]
+	ev.at, ev.fn, ev.p, ev.tgt = t, fn, nil, nil
 	e.push(slot)
 }
 
@@ -296,7 +301,9 @@ func (e *Engine) AtCall(t Time, tgt Target, op uint32, a, b int64) {
 		panic(fmt.Sprintf("sim: scheduling into the past: at %v, now %v", t, e.now))
 	}
 	slot := e.alloc()
-	e.slots[slot] = event{at: t, tgt: tgt, op: op, a: a, b: b}
+	ev := &e.slots[slot]
+	ev.at, ev.fn, ev.p, ev.tgt = t, nil, nil, tgt
+	ev.op, ev.a, ev.b = op, a, b
 	e.push(slot)
 }
 
@@ -307,7 +314,8 @@ func (e *Engine) scheduleProc(d Time, p *Proc) {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	slot := e.alloc()
-	e.slots[slot] = event{at: e.now + d, p: p}
+	ev := &e.slots[slot]
+	ev.at, ev.fn, ev.p, ev.tgt = e.now+d, nil, p, nil
 	e.push(slot)
 }
 

@@ -90,6 +90,10 @@ func (d *Degraded) Submit(r *Request) {
 	d.slowedBytes += r.Size
 	orig := r.Done
 	r.Done = func() {
+		// Hand the request back as the caller submitted it, so a caller
+		// that resubmits it as-is from its Done is wrapped once, not once
+		// per reuse.
+		r.Done = orig
 		if orig == nil {
 			return
 		}
