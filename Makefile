@@ -92,12 +92,15 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz 'FuzzPopulationSpec' -fuzztime 20s ./internal/scenario/
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceFormat' -fuzztime 20s ./internal/trace/
 
-# fleet smoke: run the generated 1024-tenant population builtin (sharded,
-# under the race detector — the fleet fan-out is the widest concurrent
-# surface) at smoke scale. Smoke keeps the tenant count and class mix and
+# fleet smoke: run the generated 1024-tenant population builtin at smoke
+# scale under the race detector — the Runner pool's fleet fan-out is the
+# widest concurrent surface. Smoke keeps the tenant count and class mix and
 # shrinks per-tenant weight, so this still exercises a ≥1000-app launch.
+# The fleet conformance test then re-checks the sharded kernel's fleet
+# path against the serial oracle under the race detector.
 fleet:
-	$(GO) run -race ./cmd/scenarios -smoke -run fleet -shards 4
+	$(GO) run -race ./cmd/scenarios -smoke -run fleet
+	$(GO) test -race -count=1 -run 'TestFleetConformance' ./internal/scenario/
 
 # faults smoke: run every fault-injection builtin on HDD at smoke scale
 # (faulted vs healthy-twin comparison plus availability telemetry), then

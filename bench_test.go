@@ -282,9 +282,8 @@ var shardCounts = []int{1, 2, 4}
 
 // BenchmarkShardedFigure2 runs the paper's Figure 2 contended co-run (two
 // contiguous writers, sync on) as ONE simulation per iteration at each
-// shard count — the single-big-scenario case the Shards knob exists for.
-// Scale divisor 4 keeps 3 servers so shards=4 reaches the maximal
-// clients+servers split.
+// shard count. Scale divisor 4 keeps 3 servers so shards=4 reaches the
+// maximal clients+servers split.
 func BenchmarkShardedFigure2(b *testing.B) {
 	cfg := paper.Config(4)
 	apps := core.TwoAppSpecs(cfg, paper.ProcsPerApp(cfg), cfg.CoresPerNode, paper.ContigSpec())

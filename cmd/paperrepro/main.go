@@ -55,10 +55,12 @@ func realMain() error {
 	coarse := flag.Bool("coarse", false, "use coarse 5-point delta grids")
 	format := flag.String("format", "ascii", "output format: ascii or tsv")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial)")
-	shards := flag.Int("shards", 0, "event-kernel shards per simulation (0/1 = serial oracle); results are bit-identical at any value")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the campaign to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the campaign) to `file`")
 	flag.Parse()
+	if err := validateFlags(*format, *scale); err != nil {
+		usageErr(err.Error())
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -76,7 +78,7 @@ func realMain() error {
 	if *coarse {
 		kind = paper.GridCoarse
 	}
-	paper.Pool = core.Runner{Parallelism: *jobs, Shards: *shards}
+	paper.Pool = core.Runner{Parallelism: *jobs}
 	w := os.Stdout
 	run := newRunner(w, *format, *scale, kind)
 
@@ -103,6 +105,27 @@ func realMain() error {
 		}
 	}
 	return nil
+}
+
+// validateFlags rejects the values the campaign would otherwise accept
+// silently: emit prints aligned tables for any format but tsv, and a scale
+// divisor below 1 runs the paper-size platform, which takes hours.
+func validateFlags(format string, scale int) error {
+	switch {
+	case format != "ascii" && format != "tsv":
+		return fmt.Errorf("-format must be ascii or tsv, got %q", format)
+	case scale < 1:
+		return fmt.Errorf("-scale must be >= 1 (1 = paper size), got %d", scale)
+	}
+	return nil
+}
+
+// usageErr reports a bad invocation and exits 2, matching the
+// incastprobe/iobench/whatifd convention.
+func usageErr(msg string) {
+	fmt.Fprintln(os.Stderr, "paperrepro:", msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 type runner struct {

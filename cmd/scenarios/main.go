@@ -25,8 +25,7 @@
 // depth, LASSi-style risk), per-server device/NIC series, and the
 // per-app "where did the time go" span breakdown (network vs queue-wait
 // vs service). -timeline-interval/-timeline-samples size the series,
-// -timeline-spans the span buffers. Output is byte-identical at any
-// -shards value.
+// -timeline-spans the span buffers.
 //
 // -faults runs each selected fault scenario (one with a "faults" block —
 // a deterministic timeline of server crashes, degraded devices and link
@@ -103,7 +102,6 @@ func realMain(args []string, stdout io.Writer) error {
 		tlSpans  = fs.Int("timeline-spans", 1<<16, "per-server span buffer capacity of -timeline (0 disables spans)")
 		tsv      = fs.Bool("tsv", false, "TSV output instead of aligned tables")
 		jobs     = fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial)")
-		shards   = fs.Int("shards", 0, "event-kernel shards per simulation (0 = each spec's own knob, 1 = serial oracle); results are bit-identical at any value")
 	)
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits before Parse returns
 
@@ -168,7 +166,7 @@ func realMain(args []string, stdout io.Writer) error {
 	}
 
 	if *faults {
-		return runFaults(stdout, specs, o, *shards, *tsv)
+		return runFaults(stdout, specs, o, *tsv)
 	}
 
 	if *timeline {
@@ -177,10 +175,10 @@ func realMain(args []string, stdout io.Writer) error {
 			Samples:  *tlCount,
 			SpanCap:  *tlSpans,
 		}
-		return runTimelines(stdout, specs, o, *shards, ocfg, *tsv)
+		return runTimelines(stdout, specs, o, ocfg, *tsv)
 	}
 
-	pool := core.Runner{Parallelism: *jobs, Shards: *shards}
+	pool := core.Runner{Parallelism: *jobs}
 	var all []*scenario.Result
 	var fleets []*scenario.FleetResult
 	for _, s := range specs {
@@ -276,7 +274,7 @@ func (o overrides) apply(s scenario.Spec) (scenario.Spec, []cluster.BackendKind,
 // availability ledger. Selected scenarios without a faults block are an
 // error: asking for a fault comparison of a fault-free scenario is a typo,
 // not a no-op.
-func runFaults(w io.Writer, specs []scenario.Spec, o overrides, shards int, tsv bool) error {
+func runFaults(w io.Writer, specs []scenario.Spec, o overrides, tsv bool) error {
 	ran := 0
 	for _, s := range specs {
 		if s.Faults == nil {
@@ -291,7 +289,7 @@ func runFaults(w io.Writer, specs []scenario.Spec, o overrides, shards int, tsv 
 			return err
 		}
 		for _, b := range axis {
-			fc, err := scenario.CompareFaults(s, b, shards)
+			fc, err := scenario.CompareFaults(s, b)
 			if err != nil {
 				return err
 			}
@@ -314,7 +312,7 @@ func runFaults(w io.Writer, specs []scenario.Spec, o overrides, shards int, tsv 
 // observability layer attached and prints the rendered timeline. Trace
 // scenarios are skipped (no co-run to observe) unless explicitly the only
 // selection, which is an error rather than silence.
-func runTimelines(w io.Writer, specs []scenario.Spec, o overrides, shards int, ocfg obs.Config, tsv bool) error {
+func runTimelines(w io.Writer, specs []scenario.Spec, o overrides, ocfg obs.Config, tsv bool) error {
 	if err := ocfg.Validate(); err != nil {
 		return err
 	}
@@ -330,7 +328,7 @@ func runTimelines(w io.Writer, specs []scenario.Spec, o overrides, shards int, o
 			return err
 		}
 		for _, b := range axis {
-			res, err := scenario.RunTimeline(s, b, shards, ocfg)
+			res, err := scenario.RunTimeline(s, b, ocfg)
 			if err != nil {
 				return err
 			}

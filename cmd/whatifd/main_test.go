@@ -13,12 +13,12 @@ import (
 
 func TestValidateFlags(t *testing.T) {
 	type in struct {
-		addr                                             string
-		cacheMB, queueLen, workers, jobs, shards, bodyMB int
-		drain, headerTO                                  time.Duration
-		debugAddr                                        string
+		addr                                     string
+		cacheMB, queueLen, workers, jobs, bodyMB int
+		drain, headerTO                          time.Duration
+		debugAddr                                string
 	}
-	good := in{"127.0.0.1:8080", 256, 64, 2, 0, 0, 64, 30 * time.Second, 5 * time.Second, ""}
+	good := in{"127.0.0.1:8080", 256, 64, 2, 0, 64, 30 * time.Second, 5 * time.Second, ""}
 	cases := []struct {
 		name   string
 		mut    func(*in)
@@ -36,7 +36,6 @@ func TestValidateFlags(t *testing.T) {
 		{"zero queue", func(i *in) { i.queueLen = 0 }, false},
 		{"zero workers", func(i *in) { i.workers = 0 }, false},
 		{"negative jobs", func(i *in) { i.jobs = -1 }, false},
-		{"negative shards", func(i *in) { i.shards = -2 }, false},
 		{"zero body cap", func(i *in) { i.bodyMB = 0 }, false},
 		{"zero drain", func(i *in) { i.drain = 0 }, false},
 		{"zero header timeout", func(i *in) { i.headerTO = 0 }, false},
@@ -49,7 +48,7 @@ func TestValidateFlags(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			i := good
 			tc.mut(&i)
-			err := validateFlags(i.addr, i.cacheMB, i.queueLen, i.workers, i.jobs, i.shards, i.bodyMB, i.drain, i.headerTO, i.debugAddr)
+			err := validateFlags(i.addr, i.cacheMB, i.queueLen, i.workers, i.jobs, i.bodyMB, i.drain, i.headerTO, i.debugAddr)
 			if (err == nil) != tc.wantOK {
 				t.Fatalf("validateFlags(%+v) = %v, want ok=%v", i, err, tc.wantOK)
 			}

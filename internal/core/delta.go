@@ -29,11 +29,6 @@ type DeltaSpec struct {
 	// equal len(Apps).
 	StartOffsets []sim.Time
 	Deltas       []sim.Time
-	// Shards selects the event-kernel parallelism of each simulation:
-	// 0 or 1 runs the serial determinism oracle, K >= 2 runs K
-	// independently-clocked shards (see cluster.BuildSharded). Results are
-	// bit-identical at every value; only wall-clock time changes.
-	Shards int
 }
 
 // validate panics on structurally broken specs (the same contract as
@@ -82,10 +77,10 @@ func RunDelta(spec DeltaSpec) *DeltaGraph {
 	spec.validate()
 	g := &DeltaGraph{Alone: make([]sim.Time, len(spec.Apps))}
 	for i := range spec.Apps {
-		g.Alone[i] = runAlone(spec, i)
+		g.Alone[i] = runAlone(spec, i, 1)
 	}
 	for _, d := range spec.Deltas {
-		pt := runPoint(spec, d)
+		pt := runPoint(spec, d, 1)
 		pt.applyAlone(g.Alone)
 		g.Points = append(g.Points, pt)
 	}
@@ -93,11 +88,12 @@ func RunDelta(spec DeltaSpec) *DeltaGraph {
 }
 
 // runAlone measures application i running by itself (start offsets do not
-// apply: a baseline is the application alone on an idle platform).
-func runAlone(spec DeltaSpec, i int) sim.Time {
+// apply: a baseline is the application alone on an idle platform) on
+// `shards` event engines.
+func runAlone(spec DeltaSpec, i, shards int) sim.Time {
 	app := spec.Apps[i]
 	app.Start = 0
-	x := PrepareSharded(spec.Cfg, []AppSpec{app}, spec.Shards)
+	x := PrepareSharded(spec.Cfg, []AppSpec{app}, shards)
 	res := x.Run()
 	return res.Apps[0].Elapsed
 }
@@ -134,10 +130,10 @@ func (s DeltaSpec) AppsAt(d sim.Time) []AppSpec {
 // IF is left zero: it is the one quantity that needs the alone baselines,
 // so applyAlone fills it in once those are known — which lets a Runner
 // execute points and baselines concurrently.
-func runPoint(spec DeltaSpec, d sim.Time) DeltaPoint {
+func runPoint(spec DeltaSpec, d sim.Time, shards int) DeltaPoint {
 	n := len(spec.Apps)
 	apps := spec.AppsAt(d)
-	x := PrepareSharded(spec.Cfg, apps, spec.Shards)
+	x := PrepareSharded(spec.Cfg, apps, shards)
 	res := x.Run()
 	pt := DeltaPoint{
 		Delta:      d,

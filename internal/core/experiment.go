@@ -119,7 +119,8 @@ func Prepare(cfg cluster.Config, specs []AppSpec) *Experiment {
 // (clients on shard 0, servers spread over the rest — see
 // cluster.BuildSharded). shards <= 1 is the bit-identical serial path;
 // every shard count produces bit-identical results by the sharded kernel's
-// determinism contract, just faster.
+// determinism contract, though more slowly than serial on every workload
+// measured so far.
 func PrepareSharded(cfg cluster.Config, specs []AppSpec, shards int) *Experiment {
 	pl := cluster.BuildSharded(cfg, shards)
 	x := &Experiment{Platform: pl}

@@ -37,15 +37,15 @@ func (fc FaultComparison) GoodputRatio() float64 {
 // Downtime returns the faulted run's summed server downtime.
 func (fc FaultComparison) Downtime() sim.Time { return fc.Faulted.Diag.Avail.Downtime }
 
-// RunFaultComparison runs cfg's applications twice on `shards` engines:
-// once with cfg.Faults stripped (the healthy baseline) and once as given.
-// cfg must carry a fault plan for the comparison to mean anything, but a
-// nil plan is legal (both arms are then identical by determinism).
-func RunFaultComparison(cfg cluster.Config, specs []AppSpec, shards int) FaultComparison {
+// RunFaultComparison runs cfg's applications twice: once with cfg.Faults
+// stripped (the healthy baseline) and once as given. cfg must carry a
+// fault plan for the comparison to mean anything, but a nil plan is legal
+// (both arms are then identical by determinism).
+func RunFaultComparison(cfg cluster.Config, specs []AppSpec) FaultComparison {
 	healthy := cfg
 	healthy.Faults = nil
 	return FaultComparison{
-		Healthy: PrepareSharded(healthy, specs, shards).Run(),
-		Faulted: PrepareSharded(cfg, specs, shards).Run(),
+		Healthy: Prepare(healthy, specs).Run(),
+		Faulted: Prepare(cfg, specs).Run(),
 	}
 }

@@ -112,7 +112,6 @@ func (r Runner) RunPairwiseFrom(cfg cluster.Config, apps []AppSpec, alone []sim.
 // RunPairwiseFrom(…, graph.Alone); only the wall-clock differs.
 func (r Runner) RunDeltaPairwise(spec DeltaSpec) (*DeltaGraph, *IFMatrix) {
 	spec.validate()
-	spec.Shards = r.shardsFor(spec)
 	n := len(spec.Apps)
 	g := &DeltaGraph{
 		Alone:  make([]sim.Time, n),
@@ -124,12 +123,12 @@ func (r Runner) RunDeltaPairwise(spec DeltaSpec) (*DeltaGraph, *IFMatrix) {
 	r.ForEach(n+len(spec.Deltas)+len(pairs), func(t int) {
 		switch {
 		case t < n:
-			g.Alone[t] = runAlone(spec, t)
+			g.Alone[t] = runAlone(spec, t, r.Shards)
 		case t < n+len(spec.Deltas):
-			g.Points[t-n] = runPoint(spec, spec.Deltas[t-n])
+			g.Points[t-n] = runPoint(spec, spec.Deltas[t-n], r.Shards)
 		default:
 			k := t - n - len(spec.Deltas)
-			elapsed[k] = runPair(spec.Cfg, spec.Apps, pairs[k], spec.Shards)
+			elapsed[k] = runPair(spec.Cfg, spec.Apps, pairs[k], r.Shards)
 		}
 	})
 	for i := range g.Points {

@@ -30,22 +30,11 @@ type Runner struct {
 	// <= 0 selects runtime.GOMAXPROCS(0).
 	Parallelism int
 
-	// Shards overrides the event-kernel parallelism of every simulation the
-	// runner executes: 0 defers to each spec's own Shards knob, 1 forces the
-	// serial determinism oracle, K >= 2 forces K shards. Results are
-	// bit-identical at every setting (cluster.BuildSharded's contract).
-	// Shard-level and run-level parallelism multiply; sweeps with many
-	// independent runs usually want Parallelism, single big scenarios want
-	// Shards.
+	// Shards selects the event kernel of every simulation the runner
+	// executes: 0 or 1 runs the serial engine, K >= 2 runs K
+	// independently-clocked shards (cluster.BuildSharded). Results are
+	// bit-identical either way; only wall-clock time changes.
 	Shards int
-}
-
-// shardsFor resolves the effective shard count for one spec.
-func (r Runner) shardsFor(spec DeltaSpec) int {
-	if r.Shards != 0 {
-		return r.Shards
-	}
-	return spec.Shards
 }
 
 // workers resolves the effective pool size for n tasks.
@@ -140,13 +129,12 @@ func (r Runner) RunDeltas(specs []DeltaSpec) []*DeltaGraph {
 	r.ForEach(len(tasks), func(i int) {
 		tk := tasks[i]
 		sp := specs[tk.spec]
-		sp.Shards = r.shardsFor(sp)
 		g := graphs[tk.spec]
 		if tk.slot < len(sp.Apps) {
-			g.Alone[tk.slot] = runAlone(sp, tk.slot)
+			g.Alone[tk.slot] = runAlone(sp, tk.slot, r.Shards)
 			return
 		}
-		g.Points[tk.slot-len(sp.Apps)] = runPoint(sp, sp.Deltas[tk.slot-len(sp.Apps)])
+		g.Points[tk.slot-len(sp.Apps)] = runPoint(sp, sp.Deltas[tk.slot-len(sp.Apps)], r.Shards)
 	})
 	for _, g := range graphs {
 		for i := range g.Points {

@@ -65,9 +65,8 @@ func TestShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunnerShardsOverride checks the Runner.Shards override semantics: 0
-// defers to the spec's knob, any other value wins — and either way the
-// δ-graph is bit-identical to the serial run.
+// TestRunnerShardsOverride checks that Runner.Shards runs every simulation
+// of a δ-graph on the sharded kernel and still matches the serial run.
 func TestRunnerShardsOverride(t *testing.T) {
 	cfg := cluster.Default().Scale(8)
 	spec := DeltaSpec{
@@ -76,17 +75,9 @@ func TestRunnerShardsOverride(t *testing.T) {
 		Deltas: []sim.Time{0, 5 * sim.Millisecond},
 	}
 	serial := Runner{Parallelism: 1}.RunDelta(spec)
+	sharded := Runner{Parallelism: 1, Shards: 3}.RunDelta(spec)
 
-	specSharded := spec
-	specSharded.Shards = 3
-	viaSpec := Runner{Parallelism: 1}.RunDelta(specSharded)
-	viaOverride := Runner{Parallelism: 1, Shards: 3}.RunDelta(spec)
-
-	ws := fmt.Sprintf("%+v", serial)
-	if g := fmt.Sprintf("%+v", viaSpec); g != ws {
-		t.Errorf("spec.Shards=3 diverges from serial:\n got %s\nwant %s", g, ws)
-	}
-	if g := fmt.Sprintf("%+v", viaOverride); g != ws {
+	if g, ws := fmt.Sprintf("%+v", sharded), fmt.Sprintf("%+v", serial); g != ws {
 		t.Errorf("Runner.Shards=3 diverges from serial:\n got %s\nwant %s", g, ws)
 	}
 }

@@ -12,7 +12,6 @@ package scenario
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -65,37 +64,5 @@ func TestShardConformance(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestShardKnobInSpec checks the declarative path: a scenario carrying the
-// "shards" knob runs sharded through the default Runner and still matches
-// the serial oracle bit-for-bit.
-func TestShardKnobInSpec(t *testing.T) {
-	s := Builtin()[0].Smoke()
-	serial, err := Run(s, cluster.HDD, core.Runner{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Shards = 3
-	sharded, err := Run(s, cluster.HDD, core.Runner{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := goldenResult(sharded), goldenResult(serial); got != want {
-		t.Errorf("spec shards=3 diverges from serial oracle:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestShardKnobValidation pins the knob's error surface.
-func TestShardKnobValidation(t *testing.T) {
-	s := Builtin()[0]
-	s.Shards = -1
-	if err := s.Validate(); err == nil {
-		t.Error("negative shards passed validation")
-	}
-	if _, err := Parse([]byte(fmt.Sprintf(
-		`{"name":"t","trace":{"path":"x"},"shards":2}`))); err == nil {
-		t.Error("trace scenario with shards knob passed validation")
 	}
 }

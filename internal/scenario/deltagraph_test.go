@@ -48,9 +48,6 @@ func TestDeltagraphSpecIsTheTwoAppGraph(t *testing.T) {
 	if !reflect.DeepEqual(got.Deltas, ref.Deltas) {
 		t.Fatalf("delta grid = %v, want %v", got.Deltas, ref.Deltas)
 	}
-	if got.Shards != ref.Shards {
-		t.Fatalf("shards = %d, want %d", got.Shards, ref.Shards)
-	}
 	for _, d := range ref.Deltas {
 		if a, b := got.AppsAt(d), ref.AppsAt(d); !reflect.DeepEqual(a, b) {
 			t.Fatalf("apps at delta %v differ:\n got %+v\nwant %+v", d, a, b)

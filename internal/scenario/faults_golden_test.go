@@ -67,7 +67,7 @@ func TestGoldenFaults(t *testing.T) {
 	for _, s := range specs {
 		sm := s.Smoke()
 		for _, backend := range []cluster.BackendKind{cluster.HDD, cluster.SSD} {
-			fc, err := CompareFaults(sm, backend, 1)
+			fc, err := CompareFaults(sm, backend)
 			if err != nil {
 				t.Fatalf("%s@%s: %v", s.Name, backend.String(), err)
 			}
@@ -129,23 +129,30 @@ func degradePlanned(s Spec) bool {
 	return true
 }
 
-// TestFaultScenarioShardConformance re-runs every fault builtin's
-// comparison at shard counts {1, 2, 4} and demands bit-identical results —
-// the injection-is-deterministic-under-sharding contract at the scenario
-// level, on both backends.
+// TestFaultScenarioShardConformance re-runs every fault builtin's δ=0
+// co-run, healthy and faulted, on shard counts {2, 4} and demands results
+// bit-identical to the serial run — the injection-is-deterministic-under-
+// sharding contract at the scenario level, on both backends.
 func TestFaultScenarioShardConformance(t *testing.T) {
+	compare := func(cfg cluster.Config, apps []core.AppSpec, shards int) core.FaultComparison {
+		healthy := cfg
+		healthy.Faults = nil
+		return core.FaultComparison{
+			Healthy: core.PrepareSharded(healthy, apps, shards).Run(),
+			Faulted: core.PrepareSharded(cfg, apps, shards).Run(),
+		}
+	}
 	for _, s := range faultBuiltins() {
 		sm := s.Smoke()
 		for _, backend := range []cluster.BackendKind{cluster.HDD, cluster.SSD} {
-			oracle, err := CompareFaults(sm, backend, 1)
+			cfg, spec, err := sm.Build(backend)
 			if err != nil {
 				t.Fatal(err)
 			}
+			apps := spec.AppsAt(0)
+			oracle := compare(cfg, apps, 1)
 			for _, shards := range []int{2, 4} {
-				got, err := CompareFaults(sm, backend, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := compare(cfg, apps, shards)
 				if faultGoldenBlock(s, backend, got) != faultGoldenBlock(s, backend, oracle) ||
 					got.Faulted.Diag != oracle.Faulted.Diag {
 					t.Errorf("%s@%s shards=%d diverged from the serial oracle",
@@ -168,7 +175,7 @@ func TestFaultBuiltinLiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := CompareFaults(s, cluster.HDD, 1)
+	fc, err := CompareFaults(s, cluster.HDD)
 	if err != nil {
 		t.Fatal(err)
 	}

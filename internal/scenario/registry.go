@@ -217,12 +217,11 @@ func FleetBuiltin() []Spec {
 		{
 			Name: "fleet",
 			Description: "A generated 1024-tenant population (Zipf volumes, Poisson arrivals, " +
-				"default class mix) over 24 servers, sharded: per-class IF distributions, " +
+				"default class mix) over 24 servers: per-class IF distributions, " +
 				"slowdown percentiles and sampled aggressor/victim pairs replace the " +
 				"infeasible 1024x1024 matrix — the paper's methodology at fleet scale.",
 			Backend: "hdd",
 			Servers: 24,
-			Shards:  4,
 			Population: &population.Params{
 				Count:       1024,
 				Seed:        42,

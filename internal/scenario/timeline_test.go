@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -33,7 +34,8 @@ func timelineObsConfig() obs.Config {
 	return obs.Config{Interval: 20 * sim.Millisecond, Samples: 256, SpanCap: 4096}
 }
 
-// timelineSmokeText renders the pinned timeline at the given shard count.
+// timelineSmokeText renders the pinned timeline: through RunTimeline on
+// the serial engine (shards <= 1), through core.PrepareSharded otherwise.
 func timelineSmokeText(t testing.TB, shards int) string {
 	t.Helper()
 	s, err := Lookup("aggressor-victim")
@@ -41,7 +43,17 @@ func timelineSmokeText(t testing.TB, shards int) string {
 		t.Fatal(err)
 	}
 	s = s.Smoke()
-	res, err := RunTimeline(s, cluster.HDD, shards, timelineObsConfig())
+	var res core.RunResult
+	if shards <= 1 {
+		res, err = RunTimeline(s, cluster.HDD, timelineObsConfig())
+	} else {
+		var spec core.DeltaSpec
+		if _, spec, err = s.Build(cluster.HDD); err == nil {
+			x := core.PrepareSharded(spec.Cfg, spec.AppsAt(0), shards)
+			x.Observe(timelineObsConfig())
+			res = x.Run()
+		}
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +143,7 @@ func TestTimelineShardConformance(t *testing.T) {
 // no co-run to observe.
 func TestRunTimelineRejectsTrace(t *testing.T) {
 	s := Spec{Name: "r", Trace: &TraceBlock{Path: "x.trace"}}
-	if _, err := RunTimeline(s, cluster.HDD, 1, timelineObsConfig()); err == nil {
+	if _, err := RunTimeline(s, cluster.HDD, timelineObsConfig()); err == nil {
 		t.Fatal("RunTimeline accepted a trace scenario")
 	}
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // Cache is the content-addressed baseline cache: key = sha256 over the
-// workload identity (trace bytes or canonical spec JSON), the built
-// cluster.Config and the shard count (see cacheKey), value = the fully
-// computed baseline arm. Eviction is LRU under a byte budget — entry sizes
-// are the JSON encoding of the stored baseline, a faithful proxy for the
-// retained heap since the stored structs are plain data.
+// workload identity (trace bytes or canonical spec JSON) and the built
+// cluster.Config (see cacheKey), value = the fully computed baseline arm.
+// Eviction is LRU under a byte budget — entry sizes are the JSON encoding
+// of the stored baseline, a faithful proxy for the retained heap since the
+// stored structs are plain data.
 //
 // Concurrent requests for the same key coalesce: the first caller computes
 // while the rest wait for its result, so N simultaneous identical sessions

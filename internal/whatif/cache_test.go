@@ -205,15 +205,12 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 
 func TestCacheKeyDistinct(t *testing.T) {
 	// Length-prefixed parts: ("ab","c") and ("a","bc") must not collide.
-	a := cacheKey("k", 1, []byte("ab"), []byte("c"))
-	b := cacheKey("k", 1, []byte("a"), []byte("bc"))
+	a := cacheKey("k", []byte("ab"), []byte("c"))
+	b := cacheKey("k", []byte("a"), []byte("bc"))
 	if a == b {
 		t.Fatal("part boundaries not encoded: concatenation collision")
 	}
-	if cacheKey("k", 1, []byte("x")) == cacheKey("k", 2, []byte("x")) {
-		t.Fatal("shard count not part of the key")
-	}
-	if cacheKey("scenario", 1, []byte("x")) == cacheKey("trace", 1, []byte("x")) {
+	if cacheKey("scenario", []byte("x")) == cacheKey("trace", []byte("x")) {
 		t.Fatal("query kind not part of the key")
 	}
 	for i, k := range []string{a, b} {

@@ -28,10 +28,6 @@ type Config struct {
 	// Jobs is the core.Runner parallelism inside one session
 	// (0 = GOMAXPROCS).
 	Jobs int
-	// Shards is the default event-kernel shard override for queries that
-	// do not set their own (0 = each spec's knob). Results are
-	// bit-identical at any value.
-	Shards int
 	// MaxBody caps request bodies — trace uploads and scenario specs —
 	// before any decoding (default 64 MiB).
 	MaxBody int64
@@ -225,9 +221,6 @@ type scenarioRequest struct {
 	Backend string `json:"backend,omitempty"`
 	// Smoke shrinks the scenario to the CI smoke grid.
 	Smoke bool `json:"smoke,omitempty"`
-	// Shards overrides the event-kernel shard count (0 = server default,
-	// then the spec's own knob). Results are bit-identical at any value.
-	Shards int `json:"shards,omitempty"`
 	// Arms names the mitigation schemes to sweep (default: fairshare,
 	// tokenbucket, controller). "off" always runs as the baseline.
 	Arms []string `json:"arms,omitempty"`
@@ -289,19 +282,11 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if env.Shards < 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("shards must be >= 0, got %d", env.Shards))
-		return
-	}
-	shards := env.Shards
-	if shards == 0 {
-		shards = s.cfg.Shards
-	}
 	wait := env.Smoke
 	if env.Wait != nil {
 		wait = *env.Wait
 	}
-	q := &Query{Spec: &spec, Backend: backend, Smoke: env.Smoke, Shards: shards, Arms: arms}
+	q := &Query{Spec: &spec, Backend: backend, Smoke: env.Smoke, Arms: arms}
 	s.dispatch(w, q, wait)
 }
 

@@ -233,6 +233,10 @@ func TestServerBadRequests(t *testing.T) {
 		"name": "x", "qos": map[string]any{"scheduler": "fairshare"},
 		"apps": []map[string]any{{"procs": 1, "block_mb": 1}},
 	})
+	shardSpec, _ := json.Marshal(map[string]any{
+		"name": "x", "shards": 2,
+		"apps": []map[string]any{{"procs": 1, "block_mb": 1}},
+	})
 	cases := []struct {
 		name, path, body string
 	}{
@@ -244,7 +248,8 @@ func TestServerBadRequests(t *testing.T) {
 		{"bad backend", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"backend":"tape"}`, spec)},
 		{"bad arm", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"arms":["nope"]}`, spec)},
 		{"off arm", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"arms":["off"]}`, spec)},
-		{"negative shards", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"shards":-1}`, spec)},
+		{"shards in envelope", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"smoke":true,"shards":2}`, spec)},
+		{"shards in spec", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"smoke":true}`, shardSpec)},
 		{"garbage trace", "/v1/whatif/trace", "not a trace"},
 		{"bad trace arm", "/v1/whatif/trace?arms=nope", "IOTRACE1"},
 		{"bad wait", "/v1/whatif/trace?wait=maybe", "IOTRACE1"},
