@@ -3,10 +3,10 @@
 GO      ?= go
 # BENCH_OUT is the perf snapshot consumed by CI artifacts and by future
 # perf PRs; the _N suffix tracks the PR number that produced it.
-BENCH_OUT ?= BENCH_14.json
+BENCH_OUT ?= BENCH_17.json
 # BENCH_PREV is the previous PR's committed snapshot; bench-check fails when
 # a serial-path benchmark regressed beyond the benchguard tolerance.
-BENCH_PREV ?= BENCH_12.json
+BENCH_PREV ?= BENCH_14.json
 
 .PHONY: test race bench bench-check fuzz-short scenarios mitigate trace faults fleet serve obs
 
@@ -59,14 +59,14 @@ trace:
 #	jq -r 'select(.Action=="output") | .Output' BENCH_4.json > new.txt
 #	benchstat old.txt new.txt
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineStandingQueue|BenchmarkTransportThroughput|BenchmarkHDDElevator|BenchmarkFairShareScheduler|BenchmarkTraceRecord' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineStandingQueue|BenchmarkTransportThroughput|BenchmarkHDDElevator|BenchmarkHDDManyFiles|BenchmarkFairShareScheduler|BenchmarkTraceRecord' \
 		-benchmem -benchtime 0.5s -count 5 -json . > $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure2SyncOn$$' \
 		-benchmem -benchtime 1x -count 3 -json . >> $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkSharded(Figure2|Scenario)' \
 		-benchtime 1x -count 3 -json . >> $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetScenario$$' \
-		-benchtime 1x -count 3 -json . >> $(BENCH_OUT)
+		-benchmem -benchtime 1x -count 3 -json . >> $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfCache(Hit|Miss)' \
 		-benchmem -benchtime 0.5s -count 5 -json . >> $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkSamplerTick|BenchmarkSpanRecord' \
@@ -81,7 +81,7 @@ bench:
 # quality.
 bench-check:
 	$(GO) run ./cmd/benchguard -old $(BENCH_PREV) -new $(BENCH_OUT) \
-		-match '^Benchmark(EngineEventThroughput|EngineStandingQueue|TransportThroughput|HDDElevator|FairShareScheduler|TraceRecord|Figure2SyncOn|FleetScenario|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord)'
+		-match '^Benchmark(EngineEventThroughput|EngineStandingQueue|TransportThroughput|HDDElevator|HDDManyFiles|FairShareScheduler|TraceRecord|Figure2SyncOn|FleetScenario|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord)'
 
 # fuzz-short gives each native fuzz target a brief coverage-guided run on
 # top of its committed seed corpus — long enough to catch a fresh parser

@@ -433,6 +433,58 @@ func BenchmarkHDDElevator(b *testing.B) {
 	b.SetBytes(256 << 10)
 }
 
+// hddManyFiles is a disk that has seen 1024 files, under a standing queue
+// of 256 requests: each completion resubmits its request to the next file,
+// streaming contiguously through that file, so the queue never drains and
+// every decision switches files — the fleet's shape, where a disk holds
+// one stream per tenant. The disk is warmed until every file has been
+// served twice; each Step of the returned engine is then one completion,
+// one submission and one elevator decision.
+func hddManyFiles() *sim.Engine {
+	const files, depth = 1024, 256
+	e := sim.NewEngine()
+	d := cluster.NewDevice(e, cluster.Default())
+	var next [files]int64
+	for i := 0; i < depth; i++ {
+		r := &storage.Request{File: storage.FileID(i * files / depth), Size: 256 << 10}
+		r.Offset = next[r.File]
+		next[r.File] += r.Size
+		r.Done = func() {
+			r.File = (r.File + 1) % files
+			r.Offset = next[r.File]
+			next[r.File] += r.Size
+			d.Submit(r)
+		}
+		d.Submit(r)
+	}
+	for i := 0; i < 2*files; i++ {
+		e.Step()
+	}
+	return e
+}
+
+// BenchmarkHDDManyFiles times one elevator decision on a disk that has
+// seen 1024 files. It stays flat only while the decision is O(1) in the
+// files a disk has seen; a scan over them costs microseconds here.
+func BenchmarkHDDManyFiles(b *testing.B) {
+	e := hddManyFiles()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}
+
+// TestHDDManyFilesZeroAlloc pins that BenchmarkHDDManyFiles's steady state
+// allocates nothing: per-file queues, the submission list and the
+// completion event all reuse what the warm-up built.
+func TestHDDManyFilesZeroAlloc(t *testing.T) {
+	e := hddManyFiles()
+	if got := testing.AllocsPerRun(4096, func() { e.Step() }); got != 0 {
+		t.Fatalf("%.2f allocations per elevator decision, want 0", got)
+	}
+}
+
 // BenchmarkTraceRecord measures the request-level trace recorder's
 // steady-state record path (one BeginRequest + EndRequest pair, the hook
 // the pfs client runs per request when tracing is on). With capacity

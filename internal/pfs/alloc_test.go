@@ -37,8 +37,9 @@ func chunkAllocs(t *testing.T, mode SyncMode, n int, read bool) float64 {
 
 // requestAllocs is the fixed allocation count of one single-server request
 // beyond its chunks: the client request, the share's state and its pending
-// queue's backing array, and the layout's and the plan's two slices each.
-const requestAllocs = 7
+// queue's backing array, and the plan's two slices (the plans and all their
+// chunks).
+const requestAllocs = 5
 
 // TestWriteChunkAllocs pins the write path's allocation budget: a write of
 // n chunks allocates exactly one object per chunk — the chunk, with its

@@ -74,25 +74,28 @@ type srvPlan struct {
 }
 
 // plan carves [off, off+size) of f into each involved server's chunks of
-// at most that server's flow buffer size, in server-position order.
+// at most that server's flow buffer size, in server-position order. A
+// first pass counts the servers and chunks, so the plans and all their
+// chunks take one exactly sized slice each.
 func (f *File) plan(off, size int64) []srvPlan {
-	var plans []srvPlan
-	for pos, runs := range f.layout.PerServer(off, size) {
-		if len(runs) == 0 {
-			continue
-		}
+	servers, total := 0, int64(0)
+	for pos, r := range f.layout.shares(off, size) {
 		flow := f.servers[pos].P.FlowBufSize
-		n := int64(0)
-		for _, r := range runs {
-			n += (r.Size + flow - 1) / flow
+		servers++
+		total += (r.Size + flow - 1) / flow
+	}
+	if servers == 0 {
+		return nil
+	}
+	plans := make([]srvPlan, 0, servers)
+	chunks := make([]Run, 0, total)
+	for pos, r := range f.layout.shares(off, size) {
+		flow := f.servers[pos].P.FlowBufSize
+		from := len(chunks)
+		for o := int64(0); o < r.Size; o += flow {
+			chunks = append(chunks, Run{Local: r.Local + o, Size: min(flow, r.Size-o)})
 		}
-		chunks := make([]Run, 0, n)
-		for _, r := range runs {
-			for o := int64(0); o < r.Size; o += flow {
-				chunks = append(chunks, Run{Local: r.Local + o, Size: min(flow, r.Size-o)})
-			}
-		}
-		plans = append(plans, srvPlan{pos: pos, chunks: chunks})
+		plans = append(plans, srvPlan{pos: pos, chunks: chunks[from:len(chunks):len(chunks)]})
 	}
 	return plans
 }

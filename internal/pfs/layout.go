@@ -13,6 +13,8 @@
 // stalls socket reads, which closes TCP windows.
 package pfs
 
+import "iter"
+
 // Layout describes round-robin striping over Width servers with a fixed
 // stripe size (PVFS "simple_stripe").
 type Layout struct {
@@ -69,33 +71,49 @@ func (l Layout) Map(off, size int64) []Piece {
 	return out
 }
 
-// PerServer splits the extent like Map and merges contiguous pieces per
-// server, returning one slice of local runs for each server position (empty
-// slices for untouched servers). It walks the stripes itself rather than
-// calling Map: a 64 MiB request at 64 KiB stripes is 1024 pieces, but on a
-// contiguous extent only one run per server.
-func (l Layout) PerServer(off, size int64) [][]Run {
-	l.check(off, size)
-	runs := make([][]Run, l.Width)
-	for size > 0 {
-		g := off / l.Stripe
-		in := off % l.Stripe
-		n := l.Stripe - in
-		if n > size {
-			n = size
+// shares yields, in server-position order, each server position the
+// logical extent [off, off+size) touches and its share there. A contiguous
+// extent is contiguous on every server — a server's stripes in it are
+// adjacent in its local stream — so a share is one run: from the server's
+// first stripe in the extent (entered at off's offset within it, when it is
+// off's stripe) to the end of its last (cut at the extent's end, when it is
+// the extent's last stripe). That is O(1) per server however many stripes
+// the extent covers.
+func (l Layout) shares(off, size int64) iter.Seq2[int, Run] {
+	return func(yield func(int, Run) bool) {
+		l.check(off, size)
+		if size == 0 {
+			return
 		}
-		pos := int(g % int64(l.Width))
-		local := (g/int64(l.Width))*l.Stripe + in
-		rs := runs[pos]
-		if k := len(rs); k > 0 && rs[k-1].Local+rs[k-1].Size == local {
-			rs[k-1].Size += n
-		} else {
-			runs[pos] = append(rs, Run{Local: local, Size: n})
+		w, s := int64(l.Width), l.Stripe
+		end := off + size - 1 // the extent's last byte
+		g0, g1 := off/s, end/s
+		// The extent's stripes g0..g1 go round-robin from position g0%w, so
+		// the touched positions are n consecutive ones (mod w) from there.
+		n, p0 := min(w, g1-g0+1), g0%w
+		for pos := int64(0); pos < w; pos++ {
+			d := pos - p0
+			if d < 0 {
+				d += w
+			}
+			if d >= n {
+				continue
+			}
+			first := g0 + d                // pos's first stripe in the extent
+			last := first + (g1-first)/w*w // and its last
+			start := first / w * s
+			if first == g0 {
+				start += off % s
+			}
+			stop := (last/w + 1) * s
+			if last == g1 {
+				stop = last/w*s + end%s + 1
+			}
+			if !yield(int(pos), Run{Local: start, Size: stop - start}) {
+				return
+			}
 		}
-		off += n
-		size -= n
 	}
-	return runs
 }
 
 // ServersTouched returns how many distinct servers the extent involves —
@@ -103,10 +121,8 @@ func (l Layout) PerServer(off, size int64) [][]Run {
 // experiments (fewer servers per request ⇒ less global synchronization).
 func (l Layout) ServersTouched(off, size int64) int {
 	touched := 0
-	for _, rs := range l.PerServer(off, size) {
-		if len(rs) > 0 {
-			touched++
-		}
+	for range l.shares(off, size) {
+		touched++
 	}
 	return touched
 }

@@ -47,11 +47,21 @@ func TestLayoutMapUnalignedStart(t *testing.T) {
 	}
 }
 
+// shareRuns collects Layout.shares into each server position's runs, in
+// the order they were yielded; untouched positions stay nil.
+func shareRuns(l Layout, off, size int64) [][]Run {
+	runs := make([][]Run, l.Width)
+	for pos, r := range l.shares(off, size) {
+		runs[pos] = append(runs[pos], r)
+	}
+	return runs
+}
+
 func TestLayoutPerServerMergesContiguous(t *testing.T) {
 	// A full-width-aligned extent is contiguous on every server.
 	l := Layout{Width: 4, Stripe: 64 << 10}
 	size := int64(8 << 20) // 128 stripes, 32 per server
-	runs := l.PerServer(0, size)
+	runs := shareRuns(l, 0, size)
 	for pos, rs := range runs {
 		if len(rs) != 1 {
 			t.Fatalf("server %d has %d runs, want 1: %+v", pos, len(rs), rs)
@@ -70,8 +80,8 @@ func TestLayoutStridedLeavesHoles(t *testing.T) {
 	// touches each server once; consecutive blocks of the same writer are
 	// NOT contiguous locally (the gap maps to the same servers).
 	l := Layout{Width: 4, Stripe: 64 << 10}
-	a := l.PerServer(0, 256<<10)
-	b := l.PerServer(512<<10, 256<<10)
+	a := shareRuns(l, 0, 256<<10)
+	b := shareRuns(l, 512<<10, 256<<10)
 	for pos := 0; pos < 4; pos++ {
 		if len(a[pos]) != 1 || len(b[pos]) != 1 {
 			t.Fatalf("runs per block: %v %v", a[pos], b[pos])
@@ -129,7 +139,8 @@ func TestPropertyLayoutRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: PerServer conserves bytes and runs never overlap on a server.
+// Property: the per-server shares conserve bytes, runs never overlap on a
+// server, and ServersTouched counts the servers with a share.
 func TestPropertyPerServerConserves(t *testing.T) {
 	f := func(width8 uint8, stripe16 uint16, off32, size32 uint32) bool {
 		width := int(width8%12) + 1
@@ -138,7 +149,8 @@ func TestPropertyPerServerConserves(t *testing.T) {
 		size := int64(size32 % (1 << 18))
 		l := Layout{Width: width, Stripe: stripe}
 		var sum int64
-		for _, rs := range l.PerServer(off, size) {
+		touched := 0
+		for _, rs := range shareRuns(l, off, size) {
 			var prevEnd int64 = -1
 			for _, r := range rs {
 				if r.Size <= 0 || r.Local < 0 {
@@ -150,16 +162,20 @@ func TestPropertyPerServerConserves(t *testing.T) {
 				prevEnd = r.Local + r.Size
 				sum += r.Size
 			}
+			if len(rs) > 0 {
+				touched++
+			}
 		}
-		return sum == size
+		return sum == size && touched == l.ServersTouched(off, size)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: PerServer is Map's pieces merged per server — contiguous
-// pieces on one server joined into a run, in file order.
+// Property: the shares come in server-position order, and each is Map's
+// pieces on that server merged into runs — which merge into exactly one
+// run, since a contiguous extent is contiguous on every server.
 func TestPropertyPerServerMatchesMap(t *testing.T) {
 	f := func(width8 uint8, stripe16 uint16, off32, size32 uint32) bool {
 		l := Layout{Width: int(width8%12) + 1, Stripe: int64(stripe16%2048) + 1}
@@ -174,7 +190,14 @@ func TestPropertyPerServerMatchesMap(t *testing.T) {
 				want[p.SrvPos] = append(rs, Run{Local: p.Local, Size: p.Size})
 			}
 		}
-		return reflect.DeepEqual(l.PerServer(off, size), want)
+		prev := -1
+		for pos := range l.shares(off, size) {
+			if pos <= prev {
+				return false
+			}
+			prev = pos
+		}
+		return reflect.DeepEqual(shareRuns(l, off, size), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -186,8 +209,8 @@ func TestLayoutPanics(t *testing.T) {
 		func() { Layout{Width: 0, Stripe: 1}.Map(0, 1) },
 		func() { Layout{Width: 1, Stripe: 0}.Map(0, 1) },
 		func() { Layout{Width: 1, Stripe: 1}.Map(-1, 1) },
-		func() { Layout{Width: 0, Stripe: 1}.PerServer(0, 1) },
-		func() { Layout{Width: 1, Stripe: 1}.PerServer(0, -1) },
+		func() { shareRuns(Layout{Width: 0, Stripe: 1}, 0, 1) },
+		func() { shareRuns(Layout{Width: 1, Stripe: 1}, 0, -1) },
 	} {
 		func() {
 			defer func() {

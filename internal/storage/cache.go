@@ -33,9 +33,9 @@ type WriteCache struct {
 
 	copyLine *sim.Line
 	dirty    int64
-	flushQ   []*Request
+	flushQ   reqQueue
 	inFlight int
-	blocked  []*Request
+	blocked  reqQueue
 
 	absorbed     int64
 	flushed      int64
@@ -67,12 +67,12 @@ func (c *WriteCache) BlockedWrites() int64 { return c.blockedCount }
 // dirty limit is exceeded the write waits (FIFO) for flushing to make room.
 // Like Device.Submit, it holds no reference to r once r.Done has been called.
 func (c *WriteCache) Write(r *Request) {
-	if c.hasRoom(r) && len(c.blocked) == 0 {
+	if c.hasRoom(r) && c.blocked.Len() == 0 {
 		c.admit(r)
 		return
 	}
 	c.blockedCount++
-	c.blocked = append(c.blocked, r)
+	c.blocked.Push(r)
 }
 
 // hasRoom reports whether r fits under the dirty limit. A request larger
@@ -99,15 +99,13 @@ func (c *WriteCache) admit(r *Request) {
 	})
 	// Queue the extent for background flushing (its completion is internal).
 	fr := &Request{File: r.File, Offset: r.Offset, Size: r.Size, Stream: r.Stream}
-	c.flushQ = append(c.flushQ, fr)
+	c.flushQ.Push(fr)
 	c.kickFlusher()
 }
 
 func (c *WriteCache) kickFlusher() {
-	for c.inFlight < c.P.FlushDepth && len(c.flushQ) > 0 {
-		fr := c.flushQ[0]
-		copy(c.flushQ, c.flushQ[1:])
-		c.flushQ = c.flushQ[:len(c.flushQ)-1]
+	for c.inFlight < c.P.FlushDepth && c.flushQ.Len() > 0 {
+		fr := c.flushQ.Pop()
 		c.inFlight++
 		size := fr.Size
 		fr.Done = func() {
@@ -123,18 +121,15 @@ func (c *WriteCache) kickFlusher() {
 }
 
 func (c *WriteCache) admitBlocked() {
-	for len(c.blocked) > 0 && c.hasRoom(c.blocked[0]) {
-		r := c.blocked[0]
-		copy(c.blocked, c.blocked[1:])
-		c.blocked = c.blocked[:len(c.blocked)-1]
-		c.admit(r)
+	for c.blocked.Len() > 0 && c.hasRoom(c.blocked.Head()) {
+		c.admit(c.blocked.Pop())
 	}
 }
 
 // OnDrained registers fn to run once everything absorbed so far has been
 // flushed to the device (used by tests and fsync-like semantics).
 func (c *WriteCache) OnDrained(fn func()) {
-	if c.dirty == 0 && len(c.flushQ) == 0 && c.inFlight == 0 && len(c.blocked) == 0 {
+	if c.dirty == 0 && c.flushQ.Len() == 0 && c.inFlight == 0 && c.blocked.Len() == 0 {
 		c.E.Schedule(0, fn)
 		return
 	}
@@ -142,7 +137,7 @@ func (c *WriteCache) OnDrained(fn func()) {
 }
 
 func (c *WriteCache) checkDrained() {
-	if c.dirty != 0 || len(c.flushQ) != 0 || c.inFlight != 0 || len(c.blocked) != 0 {
+	if c.dirty != 0 || c.flushQ.Len() != 0 || c.inFlight != 0 || c.blocked.Len() != 0 {
 		return
 	}
 	fns := c.drainFns

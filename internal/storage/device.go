@@ -30,7 +30,9 @@ type Request struct {
 	Read   bool
 	Done   func()
 
-	seq int64 // submission order, set by the device (elevator aging)
+	// prev and next link the request into the HDD's submission-order list
+	// while it is queued there; both are nil otherwise.
+	prev, next *Request
 }
 
 // End returns the first byte offset after the request.

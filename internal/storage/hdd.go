@@ -32,15 +32,22 @@ func DefaultHDD() HDDParams {
 // served with elevator-style batching: the disk keeps serving contiguous
 // runs from the current file up to MaxRun bytes while other files wait,
 // which is how OS schedulers amortize seeks between interleaved streams.
+//
+// Every decision costs O(1) however many files the disk has seen. Each
+// file's queue is in submission order and only heads are ever served, so
+// the oldest queued request is always some file's head — the head that has
+// waited longest. The front of one list of every queued request, in
+// submission order, is therefore the switch target.
 type HDD struct {
 	E *sim.Engine
 	P HDDParams
 
-	// perFile holds FIFO queues of pending requests, keyed by file.
-	perFile map[FileID][]*Request
-	// files lists FileIDs with queued work, in first-seen order
-	// (deterministic iteration).
-	files []FileID
+	// perFile holds each file's FIFO of pending requests.
+	perFile map[FileID]reqQueue
+	// oldest and newest are the ends of a doubly linked list, through
+	// Request.prev and Request.next, of every queued request in
+	// submission order.
+	oldest, newest *Request
 
 	busy     bool
 	cur      *Request // request in service; completes at the next OnEvent
@@ -51,13 +58,12 @@ type HDD struct {
 
 	queued      int
 	queuedBytes int64
-	seq         int64 // submission counter for aging
 	stats       Stats
 }
 
 // NewHDD returns an idle disk.
 func NewHDD(e *sim.Engine, p HDDParams) *HDD {
-	return &HDD{E: e, P: p, perFile: make(map[FileID][]*Request)}
+	return &HDD{E: e, P: p, perFile: make(map[FileID]reqQueue)}
 }
 
 // Name implements Device.
@@ -74,13 +80,16 @@ func (d *HDD) Stats() Stats { return d.stats }
 
 // Submit implements Device.
 func (d *HDD) Submit(r *Request) {
-	d.seq++
-	r.seq = d.seq
-	q, ok := d.perFile[r.File]
-	if !ok {
-		d.files = append(d.files, r.File)
+	q := d.perFile[r.File]
+	q.Push(r)
+	d.perFile[r.File] = q
+	r.prev, r.next = d.newest, nil
+	if d.newest != nil {
+		d.newest.next = r
+	} else {
+		d.oldest = r
 	}
-	d.perFile[r.File] = append(q, r)
+	d.newest = r
 	d.queued++
 	d.queuedBytes += r.Size
 	if !d.busy {
@@ -96,42 +105,22 @@ func (d *HDD) pick() (*Request, bool) {
 		return nil, false
 	}
 	// Continuation of the current run?
-	if d.headSet {
-		if q := d.perFile[d.headFile]; len(q) > 0 && q[0].Offset == d.headOff {
-			exhausted := d.P.MaxRun > 0 && d.runBytes >= d.P.MaxRun
-			if !exhausted || !d.otherFileQueued(d.headFile) {
-				return q[0], false
-			}
+	if d.headSet && (d.P.MaxRun <= 0 || d.runBytes < d.P.MaxRun) {
+		if q := d.perFile[d.headFile]; q.Len() > 0 && q.Head().Offset == d.headOff {
+			return q.Head(), false
 		}
 	}
 	// Switch: serve the file whose head request has waited longest
-	// (deadline-style aging, like the kernel's deadline/CFQ schedulers).
-	// Choosing by queue size instead would starve a draining stream's tail
-	// behind a newly arrived bulk stream.
-	var best FileID
-	bestSeq := int64(-1)
-	for _, f := range d.files {
-		q := d.perFile[f]
-		if len(q) == 0 {
-			continue
-		}
-		if bestSeq < 0 || q[0].seq < bestSeq {
-			best, bestSeq = f, q[0].seq
-		}
-	}
-	r := d.perFile[best][0]
+	// (deadline-style aging, like the kernel's deadline/CFQ schedulers),
+	// which is the file of the oldest queued request. Choosing by queue
+	// size instead would starve a draining stream's tail behind a newly
+	// arrived bulk stream. A run that has used up MaxRun lands here too;
+	// when no other file has queued work, the oldest request is the run's
+	// own next one, so the run goes on without a seek.
+	r := d.oldest
 	// A "seek" is any discontinuity, including holes within the same file.
 	seek := !d.headSet || r.File != d.headFile || r.Offset != d.headOff
 	return r, seek
-}
-
-func (d *HDD) otherFileQueued(f FileID) bool {
-	for _, g := range d.files {
-		if g != f && len(d.perFile[g]) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func (d *HDD) serveNext() {
@@ -140,10 +129,21 @@ func (d *HDD) serveNext() {
 		d.busy = false
 		return
 	}
-	// Dequeue r.
+	// Dequeue r: it is its file's head, anywhere in the submission list.
 	q := d.perFile[r.File]
-	copy(q, q[1:])
-	d.perFile[r.File] = q[:len(q)-1]
+	q.Pop()
+	d.perFile[r.File] = q
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		d.oldest = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	} else {
+		d.newest = r.prev
+	}
+	r.prev, r.next = nil, nil
 	d.queued--
 	d.queuedBytes -= r.Size
 

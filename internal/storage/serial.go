@@ -17,7 +17,7 @@ type serial struct {
 	// previous one on the same file (mild on SSDs, zero elsewhere).
 	randPenalty sim.Time
 
-	queue       []*Request
+	queue       reqQueue
 	busy        bool
 	cur         *Request // request in service; completes at the next OnEvent
 	lastFile    FileID
@@ -38,12 +38,12 @@ func (d *serial) OnEvent(op uint32, a, b int64) {
 }
 
 func (d *serial) Name() string       { return d.name }
-func (d *serial) Queued() int        { return len(d.queue) }
+func (d *serial) Queued() int        { return d.queue.Len() }
 func (d *serial) QueuedBytes() int64 { return d.queuedBytes }
 func (d *serial) Stats() Stats       { return d.stats }
 
 func (d *serial) Submit(r *Request) {
-	d.queue = append(d.queue, r)
+	d.queue.Push(r)
 	d.queuedBytes += r.Size
 	if !d.busy {
 		d.busy = true
@@ -52,13 +52,11 @@ func (d *serial) Submit(r *Request) {
 }
 
 func (d *serial) serveNext() {
-	if len(d.queue) == 0 {
+	if d.queue.Len() == 0 {
 		d.busy = false
 		return
 	}
-	r := d.queue[0]
-	copy(d.queue, d.queue[1:])
-	d.queue = d.queue[:len(d.queue)-1]
+	r := d.queue.Pop()
 	d.queuedBytes -= r.Size
 
 	dur := d.opLat + sim.TransferTime(r.Size, d.bw)

@@ -56,12 +56,7 @@ type flash struct {
 	bw    float64  // per-channel bytes/second; zero means infinitely fast
 	opLat sim.Time // fixed per-request latency
 
-	// queue[head:] are the waiting requests; popping advances head instead
-	// of copy-shifting, so a contended drain is O(1) per dispatch (the
-	// multi-channel device pops C times faster than a serial one, which
-	// would make the serial model's shift quadratic here).
-	queue       []*Request
-	head        int
+	queue       reqQueue   // requests waiting for a channel
 	cur         []*Request // per-channel request in service (nil = idle)
 	idle        int        // number of nil entries in cur
 	queuedBytes int64
@@ -83,32 +78,21 @@ func (d *flash) Name() string { return d.name }
 
 // Queued counts requests waiting for a channel, like every other device
 // (in-service requests are excluded).
-func (d *flash) Queued() int { return len(d.queue) - d.head }
+func (d *flash) Queued() int { return d.queue.Len() }
 
 func (d *flash) QueuedBytes() int64 { return d.queuedBytes }
 func (d *flash) Stats() Stats       { return d.stats }
 
 func (d *flash) Submit(r *Request) {
-	d.queue = append(d.queue, r)
+	d.queue.Push(r)
 	d.queuedBytes += r.Size
 	d.serve()
 }
 
 // serve dispatches queued requests to idle channels, lowest index first.
 func (d *flash) serve() {
-	for d.idle > 0 && d.head < len(d.queue) {
-		r := d.queue[d.head]
-		d.queue[d.head] = nil // release for GC
-		d.head++
-		if d.head == len(d.queue) {
-			d.queue, d.head = d.queue[:0], 0
-		} else if d.head >= 1024 && d.head*2 >= len(d.queue) {
-			// A queue that never fully drains would otherwise grow without
-			// bound; compact once the dead prefix dominates.
-			n := copy(d.queue, d.queue[d.head:])
-			d.queue, d.head = d.queue[:n], 0
-		}
-
+	for d.idle > 0 && d.queue.Len() > 0 {
+		r := d.queue.Pop()
 		ch := 0
 		for d.cur[ch] != nil {
 			ch++
