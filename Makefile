@@ -3,12 +3,22 @@
 GO      ?= go
 # BENCH_OUT is the perf snapshot consumed by CI artifacts and by future
 # perf PRs; the _N suffix tracks the PR number that produced it.
-BENCH_OUT ?= BENCH_17.json
+BENCH_OUT ?= BENCH_18.json
 # BENCH_PREV is the previous PR's committed snapshot; bench-check fails when
 # a serial-path benchmark regressed beyond the benchguard tolerance.
-BENCH_PREV ?= BENCH_14.json
+BENCH_PREV ?= BENCH_17.json
 
-.PHONY: test race bench bench-check fuzz-short scenarios mitigate trace faults fleet serve obs
+# The serial-path benchmarks bench-check and bench-ab judge: the micro
+# benchmarks, and the campaign-sized ones bench-ab runs once per side.
+GUARDED_MICRO    = EngineEventThroughput|EngineStandingQueue|TransportThroughput|HDDElevator|HDDManyFiles|FairShareScheduler|TraceRecord|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord
+GUARDED_CAMPAIGN = Figure2SyncOn|FleetScenario
+
+# bench-ab compares BASE against the working tree on this host.
+BASE         ?= HEAD
+AB_PAIRS     ?= 10
+AB_BENCHTIME ?= 0.2s
+
+.PHONY: test race bench bench-check bench-ab fuzz-short scenarios mitigate trace faults fleet serve obs
 
 # Tier-1: everything, full grids.
 test:
@@ -81,7 +91,34 @@ bench:
 # quality.
 bench-check:
 	$(GO) run ./cmd/benchguard -old $(BENCH_PREV) -new $(BENCH_OUT) \
-		-match '^Benchmark(EngineEventThroughput|EngineStandingQueue|TransportThroughput|HDDElevator|HDDManyFiles|FairShareScheduler|TraceRecord|Figure2SyncOn|FleetScenario|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord)'
+		-match '^Benchmark($(GUARDED_MICRO)|$(GUARDED_CAMPAIGN))'
+
+# bench-ab is the on-host A/B of bench-check's benchmarks: it builds the
+# root test binary of BASE (default HEAD) from a git worktree in a temp
+# directory and the working tree's beside it, then runs both in AB_PAIRS
+# pairs, alternating which goes first, each benchmark once per run (the
+# campaign-sized ones at -benchtime 1x). benchguard -ab prints both sides'
+# medians and quartiles, the pairs the working tree won and a verdict by
+# bench/compare's rule. It reports only and exits 0 on every verdict;
+# bench-check stays the gate.
+bench-ab:
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1 || true; rm -rf "$$tmp"' EXIT; \
+	git worktree add --quiet --detach "$$tmp/base" $(BASE); \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" .); \
+	$(GO) test -c -o "$$tmp/head.test" .; \
+	for i in $$(seq $(AB_PAIRS)); do \
+		order="base head"; if [ $$((i % 2)) = 0 ]; then order="head base"; fi; \
+		for side in $$order; do \
+			dir=.; if [ $$side = base ]; then dir="$$tmp/base"; fi; \
+			echo "pair $$i: $$side" >&2; \
+			(cd "$$dir" && "$$tmp/$$side.test" -test.run '^$$' -test.benchtime $(AB_BENCHTIME) \
+				-test.bench '^Benchmark($(GUARDED_MICRO))$$' && \
+			"$$tmp/$$side.test" -test.run '^$$' -test.benchtime 1x \
+				-test.bench '^Benchmark($(GUARDED_CAMPAIGN))$$') >> "$$tmp/$$side.txt"; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchguard -ab -old "$$tmp/base.txt" -new "$$tmp/head.txt"
 
 # fuzz-short gives each native fuzz target a brief coverage-guided run on
 # top of its committed seed corpus — long enough to catch a fresh parser

@@ -19,6 +19,7 @@
 // Usage:
 //
 //	benchguard -old BENCH_5.json -new BENCH_6.json [-tolerance 1.5] [-match regexp]
+//	benchguard -ab -old base.txt -new head.txt [-match regexp]
 //
 // Benchmarks present in only one file are reported but never fail the
 // guard (new benches appear, old ones retire): the comparison always runs
@@ -26,14 +27,22 @@
 // every current benchmark — is a warning, not an error: the guard has
 // nothing to check yet, and failing would block the very PR that
 // introduces the benchmarks.
+//
+// With -ab the two files are runs of a base and a head test binary
+// alternated on one host (make bench-ab), so host drift hits both sides
+// alike. Result i of a benchmark in one file pairs with result i in the
+// other, and each benchmark gets a verdict by bench/compare's rule (see
+// judgeAB). This mode only reports: it exits 0 on every verdict.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
@@ -47,17 +56,20 @@ type testEvent struct {
 	Output string
 }
 
-// readBenchLines reassembles the textual output of a -json stream. Long
-// benchmark result lines are split across multiple Output events, so the
-// stream is concatenated first and split on newlines after.
+// readBenchLines returns the lines of a benchmark log: plain `go test
+// -bench` output as it is, or the reassembled textual output of a -json
+// stream. Long benchmark result lines are split across multiple Output
+// events, so the stream is concatenated first and split on newlines after.
 func readBenchLines(path string) ([]string, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	if t := bytes.TrimSpace(data); len(t) == 0 || t[0] != '{' {
+		return strings.Split(string(data), "\n"), nil
+	}
 	var text strings.Builder
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		var ev testEvent
@@ -123,6 +135,7 @@ func main() {
 	newPath := flag.String("new", "", "fresh snapshot to check")
 	tolerance := flag.Float64("tolerance", 1.5, "fail when new median ns/op exceeds old by this factor")
 	match := flag.String("match", ".*", "only guard benchmarks whose name matches this regexp")
+	ab := flag.Bool("ab", false, "judge paired on-host runs of a base (-old) and a head (-new) binary; report only")
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
 		fmt.Fprintln(os.Stderr, "benchguard: -old and -new are required")
@@ -144,6 +157,10 @@ func main() {
 	}
 	oldB, oldA := load(*oldPath)
 	newB, newA := load(*newPath)
+	if *ab {
+		reportAB(os.Stdout, oldB, newB, re)
+		return
+	}
 
 	timeOK := guard(os.Stdout, oldB, newB, *tolerance, re, *oldPath)
 	allocsOK := guardAllocs(os.Stdout, oldA, newA, re)
@@ -241,4 +258,85 @@ func guard(w io.Writer, oldB, newB map[string][]float64, tolerance float64, re *
 	fmt.Fprintf(w, "benchguard: %d benchmarks within %.2fx of %s (%d new unguarded)\n",
 		compared, tolerance, oldPath, missing)
 	return true
+}
+
+// abVerdict is the outcome of one benchmark's on-host A/B.
+type abVerdict struct {
+	baseMed, baseQ1, baseQ3 float64
+	headMed, headQ1, headQ3 float64
+	wins, losses, pairs     int // pairs the head ran faster, slower, in all
+	verdict                 string
+}
+
+// judgeAB applies bench/compare's rule to paired ns/op samples, in both
+// directions: the head is "faster" when it won at least 9 in 10 pairs and
+// its median is lower than the base's by more than the base's
+// interquartile distance, "slower" when the base won by the same rule, and
+// "unchanged" otherwise. Ties count for neither side; extra unpaired
+// samples on one side are ignored.
+func judgeAB(base, head []float64) abVerdict {
+	n := min(len(base), len(head))
+	base, head = base[:n], head[:n]
+	v := abVerdict{pairs: n, verdict: "unchanged"}
+	if n == 0 {
+		return v
+	}
+	v.baseMed, v.headMed = median(base), median(head)
+	v.baseQ1, v.baseQ3 = quartiles(base)
+	v.headQ1, v.headQ3 = quartiles(head)
+	for i := range base {
+		switch {
+		case head[i] < base[i]:
+			v.wins++
+		case head[i] > base[i]:
+			v.losses++
+		}
+	}
+	gap := math.Abs(v.headMed-v.baseMed) > v.baseQ3-v.baseQ1
+	switch {
+	case 10*v.wins >= 9*n && v.headMed < v.baseMed && gap:
+		v.verdict = "faster"
+	case 10*v.losses >= 9*n && v.headMed > v.baseMed && gap:
+		v.verdict = "slower"
+	}
+	return v
+}
+
+// quartiles returns the first and third quartiles of xs by the exclusive
+// method, the one bench/stats.Quartiles uses (Python's
+// statistics.quantiles default). xs must not be empty.
+func quartiles(xs []float64) (q1, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n == 1 {
+		return s[0], s[0]
+	}
+	at := func(i int) float64 {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := i*(n+1) - j*4
+		return (s[j-1]*float64(4-delta) + s[j]*float64(delta)) / 4
+	}
+	return at(1), at(3)
+}
+
+// reportAB prints one sorted line per matching benchmark run on both
+// sides: each side's median ns/op with its quartiles, the pairs the head
+// won, the median change and the verdict.
+func reportAB(w io.Writer, baseB, headB map[string][]float64, re *regexp.Regexp) {
+	names := make([]string, 0, len(headB))
+	for name := range headB {
+		if _, ok := baseB[name]; ok && re.MatchString(name) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "%-36s %-30s %-30s %7s %8s  %s\n", "benchmark", "base ns/op [q1, q3]", "head ns/op [q1, q3]", "wins", "change", "verdict")
+	for _, name := range names {
+		v := judgeAB(baseB[name], headB[name])
+		fmt.Fprintf(w, "%-36s %-30s %-30s %3d/%-3d %+7.1f%%  %s\n", name,
+			fmt.Sprintf("%.4g [%.4g, %.4g]", v.baseMed, v.baseQ1, v.baseQ3),
+			fmt.Sprintf("%.4g [%.4g, %.4g]", v.headMed, v.headQ1, v.headQ3),
+			v.wins, v.pairs, 100*(v.headMed-v.baseMed)/v.baseMed, v.verdict)
+	}
 }

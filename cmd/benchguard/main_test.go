@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -148,4 +150,68 @@ func TestGuardAllocs(t *testing.T) {
 		t.Errorf("output not sorted by name:\n%s", out)
 	}
 
+}
+
+// TestJudgeAB pins bench/compare's rule as -ab applies it to paired ns/op
+// samples, in both directions.
+func TestJudgeAB(t *testing.T) {
+	base := []float64{100, 102, 98, 101, 99, 100, 103, 97, 100, 101} // q1 98.75, q3 101.25
+	shift := func(xs []float64, d float64) []float64 {
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			out[i] = x + d
+		}
+		return out
+	}
+	nineOfTen := shift(base, -5)
+	nineOfTen[3] = base[3] + 1 // the head loses one pair
+	eightOfTen := append([]float64(nil), nineOfTen...)
+	eightOfTen[5] = base[5] + 1
+	cases := []struct {
+		name       string
+		base, head []float64
+		verdict    string
+		wins, pair int
+	}{
+		{"10 of 10 faster, gap past the IQR", base, shift(base, -10), "faster", 10, 10},
+		{"9 of 10 faster", base, nineOfTen, "faster", 9, 10},
+		{"8 of 10 faster", base, eightOfTen, "unchanged", 8, 10},
+		{"10 of 10 faster, gap within the IQR", base, shift(base, -1), "unchanged", 10, 10},
+		{"10 of 10 slower", base, shift(base, 10), "slower", 0, 10},
+		{"identical", base, base, "unchanged", 0, 10},
+		{"unpaired extra run ignored", base, append(shift(base, -10), 1e9), "faster", 10, 10},
+		{"nothing paired", base, nil, "unchanged", 0, 0},
+	}
+	for _, tc := range cases {
+		v := judgeAB(tc.base, tc.head)
+		if v.verdict != tc.verdict || v.wins != tc.wins || v.pairs != tc.pair {
+			t.Errorf("%s: %s with %d/%d wins, want %s with %d/%d", tc.name, v.verdict, v.wins, v.pairs, tc.verdict, tc.wins, tc.pair)
+		}
+	}
+	if v := judgeAB(base, shift(base, -10)); v.baseQ1 != 98.75 || v.baseQ3 != 101.25 || v.baseMed != 100 {
+		t.Errorf("base median [q1, q3] = %v [%v, %v], want 100 [98.75, 101.25]", v.baseMed, v.baseQ1, v.baseQ3)
+	}
+}
+
+// TestReadPlainBenchLines pins that -ab reads plain `go test -bench`
+// output, which keeps run order: sample i of a benchmark is its i-th run.
+func TestReadPlainBenchLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "base.txt")
+	text := "goos: linux\nBenchmarkA-2 \t 100 \t 30 ns/op\nPASS\nBenchmarkA-2 \t 100 \t 10 ns/op\nBenchmarkA-2 \t 100 \t 20 ns/op\n"
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lines, err := readBenchLines(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, _ := parse(lines)
+	if got := ns["BenchmarkA"]; len(got) != 3 || got[0] != 30 || got[1] != 10 || got[2] != 20 {
+		t.Fatalf("samples = %v, want [30 10 20] in run order", got)
+	}
+	var b strings.Builder
+	reportAB(&b, map[string][]float64{"BenchmarkA": {30, 10, 20}, "BenchmarkOld": {1}}, ns, any)
+	if out := b.String(); !strings.Contains(out, "BenchmarkA") || strings.Contains(out, "BenchmarkOld") {
+		t.Errorf("report should list exactly the benchmarks run on both sides:\n%s", out)
+	}
 }

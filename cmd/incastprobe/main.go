@@ -27,18 +27,8 @@ func main() {
 	)
 	flag.Parse()
 
-	// Range-check before building anything: a zero server count or an
-	// empty half-cluster would otherwise surface as a panic deep in the
-	// platform constructor instead of a usage error.
-	switch {
-	case *nodes < 2:
-		usageErr("-nodes must be >= 2 (the two applications split the nodes)")
-	case *servers < 1:
-		usageErr("-servers must be >= 1")
-	case *delta < 0:
-		usageErr("-delta must be >= 0 seconds")
-	case *app < 0 || *app > 1:
-		usageErr("-app must be 0 or 1")
+	if err := validateFlags(*nodes, *servers, *delta, *app); err != nil {
+		usageErr(err.Error())
 	}
 
 	cfg := cluster.Default()
@@ -61,6 +51,22 @@ func main() {
 	for i := range tr.Times {
 		fmt.Printf("%.6f\t%c\t%.1f\t%d\n", tr.Times[i].Seconds(), tr.Kind[i], tr.Wnd[i], tr.Acked[i])
 	}
+}
+
+// validateFlags range-checks the flags before anything is built: a zero
+// server count or an empty half-cluster would otherwise surface as a panic
+// deep in the platform constructor instead of a usage error, and a -delta
+// past sim.MaxSeconds would wrap into a negative start time.
+func validateFlags(nodes, servers int, delta float64, app int) error {
+	switch {
+	case nodes < 2:
+		return fmt.Errorf("-nodes must be >= 2 (the two applications split the nodes)")
+	case servers < 1:
+		return fmt.Errorf("-servers must be >= 1")
+	case app < 0 || app > 1:
+		return fmt.Errorf("-app must be 0 or 1")
+	}
+	return sim.CheckSeconds("-delta", delta, 0)
 }
 
 // usageErr reports a bad flag value the way the flag package itself does:

@@ -42,26 +42,8 @@ func main() {
 	)
 	flag.Parse()
 
-	// Range-check every numeric flag before constructing the platform: a
-	// zero divisor (servers, ppn) or a negative count would otherwise
-	// panic deep in cluster/workload setup instead of printing usage.
-	switch {
-	case *nApps < 1 || *nApps > 2:
-		usageErr("-apps must be 1 or 2")
-	case *procs < 1:
-		usageErr("-procs must be >= 1")
-	case *ppn < 1:
-		usageErr("-ppn must be >= 1")
-	case *nodes < 1:
-		usageErr("-nodes must be >= 1")
-	case *servers < 1:
-		usageErr("-servers must be >= 1")
-	case *qd < 1:
-		usageErr("-qd must be >= 1")
-	case *delta < 0:
-		usageErr("-delta must be >= 0 seconds")
-	case *clientGb <= 0:
-		usageErr("-clientgbps must be > 0")
+	if err := validateFlags(*nApps, *procs, *ppn, *nodes, *servers, *qd, *delta, *clientGb); err != nil {
+		usageErr(err.Error())
 	}
 
 	cfg := cluster.Default()
@@ -122,6 +104,30 @@ func main() {
 	fmt.Printf("             %d device seeks, %s stored, %d cache-blocked writes\n",
 		d.DeviceSeeks, sim.FormatBytes(d.DeviceBytes), d.CacheBlocks)
 	fmt.Printf("             %d simulation events\n", d.Events)
+}
+
+// validateFlags range-checks every numeric flag before the platform is
+// built: a zero divisor (servers, ppn) or a negative count would otherwise
+// panic deep in cluster/workload setup instead of printing usage, and a
+// -delta past sim.MaxSeconds would wrap into a negative start time.
+func validateFlags(nApps, procs, ppn, nodes, servers, qd int, delta, clientGb float64) error {
+	switch {
+	case nApps < 1 || nApps > 2:
+		return fmt.Errorf("-apps must be 1 or 2")
+	case procs < 1:
+		return fmt.Errorf("-procs must be >= 1")
+	case ppn < 1:
+		return fmt.Errorf("-ppn must be >= 1")
+	case nodes < 1:
+		return fmt.Errorf("-nodes must be >= 1")
+	case servers < 1:
+		return fmt.Errorf("-servers must be >= 1")
+	case qd < 1:
+		return fmt.Errorf("-qd must be >= 1")
+	case !(clientGb > 0):
+		return fmt.Errorf("-clientgbps must be > 0")
+	}
+	return sim.CheckSeconds("-delta", delta, 0)
 }
 
 // parseSize parses "64K", "4M", "2G" or plain bytes; sizes must be

@@ -38,8 +38,6 @@ const (
 	MaxBursts = 64
 	// MaxSamplePairs bounds the sampled-pairwise budget of the fleet path.
 	MaxSamplePairs = 4096
-	// maxSeconds bounds every seconds-valued knob.
-	maxSeconds = 1e6
 	// maxTotalMB bounds the worst-case population volume (64 TiB): the
 	// explicit volume × count overflow guard.
 	maxTotalMB = 1 << 26
@@ -256,8 +254,8 @@ func (p Params) Validate() error {
 		name string
 		v    float64
 	}{{"window_s", p.WindowS}, {"think_s", p.ThinkS}, {"jitter_s", p.JitterS}} {
-		if math.IsNaN(k.v) || k.v < 0 || k.v > maxSeconds {
-			return fmt.Errorf("population: %s must be in [0, %g], got %v", k.name, maxSeconds, k.v)
+		if err := sim.CheckSeconds(k.name, k.v, 0); err != nil {
+			return fmt.Errorf("population: %w", err)
 		}
 	}
 	if p.Bursts < 0 || p.Bursts > MaxBursts {

@@ -99,7 +99,13 @@ func (ev FaultEvent) validate() error {
 			return fmt.Errorf("%s takes only at_s and server", ev.Kind)
 		}
 	}
-	return nil
+	if err := sim.CheckSeconds("at_s", ev.AtS, 0); err != nil {
+		return err
+	}
+	if err := sim.CheckSeconds("duration_s", ev.DurationS, 0); err != nil {
+		return err
+	}
+	return sim.CheckMillis("latency_ms", ev.LatencyMS)
 }
 
 // compile turns one validated event into its fault form.
@@ -140,6 +146,14 @@ func (fb *FaultBlock) validate(servers int) error {
 	if fb.DeadlineMS < 0 || fb.BackoffMS < 0 || fb.BackoffMaxMS < 0 ||
 		fb.Retries < 0 || fb.ResumeMS < 0 {
 		return fmt.Errorf("negative retry parameter")
+	}
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{{"deadline_ms", fb.DeadlineMS}, {"backoff_ms", fb.BackoffMS}, {"backoff_max_ms", fb.BackoffMaxMS}, {"resume_ms", fb.ResumeMS}} {
+		if err := sim.CheckMillis(k.name, k.v); err != nil {
+			return err
+		}
 	}
 	for i, ev := range fb.Events {
 		if err := ev.validate(); err != nil {

@@ -237,6 +237,9 @@ func (q *QoS) Params() (qos.Params, error) {
 	if err != nil {
 		return qos.Params{}, err
 	}
+	if err := sim.CheckMillis("tick_ms", q.TickMS); err != nil {
+		return qos.Params{}, err
+	}
 	p := qos.Params{
 		Kind:            kind,
 		FlowSlots:       q.FlowSlots,
@@ -346,6 +349,11 @@ func (s Spec) Validate() error {
 	if s.StripeKB > maxStripeKB {
 		return fmt.Errorf("scenario %q: stripe_kb %d exceeds the %d KiB cap", s.Name, s.StripeKB, maxStripeKB)
 	}
+	for i, d := range s.DeltaS {
+		if err := sim.CheckSeconds("delta_s", d, -sim.MaxSeconds); err != nil {
+			return fmt.Errorf("scenario %q: %w (point %d)", s.Name, err, i)
+		}
+	}
 	if s.QoS != nil {
 		if _, err := s.QoS.Params(); err != nil {
 			return fmt.Errorf("scenario %q: qos: %w", s.Name, err)
@@ -409,6 +417,12 @@ func (s Spec) Validate() error {
 		if a.PPN < 0 || a.QD < 0 || a.ThinkMS < 0 || a.StripeKB < 0 || a.StartS < 0 {
 			return fmt.Errorf("scenario %q app %q: negative parameter", s.Name, label)
 		}
+		if err := sim.CheckSeconds("start_s", a.StartS, 0); err != nil {
+			return fmt.Errorf("scenario %q app %q: %w", s.Name, label, err)
+		}
+		if err := sim.CheckMillis("think_ms", a.ThinkMS); err != nil {
+			return fmt.Errorf("scenario %q app %q: %w", s.Name, label, err)
+		}
 		if a.StripeKB > maxStripeKB {
 			return fmt.Errorf("scenario %q app %q: stripe_kb %d exceeds the %d KiB cap",
 				s.Name, label, a.StripeKB, maxStripeKB)
@@ -464,12 +478,21 @@ func (ph Phase) validate() error {
 		if ph.QD < 0 || ph.ThinkMS < 0 {
 			return fmt.Errorf("negative parameter")
 		}
+		if err := sim.CheckMillis("think_ms", ph.ThinkMS); err != nil {
+			return err
+		}
 	case workload.PhaseCompute:
 		if ioKnobs {
 			return fmt.Errorf("compute phase with io knobs")
 		}
 		if ph.ComputeS < 0 || ph.JitterS < 0 {
 			return fmt.Errorf("negative compute_s/jitter_s")
+		}
+		if err := sim.CheckSeconds("compute_s", ph.ComputeS, 0); err != nil {
+			return err
+		}
+		if err := sim.CheckSeconds("jitter_s", ph.JitterS, 0); err != nil {
+			return err
 		}
 	case workload.PhaseBarrier:
 		if ioKnobs || ph.ComputeS != 0 || ph.JitterS != 0 {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -173,6 +174,37 @@ func TestValidationErrors(t *testing.T) {
 		}, "outside the 4-server platform"},
 		{"negative start", func(s *Spec) { s.Apps[0].StartS = -1 }, "negative parameter"},
 		{"negative servers", func(s *Spec) { s.Servers = -1 }, "negative platform parameter"},
+		// Times past sim.MaxSeconds, NaN and infinities; past about 9.2e9 s
+		// a value would wrap into a negative clock time.
+		{"delta past the clock", func(s *Spec) { s.DeltaS = []float64{0, 1e10} }, "got 1e+10 (point 1)"},
+		{"delta below the bound", func(s *Spec) { s.DeltaS = []float64{-2e6} }, "got -2e+06 (point 0)"},
+		{"NaN delta", func(s *Spec) { s.DeltaS = []float64{math.NaN()} }, "got NaN (point 0)"},
+		{"infinite delta", func(s *Spec) { s.DeltaS = []float64{0, math.Inf(1)} }, "got +Inf (point 1)"},
+		{"start past the bound", func(s *Spec) { s.Apps[0].StartS = 2e6 }, "start_s"},
+		{"think past the clock", func(s *Spec) { s.Apps[0].ThinkMS = 1e300 }, "think_ms"},
+		{"phase think past the clock", func(s *Spec) {
+			s.Apps[0] = App{Procs: 4, Phases: []Phase{{Kind: "io", BlockMB: 8, ThinkMS: 1e300}}}
+		}, "think_ms"},
+		{"compute past the clock", func(s *Spec) {
+			s.Apps[0] = App{Procs: 4, Phases: []Phase{{Kind: "io", BlockMB: 8}, {Kind: "compute", ComputeS: 1e10}}}
+		}, "compute_s"},
+		{"jitter past the bound", func(s *Spec) {
+			s.Apps[0] = App{Procs: 4, Phases: []Phase{{Kind: "compute", JitterS: 2e6}, {Kind: "io", BlockMB: 8}}}
+		}, "jitter_s"},
+		{"qos tick past the bound", func(s *Spec) {
+			s.QoS = &QoS{Scheduler: "controller", TickMS: 1e10}
+		}, "tick_ms"},
+		{"fault past the bound", func(s *Spec) {
+			s.Faults = &FaultBlock{Events: []FaultEvent{
+				{Kind: "server-crash", AtS: 1e7}, {Kind: "server-restart", AtS: 2e7}}}
+		}, "at_s"},
+		{"loss burst past the bound", func(s *Spec) {
+			s.Faults = &FaultBlock{Events: []FaultEvent{{Kind: "loss-burst", AtS: 1, DurationS: 1e7}}}
+		}, "duration_s"},
+		{"degrade latency past the bound", func(s *Spec) {
+			s.Faults = &FaultBlock{Events: []FaultEvent{{Kind: "device-degrade", AtS: 1, Factor: 2, LatencyMS: 1e10}}}
+		}, "latency_ms"},
+		{"retry deadline past the bound", func(s *Spec) { s.Faults = &FaultBlock{DeadlineMS: 1e10} }, "deadline_ms"},
 	}
 	for _, tc := range cases {
 		s := base()

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // These tests pin the kernel's zero-allocation invariants: once the event
-// heap and waiter rings have reached steady-state capacity, executing
+// queue and waiter rings have reached steady-state capacity, executing
 // events — closures, Target calls, and the whole Sleep/wake proc path —
 // allocates nothing. The figure campaigns replay millions of these events,
 // so a regression here is a performance bug even though nothing breaks
@@ -24,26 +24,46 @@ func standQueue(e *Engine, depth int) {
 	}
 }
 
+// bucketCaps returns every queue bucket's capacity.
+func bucketCaps(e *Engine) (caps [len(Engine{}.buckets)]int) {
+	for k, b := range e.buckets {
+		caps[k] = cap(b)
+	}
+	return caps
+}
+
+// checkBucketCaps reports every bucket whose capacity grew from was.
+func checkBucketCaps(t *testing.T, depth int, e *Engine, was [len(Engine{}.buckets)]int) {
+	t.Helper()
+	for k, c := range bucketCaps(e) {
+		if c != was[k] {
+			t.Errorf("depth %d: bucket %d grew from %d to %d entries", depth, k, was[k], c)
+		}
+	}
+}
+
 func TestEventLoopZeroAlloc(t *testing.T) {
 	for _, depth := range standingDepths {
 		e := NewEngine()
 		standQueue(e, depth)
 		fn := func() {}
-		// Prime the heap and slab so steady state starts with capacity.
+		// Prime the queue and slab so steady state starts with capacity.
 		e.Schedule(0, fn)
 		e.RunUntil(e.Now())
-		slab := len(e.slots)
+		slab, caps := len(e.slots), bucketCaps(e)
 		if avg := testing.AllocsPerRun(1000, func() {
 			e.Schedule(Microsecond, fn)
 			e.RunUntil(e.Now() + Microsecond)
 		}); avg != 0 {
 			t.Errorf("depth %d: event loop allocates %.1f objects per schedule+run, want 0", depth, avg)
 		}
-		// AllocsPerRun rounds down, so amortized slab growth would hide
-		// behind a 0; a reused slot leaves the slab as it was.
+		// AllocsPerRun rounds down, so amortized slab or bucket growth
+		// would hide behind a 0; a reused slot leaves the slab as it was,
+		// and a drained bucket keeps its array.
 		if len(e.slots) != slab {
 			t.Errorf("depth %d: slab grew from %d to %d slots; freed slots are not reused", depth, slab, len(e.slots))
 		}
+		checkBucketCaps(t, depth, e, caps)
 		if e.Pending() != depth {
 			t.Fatalf("depth %d: %d events pending after the runs", depth, e.Pending())
 		}
@@ -61,7 +81,7 @@ func TestScheduleCallZeroAlloc(t *testing.T) {
 		tgt := &countTarget{}
 		e.ScheduleCall(0, tgt, 0, 1, 0)
 		e.RunUntil(e.Now())
-		slab := len(e.slots)
+		slab, caps := len(e.slots), bucketCaps(e)
 		if avg := testing.AllocsPerRun(1000, func() {
 			e.ScheduleCall(Microsecond, tgt, 0, 1, 0)
 			e.RunUntil(e.Now() + Microsecond)
@@ -71,6 +91,7 @@ func TestScheduleCallZeroAlloc(t *testing.T) {
 		if len(e.slots) != slab {
 			t.Errorf("depth %d: slab grew from %d to %d slots; freed slots are not reused", depth, slab, len(e.slots))
 		}
+		checkBucketCaps(t, depth, e, caps)
 		if tgt.n != 1001+1 { // warmup run + 1000 measured + priming call
 			t.Fatalf("depth %d: target ran %d times", depth, tgt.n)
 		}
@@ -96,7 +117,7 @@ func TestLineSendCallZeroAlloc(t *testing.T) {
 
 // TestSleepWakeZeroAlloc drives one proc through a full park/wake/sleep
 // cycle per iteration: Semaphore.Release dequeues it from the waiter ring,
-// the resume event rides the heap's *Proc arm, the proc sleeps once and
+// the resume event rides the queue's *Proc arm, the proc sleeps once and
 // parks again on Acquire. None of it may allocate.
 func TestSleepWakeZeroAlloc(t *testing.T) {
 	e := NewEngine()
@@ -108,7 +129,7 @@ func TestSleepWakeZeroAlloc(t *testing.T) {
 			p.Sleep(Microsecond)
 		}
 	})
-	e.Run() // proc is now parked on Acquire; ring and heap are primed
+	e.Run() // proc is now parked on Acquire; ring and queue are primed
 
 	if avg := testing.AllocsPerRun(1000, func() {
 		s.Release()

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Target receives scheduled callbacks without a closure allocation. Layers
 // whose per-event callback is a fixed method on a long-lived object (a
@@ -60,7 +63,7 @@ type event struct {
 	src    uint32 // shard that scheduled the event (0 on a serial engine)
 }
 
-// qent is one heap entry: an event's due time, inline, and the index of
+// qent is one queue entry: an event's due time, inline, and the index of
 // its payload in the engine's slot slab.
 type qent struct {
 	at   Time
@@ -75,12 +78,18 @@ type qent struct {
 // shared simulation state without locks.
 type Engine struct {
 	now     Time
-	heap    []qent  // min-heap ordered by the slots' (at, sched, psched, gsched, src, seq)
-	slots   []event // payload slab the heap entries index into
+	slots   []event // payload slab the queue entries index into
 	free    []int64 // indices of unused slots
 	seq     uint64
 	yield   chan struct{} // procs hand control back to the loop on this
 	current *Proc         // proc currently holding control, if any
+
+	// The radix queue (see "queue" below) of slot entries, ordered by the
+	// slots' (at, sched, psched, gsched, src, seq); its buckets come last.
+	last  Time   // floor: due time of the last popped entry
+	head  int    // bucket 0 starts at buckets[0][head]
+	mask  uint64 // bit k set while bucket k is non-empty
+	minAt Time   // earliest pending due time; < 0 when not known
 
 	// shard and set place the engine inside a sharded kernel (ShardSet).
 	// A serial engine has shard 0 and a nil set. curSched/curPsched are the
@@ -95,11 +104,15 @@ type Engine struct {
 	spawned  int    // procs ever spawned
 	finished int    // procs that ran to completion
 	parked   int    // procs currently blocked awaiting a wake-up
+
+	// Bucket 0 holds the entries due at last; bucket k > 0 those whose due
+	// time first differs from last at bit k-1.
+	buckets [64][]qent
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{yield: make(chan struct{}), minAt: -1}
 }
 
 // Now returns the current simulated time.
@@ -110,7 +123,13 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int {
+	n := -e.head
+	for _, b := range e.buckets {
+		n += len(b)
+	}
+	return n
+}
 
 // Parked returns the number of processes currently blocked. A simulation
 // that drains its event queue while processes remain parked has deadlocked;
@@ -123,36 +142,51 @@ func (e *Engine) ProcsFinished() int { return e.finished }
 // ProcsSpawned returns how many processes were ever spawned.
 func (e *Engine) ProcsSpawned() int { return e.spawned }
 
-// ---- heap ----------------------------------------------------------------
+// ---- queue ---------------------------------------------------------------
 //
-// An index heap: a binary min-heap of 16-byte (at, slot) entries over a
-// slab of event payloads. The campaigns keep a standing queue of a few
-// hundred events (the Figure 2 campaign averages 174 pending, peaking at
-// 842), so a heap of whole 96-byte events spends its time copying them on
-// every sift step. Here a sift moves 16-byte entries into a hole, a
-// comparison decides on the inline due time alone unless the times tie
-// (about 2% of the Figure 2 campaign's comparisons), and an event's payload
-// is written once on push and read once on dispatch. Slots are recycled
-// LIFO through the free list, so a steady-state queue allocates nothing; a
-// freed slot keeps its stale payload (and the pointers in it) until a later
-// push overwrites it — harmless, since engines live for one simulation.
+// A monotone radix queue (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990) of
+// 16-byte (at, slot) entries over a slab of event payloads. No event is
+// ever due before the clock, so the queue keeps a floor, last — the due
+// time of the last popped entry, which equals now after dispatch — and
+// files every entry by the highest bit in which its due time differs from
+// the floor:
 //
-// Every key is unique (seq is), so any valid heap pops the same sequence:
-// the heap's shape and sift strategy cannot change the execution order.
-
-// before reports whether heap entry x orders ahead of y. Only when the due
-// times tie does it read the payloads, to apply the rest of the key.
-func (e *Engine) before(x, y qent) bool {
-	return x.at < y.at || x.at == y.at && e.tieLess(x.slot, y.slot)
-}
+//	bucket 0    entries due exactly at last, in full tie-key order
+//	bucket k+1  entries whose due time first differs from last at bit k
+//
+// Every entry in a lower bucket is due before every entry in a higher one,
+// and a 64-bit occupancy mask finds the lowest non-empty bucket. A push is
+// one xor, one bits.Len64 and an append. A pop takes bucket 0's head; when
+// bucket 0 is empty it raises the floor to the earliest entry of the
+// lowest non-empty bucket and redistributes that bucket, every entry of
+// which lands in a strictly lower bucket — so an entry moves at most once
+// per bit of its distance from the floor (1.5 times per event in the
+// Figure 2 co-run). A lone entry in that bucket is simply popped.
+//
+// The floor rises only on a pop. RunUntil stops at a deadline, and callers
+// then push events due between now and the earliest pending entry (the
+// ShardSet drain, obs, tests); a due check that raised the floor would
+// leave those below it. So the earliest due time is cached instead: a push
+// lowers the cached value, a pop invalidates it (minAt < 0), and RunUntil's
+// due check and its pop share one lookup (popDue).
+//
+// Entries with equal due times always share a bucket and keep their
+// arrival order through every redistribution, so on a serial engine, where
+// the tie key is non-decreasing in seq (see event), bucket 0 comes out of
+// a refill already sorted. Only pushRaw injections — the ShardSet drain —
+// can arrive out of key order, so a refill insertion-sorts bucket 0, which
+// on a serial engine is one pass that moves nothing, and a push due at the
+// floor enters bucket 0 from the tail.
+//
+// Slots are recycled LIFO through the free list and buckets keep their
+// capacity, so a steady-state queue allocates nothing; a freed slot keeps
+// its stale payload (and the pointers in it) until a later push overwrites
+// it — harmless, since engines live for one simulation.
 
 // tieLess orders two equal-time events by scheduling time, then by the
 // parent's and grandparent's scheduling times, then by scheduling shard,
 // then by per-engine scheduling order. See the event type comment for why
-// this reduces to seq order on a serial engine. Ties are rare, so it stays
-// out of line to keep before inlinable in the sift loops.
-//
-//go:noinline
+// this reduces to seq order on a serial engine.
 func (e *Engine) tieLess(i, j int64) bool {
 	a, b := &e.slots[i], &e.slots[j]
 	if a.sched != b.sched {
@@ -170,12 +204,24 @@ func (e *Engine) tieLess(i, j int64) bool {
 	return a.seq < b.seq
 }
 
+// bucketCap is the capacity every queue bucket starts with, carved out of
+// one array per engine: a bucket that grows past it reallocates alone.
+const bucketCap = 16
+
 // alloc returns a free payload slot, growing the slab when none is free.
+// The engine's first slot also carves the queue's buckets, so an engine
+// that is built but never run allocates no bucket array.
 func (e *Engine) alloc() int64 {
 	if n := len(e.free); n > 0 {
 		slot := e.free[n-1]
 		e.free = e.free[:n-1]
 		return slot
+	}
+	if e.slots == nil {
+		arena := make([]qent, len(e.buckets)*bucketCap)
+		for k := range e.buckets {
+			e.buckets[k] = arena[k*bucketCap : k*bucketCap : (k+1)*bucketCap]
+		}
 	}
 	e.slots = append(e.slots, event{})
 	return int64(len(e.slots) - 1)
@@ -207,61 +253,127 @@ func (e *Engine) pushRaw(ev event) {
 }
 
 // insert assigns the stamped event in slot its tiebreaker sequence number
-// and enters it into the heap.
+// and files it in the bucket of its distance from the floor. The event must
+// not be due before the floor, which the callers' checks against now
+// guarantee.
 func (e *Engine) insert(slot int64) {
 	e.seq++
 	ev := &e.slots[slot]
 	ev.seq = e.seq
-	e.heap = append(e.heap, qent{})
-	e.siftUp(e.heap, len(e.heap)-1, qent{at: ev.at, slot: slot})
+	x := qent{at: ev.at, slot: slot}
+	if x.at < e.minAt {
+		e.minAt = x.at
+	}
+	k := bits.Len64(uint64(x.at ^ e.last))
+	if k == 0 {
+		e.pushNow(x)
+		return
+	}
+	e.buckets[k] = append(e.buckets[k], x)
+	e.mask |= 1 << k
 }
 
-// popMin removes the earliest entry and returns it; its slot stays
-// allocated until the caller frees it. The queue must not be empty.
-func (e *Engine) popMin() qent {
-	h := e.heap
-	min := h[0]
-	n := len(h) - 1
-	x := h[n]
-	h = h[:n]
-	e.heap = h
-	if n == 0 {
-		return min
+// pushNow enters an entry due at the floor into bucket 0, from the tail by
+// the tie key; on a serial engine its place is always the tail. A bucket
+// that is full while its head has moved is compacted first, so a bucket 0
+// that never drains stays within its peak length.
+func (e *Engine) pushNow(x qent) {
+	b := e.buckets[0]
+	if len(b) == cap(b) && e.head > 0 {
+		n := copy(b, b[e.head:])
+		b, e.head = b[:n], 0
 	}
-	// Sift down, bottom-up: walk the hole from the root to a leaf along the
-	// earlier child (one comparison per level), then move the former last
-	// entry — which usually belongs near the bottom — back up into place.
-	i := 0
-	for c := 1; c < n; c = 2*i + 1 {
-		if r := c + 1; r < n {
-			// Take the right child when it is due strictly earlier: the sign
-			// bit of the difference selects it without a branch, which
-			// mispredicts about half the time on a deep queue. Due times
-			// are non-negative, so the difference cannot overflow.
-			if d := h[r].at - h[c].at; d != 0 {
-				c += int(uint64(d) >> 63)
-			} else if e.tieLess(h[r].slot, h[c].slot) {
-				c = r
-			}
+	b = append(b, x)
+	e.settle(b, e.head, len(b)-1)
+	e.buckets[0] = b
+	e.mask |= 1
+}
+
+// settle moves b[i] down past the entries of b[lo:i] that order after it
+// by the tie key, so b[lo:i+1] is in order if b[lo:i] was.
+func (e *Engine) settle(b []qent, lo, i int) {
+	x := b[i]
+	for ; i > lo && e.tieLess(x.slot, b[i-1].slot); i-- {
+		b[i] = b[i-1]
+	}
+	b[i] = x
+}
+
+// popDue removes and returns the earliest entry if it is due at or before
+// deadline; ok is false when the queue is empty or nothing is due yet, and
+// then the floor stays where it is. The entry's slot stays allocated until
+// the caller frees it.
+func (e *Engine) popDue(deadline Time) (x qent, ok bool) {
+	if e.mask&1 == 0 {
+		if e.mask == 0 {
+			return qent{}, false
 		}
-		h[i] = h[c]
-		i = c
+		k := bits.TrailingZeros64(e.mask)
+		b := e.buckets[k]
+		if len(b) == 1 {
+			x = b[0]
+			if x.at > deadline {
+				e.minAt = x.at
+				return qent{}, false
+			}
+			e.buckets[k] = b[:0]
+			e.mask &^= 1 << k
+			e.last = x.at
+			e.minAt = -1
+			return x, true
+		}
+		floor := e.minAt
+		if floor < 0 {
+			floor = earliest(b)
+			e.minAt = floor
+		}
+		if floor > deadline {
+			return qent{}, false
+		}
+		e.refill(k, floor)
+	} else if e.last > deadline {
+		return qent{}, false
 	}
-	e.siftUp(h, i, x)
+	b := e.buckets[0]
+	x = b[e.head]
+	if e.head++; e.head == len(b) {
+		e.buckets[0], e.head = b[:0], 0
+		e.mask &^= 1
+	}
+	e.minAt = -1
+	return x, true
+}
+
+// earliest returns the smallest due time in a non-empty bucket.
+func earliest(b []qent) Time {
+	min := b[0].at
+	for _, x := range b[1:] {
+		if x.at < min {
+			min = x.at
+		}
+	}
 	return min
 }
 
-// siftUp moves the hole at h[i] toward the root until x fits, and stores x.
-func (e *Engine) siftUp(h []qent, i int, x qent) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.before(x, h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
+// refill raises the floor to floor, the earliest due time in bucket k (the
+// lowest non-empty bucket, bucket 0 being empty), and redistributes bucket
+// k: every entry shares its bits above k-1 with the new floor, so each lands
+// in a strictly lower bucket, and those due at the floor in bucket 0. The
+// new bucket 0 is then put in tie-key order.
+func (e *Engine) refill(k int, floor Time) {
+	b := e.buckets[k]
+	e.buckets[k] = b[:0]
+	e.mask &^= 1 << k
+	e.last = floor
+	for _, x := range b {
+		j := bits.Len64(uint64(x.at ^ floor))
+		e.buckets[j] = append(e.buckets[j], x)
+		e.mask |= 1 << j
 	}
-	h[i] = x
+	b0 := e.buckets[0]
+	for i := 1; i < len(b0); i++ {
+		e.settle(b0, 0, i)
+	}
 }
 
 // ---- scheduling ----------------------------------------------------------
@@ -328,20 +440,23 @@ func (e *Engine) Run() Time { return e.RunUntil(MaxTime) }
 // afterwards; later events remain queued. The clock never advances past the
 // time of the last executed event.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for len(e.heap) > 0 && e.heap[0].at <= deadline {
-		e.dispatch(e.popMin())
+	for {
+		top, ok := e.popDue(deadline)
+		if !ok {
+			return e.now
+		}
+		e.dispatch(top)
 	}
-	return e.now
 }
 
 // Step executes exactly one event if available and reports whether it did.
 // It applies the same time-monotonicity check as RunUntil.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
-		return false
+	top, ok := e.popDue(MaxTime)
+	if ok {
+		e.dispatch(top)
 	}
-	e.dispatch(e.popMin())
-	return true
+	return ok
 }
 
 // dispatch advances the clock to the popped entry and executes its event
@@ -377,17 +492,23 @@ func (e *Engine) Shard() int { return int(e.shard) }
 
 // NextEventTime reports the due time of the earliest pending event; ok is
 // false when the queue is empty. It is the engine's safe-time report to the
-// ShardSet synchronizer.
+// ShardSet synchronizer. Like a RunUntil that stops, it leaves the floor
+// where it is and caches what it found.
 func (e *Engine) NextEventTime() (t Time, ok bool) {
-	if len(e.heap) == 0 {
+	switch {
+	case e.mask == 0:
 		return 0, false
+	case e.mask&1 != 0:
+		return e.last, true
+	case e.minAt < 0:
+		e.minAt = earliest(e.buckets[bits.TrailingZeros64(e.mask)])
 	}
-	return e.heap[0].at, true
+	return e.minAt, true
 }
 
 // sameSet reports whether dst shares a shard set with e (or is e itself),
 // panicking on a cross-engine post with no common synchronizer — that would
-// mutate a foreign heap with no ordering guarantee.
+// mutate a foreign queue with no ordering guarantee.
 func (e *Engine) sameSet(dst *Engine) {
 	if e.set == nil || e.set != dst.set {
 		panic("sim: cross-engine post between engines that do not share a ShardSet")

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -176,7 +177,7 @@ func TestPropertyRunUntilBoundary(t *testing.T) {
 }
 
 // orderKey is an event's full ordering key, (at, sched, psched, gsched,
-// src, seq), as the heap-order model records it at push time.
+// src, seq), as the order model records it at push time.
 type orderKey struct {
 	at, sched, psched, gsched Time
 	src                       uint32
@@ -206,10 +207,30 @@ type orderModel struct {
 	t       *testing.T
 	e       *Engine
 	rng     *Rand
+	delay   func(*Rand) Time // due time of a push, relative to now
 	pending map[int64]orderKey
 	fired   []int64
 	budget  int // pushes left; bounds the run
 	nextID  int64
+}
+
+// tieDelays keeps every push within a few nanoseconds of now, so equal due
+// times are the common case; they reach only the queue's lowest buckets.
+func tieDelays(r *Rand) Time { return Time(r.Intn(4)) }
+
+// levelDelays spreads pushes over every bucket level the campaigns reach:
+// 0–3 ns ties, microseconds to about a second drawn log-uniformly, the
+// transport's 200 ms retransmit timeout (itself tie-prone), and hours.
+func levelDelays(r *Rand) Time {
+	switch r.Intn(4) {
+	case 0:
+		return Time(r.Intn(4))
+	case 1:
+		return Time(r.Int63n(int64(1) << (1 + r.Intn(30))))
+	case 2:
+		return 200*Millisecond + Time(r.Intn(2))
+	}
+	return Time(1+r.Intn(3))*Hour + Time(r.Int63n(int64(Hour)))
 }
 
 // stamped returns the key the engine gives a local push, made now, that is
@@ -225,12 +246,14 @@ func (m *orderModel) id() int64 {
 	return m.nextID
 }
 
-// push schedules one event through a randomly chosen path — At, AtCall, or
-// a pushRaw injection with arbitrary ancestry and shard stamps — due within
-// a few nanoseconds of now, so equal due times are the common case.
-func (m *orderModel) push() {
+// push schedules one event m.delay after now.
+func (m *orderModel) push() { m.pushAt(m.e.now + m.delay(m.rng)) }
+
+// pushAt schedules one event due at `at` through a randomly chosen path —
+// At, AtCall, or a pushRaw injection with arbitrary ancestry and shard
+// stamps.
+func (m *orderModel) pushAt(at Time) {
 	e := m.e
-	at := e.now + Time(m.rng.Intn(4))
 	id := m.id()
 	switch m.rng.Intn(3) {
 	case 0:
@@ -255,12 +278,16 @@ func (m *orderModel) push() {
 
 func (m *orderModel) OnEvent(op uint32, a, b int64) { m.fire(a) }
 
-// fire runs as event id executes: it checks the clock, records the
-// execution and sometimes schedules follow-ups from inside the event.
+// fire runs as event id executes: it checks that id was the smallest
+// pending key and due now, records the execution and sometimes schedules
+// follow-ups from inside the event.
 func (m *orderModel) fire(id int64) {
 	k, ok := m.pending[id]
 	if !ok {
 		m.t.Fatalf("event %d executed but not pending", id)
+	}
+	if want := m.minPending(); want != id {
+		m.t.Fatalf("executed event %d (key %+v), want %d (key %+v)", id, k, want, m.pending[want])
 	}
 	if m.e.now != k.at {
 		m.t.Fatalf("event %d executed at %v, due %v", id, m.e.now, k.at)
@@ -272,13 +299,13 @@ func (m *orderModel) fire(id int64) {
 	}
 }
 
-// sleeper is a proc body that repeatedly sleeps a random 0–3 ns, so its
-// resumptions ride the proc-wake path with their own ancestry stamps.
+// sleeper is a proc body that repeatedly sleeps m.delay, so its resumptions
+// ride the proc-wake path with their own ancestry stamps.
 func (m *orderModel) sleeper(startID int64, rounds int) func(*Proc) {
 	return func(p *Proc) {
 		m.fire(startID)
 		for i := 0; i < rounds; i++ {
-			d := Time(m.rng.Intn(4))
+			d := m.delay(m.rng)
 			id := m.id()
 			// The wake-up is the next push on this engine.
 			m.pending[id] = m.stamped(m.e.now+d, m.e.seq+1)
@@ -299,44 +326,117 @@ func (m *orderModel) minPending() int64 {
 	return best
 }
 
+// runUntil runs the engine to a random deadline ahead of now and checks
+// that it stopped with everything due run and nothing later touched. Then,
+// from outside any event, it pushes a few events due between now and the
+// earliest pending entry — what the ShardSet drain and obs do after a
+// window — which a queue whose due check raised its floor would misfile.
+func (m *orderModel) runUntil(seed uint64) {
+	e := m.e
+	deadline := e.now + m.delay(m.rng)
+	if got := e.RunUntil(deadline); got != e.now || got > deadline {
+		m.t.Fatalf("seed %d: RunUntil(%v) returned %v, now %v", seed, deadline, got, e.now)
+	}
+	for id, k := range m.pending {
+		if k.at <= deadline {
+			m.t.Fatalf("seed %d: RunUntil(%v) left event %d due %v", seed, deadline, id, k.at)
+		}
+	}
+	checkQueue(m.t, e)
+	if len(m.pending) == 0 {
+		return
+	}
+	next := m.pending[m.minPending()].at
+	for n := m.rng.Intn(4); n > 0 && m.budget > 0; n-- {
+		m.pushAt(e.now + Time(m.rng.Int63n(int64(next-e.now)+1)))
+	}
+}
+
+// checkQueue asserts the radix queue's invariants: the floor is the clock;
+// bucket 0 holds entries due at the floor in strictly increasing tie-key
+// order; bucket k > 0 holds entries whose due time first differs from the
+// floor at bit k-1; the mask marks exactly the non-empty buckets; and a
+// cached earliest time is the true one.
+func checkQueue(t *testing.T, e *Engine) {
+	t.Helper()
+	if e.last != e.now {
+		t.Fatalf("floor %v, clock %v", e.last, e.now)
+	}
+	lo := MaxTime
+	for k, b := range e.buckets {
+		if k == 0 {
+			b = b[e.head:]
+		}
+		if (len(b) > 0) != (e.mask&(1<<k) != 0) {
+			t.Fatalf("bucket %d holds %d entries, mask %#x", k, len(b), e.mask)
+		}
+		for i, x := range b {
+			if got := bits.Len64(uint64(x.at ^ e.last)); got != k {
+				t.Fatalf("entry due %v in bucket %d, belongs in %d (floor %v)", x.at, k, got, e.last)
+			}
+			if k == 0 && i > 0 && !e.tieLess(b[i-1].slot, x.slot) {
+				t.Fatalf("bucket 0 out of tie-key order at %d", i)
+			}
+			lo = min(lo, x.at)
+		}
+	}
+	if e.minAt >= 0 && e.minAt != lo {
+		t.Fatalf("cached earliest %v, true earliest %v", e.minAt, lo)
+	}
+}
+
 // Property: whatever mix of pushes — At, AtCall, proc wake-ups, raw
 // injections with arbitrary (sched, psched, gsched, src) stamps — and pops,
 // every executed event is the minimum of the pending set by the full
 // (at, sched, psched, gsched, src, seq) key, so the final drain equals a
-// sort by that key.
+// sort by that key. Two input sets: delays of a few nanoseconds, popped one
+// Step at a time, where equal due times are the rule; and delays across
+// every bucket level, where RunUntil stops at random deadlines and pushes
+// from outside land before the earliest pending entry.
 func TestPropertyHeapOrder(t *testing.T) {
-	for seed := uint64(1); seed <= 40; seed++ {
-		e := NewEngine()
-		m := &orderModel{t: t, e: e, rng: NewRand(seed), pending: map[int64]orderKey{}, budget: 600}
-		for i := 0; i < 3; i++ {
-			id := m.id()
-			e.Spawn("sleeper", m.sleeper(id, 20))
-			m.pending[id] = m.stamped(e.now, e.seq)
-		}
-		for {
-			for n := m.rng.Intn(4); n > 0 && m.budget > 0; n-- {
-				m.push()
+	for _, in := range []struct {
+		name  string
+		delay func(*Rand) Time
+		stops bool
+	}{{"ties", tieDelays, false}, {"levels", levelDelays, true}} {
+		for seed := uint64(1); seed <= 40; seed++ {
+			e := NewEngine()
+			m := &orderModel{t: t, e: e, rng: NewRand(seed), delay: in.delay, pending: map[int64]orderKey{}, budget: 600}
+			for i := 0; i < 3; i++ {
+				id := m.id()
+				e.Spawn("sleeper", m.sleeper(id, 20))
+				m.pending[id] = m.stamped(e.now, e.seq)
 			}
-			if e.Pending() != len(m.pending) {
-				t.Fatalf("seed %d: engine holds %d events, model %d", seed, e.Pending(), len(m.pending))
+			for {
+				for n := m.rng.Intn(4); n > 0 && m.budget > 0; n-- {
+					m.push()
+				}
+				checkQueue(t, e)
+				if e.Pending() != len(m.pending) {
+					t.Fatalf("%s seed %d: engine holds %d events, model %d", in.name, seed, e.Pending(), len(m.pending))
+				}
+				if e.Pending() == 0 {
+					break
+				}
+				if in.stops && m.rng.Intn(2) == 0 {
+					m.runUntil(seed)
+					continue
+				}
+				want := m.minPending()
+				if !e.Step() {
+					t.Fatalf("%s seed %d: Step found no event, model has %d", in.name, seed, len(m.pending))
+				}
+				if got := m.fired[len(m.fired)-1]; got != want {
+					t.Fatalf("%s seed %d: step %d executed event %d, want %d (key %+v) at %v",
+						in.name, seed, len(m.fired), got, want, m.pending[want], e.Now())
+				}
 			}
-			if e.Pending() == 0 {
-				break
+			if e.Parked() != 0 || e.ProcsFinished() != 3 {
+				t.Fatalf("%s seed %d: procs parked=%d finished=%d", in.name, seed, e.Parked(), e.ProcsFinished())
 			}
-			want := m.minPending()
-			if !e.Step() {
-				t.Fatalf("seed %d: Step found no event, model has %d", seed, len(m.pending))
+			if len(m.fired) != int(m.nextID) {
+				t.Fatalf("%s seed %d: executed %d of %d events", in.name, seed, len(m.fired), m.nextID)
 			}
-			if got := m.fired[len(m.fired)-1]; got != want {
-				t.Fatalf("seed %d: step %d executed event %d, want %d (key %+v) at %v",
-					seed, len(m.fired), got, want, m.pending[want], e.Now())
-			}
-		}
-		if e.Parked() != 0 || e.ProcsFinished() != 3 {
-			t.Fatalf("seed %d: procs parked=%d finished=%d", seed, e.Parked(), e.ProcsFinished())
-		}
-		if len(m.fired) != int(m.nextID) {
-			t.Fatalf("seed %d: executed %d of %d events", seed, len(m.fired), m.nextID)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // interaction.
 //
 // Each window the coordinator drains the per-pair mailboxes into the
-// destination heaps, computes M = min over shards of the next pending event
+// destination queues, computes M = min over shards of the next pending event
 // time, and lets every shard execute all events with at < M+L. Any message
 // generated inside the window is sent at a time >= M and therefore due at
 // >= M+L, strictly after the window — so no shard can receive an event in

@@ -221,7 +221,7 @@ func TestShardWindowAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Engine(i).AtCall(0, targets[i], 0, 0, 0)
 	}
-	// Warm up heap slices and mailboxes.
+	// Warm up queue buckets and mailboxes.
 	for i := 0; i < 16; i++ {
 		if !s.stepWindow() {
 			t.Fatal("traffic died during warm-up")

@@ -12,13 +12,13 @@
 // waiters), Line (a serialized transmission resource such as a NIC or bus),
 // and a deterministic splitmix64 random number generator.
 //
-// The kernel is engineered for a zero-allocation steady state. Events are
-// stored inline in a hand-specialized min-heap, and the hot scheduling
-// paths avoid per-event closures: parked processes resume through the
-// event's *Proc arm, and layers whose callback is a fixed method on a
-// long-lived object implement Target and use ScheduleCall/AtCall (or
-// Line.SendCall), which carry the callback's arguments in the event
-// itself.
+// The kernel is engineered for a zero-allocation steady state. Events wait
+// in a monotone radix queue of 16-byte (time, slot) entries over a payload
+// slab, and the hot scheduling paths avoid per-event closures: parked
+// processes resume through the event's *Proc arm, and layers whose callback
+// is a fixed method on a long-lived object implement Target and use
+// ScheduleCall/AtCall (or Line.SendCall), which carry the callback's
+// arguments in the event itself.
 package sim
 
 import (
@@ -42,6 +42,33 @@ const (
 
 // MaxTime is the largest representable simulated time.
 const MaxTime Time = 1<<63 - 1
+
+// MaxSeconds bounds every time an input gives — a spec field or a
+// command-line flag, in seconds or milliseconds — at about 11.6 days: far
+// beyond any experiment, and far inside the clock's range of about 292
+// years, so a checked value converts through Seconds or Millis without
+// wrapping into a negative Time.
+const MaxSeconds = 1e6
+
+// CheckSeconds returns an error naming the input unless v is a number of
+// seconds in [lo, MaxSeconds]. lo is 0 for a time or a duration and
+// -MaxSeconds for an offset that may be negative. NaN and infinities fail.
+func CheckSeconds(name string, v, lo float64) error {
+	if !(v >= lo && v <= MaxSeconds) {
+		return fmt.Errorf("%s must be in [%g, %g] seconds, got %v", name, lo, MaxSeconds, v)
+	}
+	return nil
+}
+
+// CheckMillis returns an error naming the input unless v is a duration of
+// at most MaxSeconds, in milliseconds: [0, 1000*MaxSeconds]. NaN and
+// infinities fail.
+func CheckMillis(name string, v float64) error {
+	if !(v >= 0 && v <= 1e3*MaxSeconds) {
+		return fmt.Errorf("%s must be in [0, %g] ms, got %v", name, 1e3*MaxSeconds, v)
+	}
+	return nil
+}
 
 // Seconds converts a floating-point number of seconds to a Time.
 func Seconds(s float64) Time { return Time(s * float64(Second)) }

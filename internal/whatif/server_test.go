@@ -237,6 +237,14 @@ func TestServerBadRequests(t *testing.T) {
 		"name": "x", "shards": 2,
 		"apps": []map[string]any{{"procs": 1, "block_mb": 1}},
 	})
+	// Times past the clock's range used to wrap into negative sim times and
+	// run as if they were zero.
+	farDelta := tinySpec()
+	farDelta.DeltaS = []float64{0, 1e10}
+	farDeltaSpec, _ := json.Marshal(farDelta)
+	farThink := tinySpec()
+	farThink.Apps[0].ThinkMS = 1e300
+	farThinkSpec, _ := json.Marshal(farThink)
 	cases := []struct {
 		name, path, body string
 	}{
@@ -250,6 +258,9 @@ func TestServerBadRequests(t *testing.T) {
 		{"off arm", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"arms":["off"]}`, spec)},
 		{"shards in envelope", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"smoke":true,"shards":2}`, spec)},
 		{"shards in spec", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"smoke":true}`, shardSpec)},
+		{"delta past the clock", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"wait":true}`, farDeltaSpec)},
+		{"smoke delta past the clock", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"smoke":true}`, farDeltaSpec)},
+		{"think past the clock", "/v1/whatif", fmt.Sprintf(`{"scenario":%s,"wait":true}`, farThinkSpec)},
 		{"garbage trace", "/v1/whatif/trace", "not a trace"},
 		{"bad trace arm", "/v1/whatif/trace?arms=nope", "IOTRACE1"},
 		{"bad wait", "/v1/whatif/trace?wait=maybe", "IOTRACE1"},
