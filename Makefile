@@ -14,9 +14,7 @@ GUARDED_MICRO    = EngineEventThroughput|EngineStandingQueue|TransportThroughput
 GUARDED_CAMPAIGN = Figure2SyncOn|FleetScenario
 
 # bench-ab compares BASE against the working tree on this host.
-BASE         ?= HEAD
-AB_PAIRS     ?= 10
-AB_BENCHTIME ?= 0.2s
+BASE ?= HEAD
 
 .PHONY: test race bench bench-check bench-ab fuzz-short scenarios mitigate trace faults fleet serve obs
 
@@ -95,24 +93,24 @@ bench-check:
 
 # bench-ab is the on-host A/B of bench-check's benchmarks: it builds the
 # root test binary of BASE (default HEAD) from a git worktree in a temp
-# directory and the working tree's beside it, then runs both in AB_PAIRS
-# pairs, alternating which goes first, each benchmark once per run (the
-# campaign-sized ones at -benchtime 1x). benchguard -ab prints both sides'
-# medians and quartiles, the pairs the working tree won and a verdict by
-# bench/compare's rule. It reports only and exits 0 on every verdict;
-# bench-check stays the gate.
+# directory and the working tree's beside it, then runs both in 10 pairs,
+# alternating which goes first, each benchmark once per run (the micro
+# ones at -benchtime 0.2s, the campaign-sized ones at 1x). benchguard -ab
+# prints both sides' medians and quartiles, the pairs the working tree won
+# and a verdict by bench/compare's rule. It reports only and exits 0 on
+# every verdict; bench-check stays the gate.
 bench-ab:
 	@set -e; tmp=$$(mktemp -d); \
 	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1 || true; rm -rf "$$tmp"' EXIT; \
 	git worktree add --quiet --detach "$$tmp/base" $(BASE); \
 	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" .); \
 	$(GO) test -c -o "$$tmp/head.test" .; \
-	for i in $$(seq $(AB_PAIRS)); do \
+	for i in $$(seq 10); do \
 		order="base head"; if [ $$((i % 2)) = 0 ]; then order="head base"; fi; \
 		for side in $$order; do \
 			dir=.; if [ $$side = base ]; then dir="$$tmp/base"; fi; \
 			echo "pair $$i: $$side" >&2; \
-			(cd "$$dir" && "$$tmp/$$side.test" -test.run '^$$' -test.benchtime $(AB_BENCHTIME) \
+			(cd "$$dir" && "$$tmp/$$side.test" -test.run '^$$' -test.benchtime 0.2s \
 				-test.bench '^Benchmark($(GUARDED_MICRO))$$' && \
 			"$$tmp/$$side.test" -test.run '^$$' -test.benchtime 1x \
 				-test.bench '^Benchmark($(GUARDED_CAMPAIGN))$$') >> "$$tmp/$$side.txt"; \

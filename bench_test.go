@@ -380,8 +380,10 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 // the campaigns run at (the Figure 2 co-run averages 138 pending events).
 // Delays have nanosecond resolution, so equal due times are as rare as they
 // are in the campaigns. The delays are uniform and no two are due together,
-// so an entry moves down about 4 radix-queue buckets before it pops, where
-// the Figure 2 co-run's clustered due times cost 0.9 moves per event.
+// so an entry makes about 4 moves into a non-zero radix-queue bucket before
+// it pops, where the Figure 2 co-run's clustered due times cost 0.91 such
+// moves per event; both add 0.5–0.6 refill deliveries to bucket 0 per
+// event (DESIGN.md).
 // BenchmarkEngineEventThroughput keeps one event pending and times the loop
 // alone.
 func BenchmarkEngineStandingQueue(b *testing.B) {

@@ -268,17 +268,23 @@ type abVerdict struct {
 	verdict                 string
 }
 
+// abMinPairs is the fewest pairs judgeAB rates: the rule asks for 9 wins
+// in at least 10 pairs.
+const abMinPairs = 10
+
 // judgeAB applies bench/compare's rule to paired ns/op samples, in both
 // directions: the head is "faster" when it won at least 9 in 10 pairs and
 // its median is lower than the base's by more than the base's
 // interquartile distance, "slower" when the base won by the same rule, and
-// "unchanged" otherwise. Ties count for neither side; extra unpaired
-// samples on one side are ignored.
+// "unchanged" otherwise. Fewer than abMinPairs pairs get no verdict ("too
+// few pairs"). Ties count for neither side; extra unpaired samples on one
+// side are ignored.
 func judgeAB(base, head []float64) abVerdict {
 	n := min(len(base), len(head))
 	base, head = base[:n], head[:n]
 	v := abVerdict{pairs: n, verdict: "unchanged"}
 	if n == 0 {
+		v.verdict = "too few pairs"
 		return v
 	}
 	v.baseMed, v.headMed = median(base), median(head)
@@ -294,6 +300,8 @@ func judgeAB(base, head []float64) abVerdict {
 	}
 	gap := math.Abs(v.headMed-v.baseMed) > v.baseQ3-v.baseQ1
 	switch {
+	case n < abMinPairs:
+		v.verdict = "too few pairs"
 	case 10*v.wins >= 9*n && v.headMed < v.baseMed && gap:
 		v.verdict = "faster"
 	case 10*v.losses >= 9*n && v.headMed > v.baseMed && gap:

@@ -153,7 +153,7 @@ func TestGuardAllocs(t *testing.T) {
 }
 
 // TestJudgeAB pins bench/compare's rule as -ab applies it to paired ns/op
-// samples, in both directions.
+// samples, in both directions, and that fewer than 10 pairs get no verdict.
 func TestJudgeAB(t *testing.T) {
 	base := []float64{100, 102, 98, 101, 99, 100, 103, 97, 100, 101} // q1 98.75, q3 101.25
 	shift := func(xs []float64, d float64) []float64 {
@@ -180,7 +180,10 @@ func TestJudgeAB(t *testing.T) {
 		{"10 of 10 slower", base, shift(base, 10), "slower", 0, 10},
 		{"identical", base, base, "unchanged", 0, 10},
 		{"unpaired extra run ignored", base, append(shift(base, -10), 1e9), "faster", 10, 10},
-		{"nothing paired", base, nil, "unchanged", 0, 0},
+		{"9 of 9 faster: too few pairs", base[:9], shift(base[:9], -10), "too few pairs", 9, 9},
+		{"1 of 1 faster: too few pairs", base[:1], shift(base[:1], -10), "too few pairs", 1, 1},
+		{"9 of 9 slower: too few pairs", base[:9], shift(base[:9], 10), "too few pairs", 0, 9},
+		{"nothing paired", base, nil, "too few pairs", 0, 0},
 	}
 	for _, tc := range cases {
 		v := judgeAB(tc.base, tc.head)

@@ -143,8 +143,7 @@ func (fb *FaultBlock) plan() *fault.Plan {
 // servers: per-event knob discipline here, then pairing, ordering and
 // range checks through the compiled plan.
 func (fb *FaultBlock) validate(servers int) error {
-	if fb.DeadlineMS < 0 || fb.BackoffMS < 0 || fb.BackoffMaxMS < 0 ||
-		fb.Retries < 0 || fb.ResumeMS < 0 {
+	if fb.Retries < 0 {
 		return fmt.Errorf("negative retry parameter")
 	}
 	for _, k := range []struct {

@@ -475,7 +475,7 @@ func (ph Phase) validate() error {
 				return fmt.Errorf("block_mb %d not divisible by transfer_kb %d", ph.BlockMB, ph.TransferKB)
 			}
 		}
-		if ph.QD < 0 || ph.ThinkMS < 0 {
+		if ph.QD < 0 {
 			return fmt.Errorf("negative parameter")
 		}
 		if err := sim.CheckMillis("think_ms", ph.ThinkMS); err != nil {
@@ -484,9 +484,6 @@ func (ph Phase) validate() error {
 	case workload.PhaseCompute:
 		if ioKnobs {
 			return fmt.Errorf("compute phase with io knobs")
-		}
-		if ph.ComputeS < 0 || ph.JitterS < 0 {
-			return fmt.Errorf("negative compute_s/jitter_s")
 		}
 		if err := sim.CheckSeconds("compute_s", ph.ComputeS, 0); err != nil {
 			return err
