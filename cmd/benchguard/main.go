@@ -32,7 +32,10 @@
 // alternated on one host (make bench-ab), so host drift hits both sides
 // alike. Result i of a benchmark in one file pairs with result i in the
 // other, and each benchmark gets a verdict by bench/compare's rule (see
-// judgeAB). This mode only reports: it exits 0 on every verdict.
+// judgeAB). This mode prints every verdict, then exits 1 if any benchmark
+// is "slower". "too few pairs" fails nothing, and a benchmark only one
+// side ran is not compared, so a change that adds a guarded benchmark is
+// not failed for it.
 package main
 
 import (
@@ -135,7 +138,7 @@ func main() {
 	newPath := flag.String("new", "", "fresh snapshot to check")
 	tolerance := flag.Float64("tolerance", 1.5, "fail when new median ns/op exceeds old by this factor")
 	match := flag.String("match", ".*", "only guard benchmarks whose name matches this regexp")
-	ab := flag.Bool("ab", false, "judge paired on-host runs of a base (-old) and a head (-new) binary; report only")
+	ab := flag.Bool("ab", false, "judge paired on-host runs of a base (-old) and a head (-new) binary; fail when one is slower")
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
 		fmt.Fprintln(os.Stderr, "benchguard: -old and -new are required")
@@ -158,7 +161,10 @@ func main() {
 	oldB, oldA := load(*oldPath)
 	newB, newA := load(*newPath)
 	if *ab {
-		reportAB(os.Stdout, oldB, newB, re)
+		if !reportAB(os.Stdout, oldB, newB, re) {
+			fmt.Fprintln(os.Stderr, "benchguard: a benchmark ran slower than the base")
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -330,8 +336,9 @@ func quartiles(xs []float64) (q1, q3 float64) {
 
 // reportAB prints one sorted line per matching benchmark run on both
 // sides: each side's median ns/op with its quartiles, the pairs the head
-// won, the median change and the verdict.
-func reportAB(w io.Writer, baseB, headB map[string][]float64, re *regexp.Regexp) {
+// won, the median change and the verdict. It reports whether no benchmark
+// is "slower".
+func reportAB(w io.Writer, baseB, headB map[string][]float64, re *regexp.Regexp) bool {
 	names := make([]string, 0, len(headB))
 	for name := range headB {
 		if _, ok := baseB[name]; ok && re.MatchString(name) {
@@ -340,11 +347,14 @@ func reportAB(w io.Writer, baseB, headB map[string][]float64, re *regexp.Regexp)
 	}
 	sort.Strings(names)
 	fmt.Fprintf(w, "%-36s %-30s %-30s %7s %8s  %s\n", "benchmark", "base ns/op [q1, q3]", "head ns/op [q1, q3]", "wins", "change", "verdict")
+	ok := true
 	for _, name := range names {
 		v := judgeAB(baseB[name], headB[name])
+		ok = ok && v.verdict != "slower"
 		fmt.Fprintf(w, "%-36s %-30s %-30s %3d/%-3d %+7.1f%%  %s\n", name,
 			fmt.Sprintf("%.4g [%.4g, %.4g]", v.baseMed, v.baseQ1, v.baseQ3),
 			fmt.Sprintf("%.4g [%.4g, %.4g]", v.headMed, v.headQ1, v.headQ3),
 			v.wins, v.pairs, 100*(v.headMed-v.baseMed)/v.baseMed, v.verdict)
 	}
+	return ok
 }

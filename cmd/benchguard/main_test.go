@@ -218,3 +218,42 @@ func TestReadPlainBenchLines(t *testing.T) {
 		t.Errorf("report should list exactly the benchmarks run on both sides:\n%s", out)
 	}
 }
+
+// TestReportABExit pins -ab's exit decision: a "slower" verdict fails,
+// after the whole table is printed; "too few pairs" and a benchmark only
+// the head ran do not.
+func TestReportABExit(t *testing.T) {
+	base := []float64{100, 102, 98, 101, 99, 100, 103, 97, 100, 101}
+	shift := func(xs []float64, d float64) []float64 {
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			out[i] = x + d
+		}
+		return out
+	}
+	cases := []struct {
+		name       string
+		base, head map[string][]float64
+		ok         bool
+	}{
+		{"faster and unchanged", map[string][]float64{"BenchmarkA": base, "BenchmarkB": base},
+			map[string][]float64{"BenchmarkA": shift(base, -10), "BenchmarkB": base}, true},
+		{"one slower", map[string][]float64{"BenchmarkA": base, "BenchmarkB": base},
+			map[string][]float64{"BenchmarkA": shift(base, 10), "BenchmarkB": shift(base, -10)}, false},
+		{"slower in too few pairs", map[string][]float64{"BenchmarkA": base[:9]},
+			map[string][]float64{"BenchmarkA": shift(base[:9], 10)}, true},
+		{"new benchmark", map[string][]float64{"BenchmarkA": base},
+			map[string][]float64{"BenchmarkA": base, "BenchmarkNew": shift(base, 1e6)}, true},
+	}
+	for _, tc := range cases {
+		var b strings.Builder
+		if ok := reportAB(&b, tc.base, tc.head, regexp.MustCompile(".")); ok != tc.ok {
+			t.Errorf("%s: reportAB = %v, want %v", tc.name, ok, tc.ok)
+		}
+		for name := range tc.base {
+			if !strings.Contains(b.String(), name) {
+				t.Errorf("%s: table lacks %s:\n%s", tc.name, name, b.String())
+			}
+		}
+	}
+}

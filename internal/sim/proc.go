@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Proc is a coroutine-style simulated process. A Proc's body is an ordinary
 // Go function running on its own goroutine, but control is handed between
 // the engine's event loop and at most one Proc at a time, so Proc bodies may
@@ -12,7 +14,6 @@ type Proc struct {
 	eng    *Engine
 	name   string
 	resume chan struct{}
-	dead   bool
 }
 
 // Spawn creates a process and schedules it to start at the current time.
@@ -27,14 +28,25 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	e.Schedule(0, func() {
 		go func() {
 			<-p.resume // wait for first handoff
+			defer e.exit(p)
 			body(p)
-			p.dead = true
-			e.finished++
-			e.yield <- struct{}{} // final handoff back to the loop
 		}()
 		e.handoff(p)
 	})
 	return p
+}
+
+// exit is a proc goroutine's final handoff back to the loop. A body that
+// panicked hands control back too, and leaves its panic for handoff to
+// re-raise on the engine's goroutine, where the caller of Run can recover
+// it.
+func (e *Engine) exit(p *Proc) {
+	if v := recover(); v != nil {
+		e.procPanic = fmt.Sprintf("sim: proc %q panicked: %v", p.name, v)
+	} else {
+		e.finished++
+	}
+	e.yield <- struct{}{}
 }
 
 // SpawnAt is Spawn with a start delay.
@@ -51,6 +63,11 @@ func (e *Engine) handoff(p *Proc) {
 	p.resume <- struct{}{}
 	<-e.yield
 	e.current = prev
+	if e.procPanic != nil {
+		v := e.procPanic
+		e.procPanic = nil
+		panic(v)
+	}
 }
 
 // park suspends the calling proc until the next handoff to it.

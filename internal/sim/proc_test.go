@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestProcSleepSequence(t *testing.T) {
 	e := NewEngine()
@@ -195,6 +198,26 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 		t.Fatal("TryAcquire after release failed")
 	}
 	_ = e
+}
+
+// TestProcPanicReachesCaller pins that a panic in a proc body, which runs
+// on its own goroutine, reaches the caller of Run with the proc's name.
+func TestProcPanicReachesCaller(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("p", func(p *Proc) {
+		p.Sleep(3)
+		panic("boom")
+	})
+	defer func() {
+		v := recover()
+		if msg, _ := v.(string); !strings.Contains(msg, `"p"`) || !strings.Contains(msg, "boom") {
+			t.Fatalf("recovered %v, want a panic naming proc \"p\" and boom", v)
+		}
+		if e.Now() != 3 {
+			t.Fatalf("now = %v, want 3", e.Now())
+		}
+	}()
+	e.Run()
 }
 
 func TestSpawnAt(t *testing.T) {

@@ -1,24 +1,21 @@
 package sim
 
-import (
-	"fmt"
-	"runtime"
-	"sync/atomic"
-)
+import "fmt"
 
-// ShardSet is a conservative parallel discrete-event kernel (classic
+// ShardSet is a conservative windowed discrete-event kernel (classic
 // CMB/YAWNS windowed synchronization): K independently-clocked Engines,
 // one per shard, advancing in lock-step windows derived from a global
 // lookahead L — the minimum simulated latency of any cross-shard
-// interaction.
+// interaction. Run steps every window on the calling goroutine, one shard
+// after another.
 //
-// Each window the coordinator drains the per-pair mailboxes into the
-// destination queues, computes M = min over shards of the next pending event
-// time, and lets every shard execute all events with at < M+L. Any message
-// generated inside the window is sent at a time >= M and therefore due at
-// >= M+L, strictly after the window — so no shard can receive an event in
-// its past, and the barrier between windows is the only synchronization the
-// shards need.
+// Each window Run drains the per-pair mailboxes into the destination
+// queues, computes M = min over shards of the next pending event time, and
+// lets every shard execute all events with at < M+L. Any message generated
+// inside the window is sent at a time >= M and therefore due at >= M+L,
+// strictly after the window — so no shard can receive an event in its
+// past, and the shards exchange nothing but the mailboxes drained between
+// windows.
 //
 // # Shard boundary contract
 //
@@ -46,9 +43,7 @@ import (
 type ShardSet struct {
 	lookahead Time
 	engines   []*Engine
-	outbox    [][]xmsg   // mailbox per (src, dst) pair, indexed src*K+dst
-	ctl       []shardCtl // per-shard worker doorbell, index 0 unused
-	started   bool
+	outbox    [][]xmsg // mailbox per (src, dst) pair, indexed src*K+dst
 }
 
 // xmsg is one cross-shard mailbox entry: either a timestamped event
@@ -67,20 +62,6 @@ type xmsg struct {
 	op     uint32
 }
 
-// shardCtl is the spin-synchronized doorbell of one worker shard. The
-// coordinator publishes a window bound and bumps goGen; the worker runs its
-// engine to the bound and echoes the generation into doneGen. Atomic
-// generations give the barrier its happens-before edges (mailbox writes of
-// a window are visible to the coordinator's drain, drain pushes are visible
-// to the next window's worker). The padding keeps neighboring shards'
-// doorbells off one cache line.
-type shardCtl struct {
-	bound   atomic.Int64  // window deadline (inclusive); < 0 orders shutdown
-	goGen   atomic.Uint64 // bumped by the coordinator to start a window
-	doneGen atomic.Uint64 // set by the worker when the window is done
-	_       [64 - 3*8]byte
-}
-
 // NewShardSet builds K engines sharing one conservative synchronizer.
 // lookahead must be positive — a zero-lookahead model has no safe window
 // and cannot be sharded conservatively.
@@ -95,7 +76,6 @@ func NewShardSet(k int, lookahead Time) *ShardSet {
 		lookahead: lookahead,
 		engines:   make([]*Engine, k),
 		outbox:    make([][]xmsg, k*k),
-		ctl:       make([]shardCtl, k),
 	}
 	for i := range s.engines {
 		e := NewEngine()
@@ -213,10 +193,9 @@ func (s *ShardSet) minNext() (Time, bool) {
 	return min, found
 }
 
-// stepWindow drains the mailboxes and executes one synchronization window
-// on the calling goroutine, shard by shard. It reports false once no events
-// remain anywhere. This is the single-threaded reference for the
-// worker-parallel Run loop — and the path the zero-allocation test pins.
+// stepWindow drains the mailboxes and executes one synchronization window,
+// shard by shard. It reports false once no events remain anywhere. Run
+// loops over it, and the zero-allocation test pins it.
 func (s *ShardSet) stepWindow() bool {
 	s.drain()
 	m, ok := s.minNext()
@@ -232,112 +211,16 @@ func (s *ShardSet) stepWindow() bool {
 	return true
 }
 
-// spin waits for cond, staying on-CPU for a short burst (windows are
-// microseconds of work; parking would dominate them) before yielding the
-// processor so undersubscribed schedulers still make progress.
-func spin(cond func() bool) {
-	for i := 0; ; i++ {
-		if cond() {
-			return
-		}
-		if i > 256 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// worker drives one shard: it waits for the coordinator's doorbell, runs
-// its engine to the published deadline, and echoes the generation. A
-// negative bound shuts it down.
-func (s *ShardSet) worker(i int) {
-	e := s.engines[i]
-	c := &s.ctl[i]
-	var seen uint64
-	for {
-		c2 := c
-		spin(func() bool { return c2.goGen.Load() != seen })
-		seen = c.goGen.Load()
-		b := c.bound.Load()
-		if b < 0 {
-			c.doneGen.Store(seen)
-			return
-		}
-		e.RunUntil(Time(b))
-		c.doneGen.Store(seen)
-	}
-}
-
-// Run executes the whole simulation and returns the final time. Shard 0
-// runs on the calling goroutine (it is the client/coordinator shard in the
-// cluster layout, usually the busiest); shards 1..K-1 run on worker
-// goroutines that live for the duration of the call.
-//
-// On a single-processor runtime (GOMAXPROCS=1) worker goroutines cannot
-// overlap shard execution — busy-wait synchronization would only fight the
-// lone processor for cycles — so Run degenerates to the sequential window
-// loop instead. Results are identical on both paths (stepWindow is the
-// reference the parallel loop reproduces); only wall-clock time differs.
+// Run executes the whole simulation on the calling goroutine and returns
+// the final time. Each window runs its shards one after another; a window's
+// events cannot reach another shard before the window ends (see ShardSet),
+// so the order in which the shards step does not change the result. A panic
+// in any shard's event reaches Run's caller.
 func (s *ShardSet) Run() Time {
 	if len(s.engines) == 1 {
 		return s.engines[0].Run()
 	}
-	if s.started {
-		panic("sim: ShardSet.Run called twice")
-	}
-	s.started = true
-	if runtime.GOMAXPROCS(0) < 2 {
-		for s.stepWindow() {
-		}
-		return s.Now()
-	}
-	return s.runParallel()
-}
-
-// runParallel is Run's worker-pool body: one goroutine per shard 1..K-1,
-// spin-synchronized windows, shard 0 inline on the caller.
-func (s *ShardSet) runParallel() Time {
-	k := len(s.engines)
-	for i := 1; i < k; i++ {
-		go s.worker(i)
-	}
-	for {
-		s.drain()
-		m, ok := s.minNext()
-		if !ok {
-			break
-		}
-		deadline := s.windowDeadline(m)
-		dispatched := 0
-		for i := 1; i < k; i++ {
-			if t, ok := s.engines[i].NextEventTime(); ok && t <= deadline {
-				c := &s.ctl[i]
-				c.bound.Store(int64(deadline))
-				c.goGen.Add(1)
-				dispatched++
-			}
-		}
-		if t, ok := s.engines[0].NextEventTime(); ok && t <= deadline {
-			s.engines[0].RunUntil(deadline)
-		}
-		if dispatched > 0 {
-			for i := 1; i < k; i++ {
-				c := &s.ctl[i]
-				g := c.goGen.Load()
-				spin(func() bool { return c.doneGen.Load() == g })
-			}
-		}
-	}
-	// Shut the workers down and wait for the echo so no goroutine outlives
-	// the simulation.
-	for i := 1; i < k; i++ {
-		c := &s.ctl[i]
-		c.bound.Store(-1)
-		c.goGen.Add(1)
-	}
-	for i := 1; i < k; i++ {
-		c := &s.ctl[i]
-		g := c.goGen.Load()
-		spin(func() bool { return c.doneGen.Load() == g })
+	for s.stepWindow() {
 	}
 	return s.Now()
 }

@@ -98,25 +98,18 @@ func TestShardSetMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardSetParallelPath drives the worker-pool loop directly. Run falls
-// back to the sequential window loop on single-processor runtimes, so this
-// test pins the spin-synchronized path — and gives the race detector its
-// shot at the doorbell atomics — regardless of GOMAXPROCS.
-func TestShardSetParallelPath(t *testing.T) {
-	const la = Time(40_000)
-	const hops = 50
-	s, a, b := buildPingPong(3, la, hops)
-	s.started = true
-	end := s.runParallel()
-	if got := len(a.log) + len(b.log); got != hops {
-		t.Fatalf("hops = %d, want %d", got, hops)
-	}
-	if want := Time(hops-1) * la; end != want {
-		t.Fatalf("end = %d, want %d", end, want)
-	}
-	if s.Executed() != hops {
-		t.Fatalf("Executed = %d, want %d", s.Executed(), hops)
-	}
+// TestShardSetPanicReachesCaller pins that a panic in an event on a
+// shard other than 0 reaches Run's caller, where a recover can see it.
+func TestShardSetPanicReachesCaller(t *testing.T) {
+	s := NewShardSet(2, 1000)
+	a, b := s.Engine(0), s.Engine(1)
+	a.At(0, func() { a.PostFunc(b, 1000, func() { panic("boom") }) })
+	defer func() {
+		if v := recover(); v != "boom" {
+			t.Fatalf("recovered %v, want boom", v)
+		}
+	}()
+	s.Run()
 }
 
 func TestShardSetLookaheadContract(t *testing.T) {

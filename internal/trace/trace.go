@@ -35,6 +35,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -183,7 +184,9 @@ func appQD(a core.AppSpec) int {
 // Validate checks the trace for structural consistency: a present header
 // whose platform validates, every app placed on that platform's nodes and
 // servers, and every record's app/rank within the header's application
-// table.
+// table, its op a write, read or barrier, its extent non-negative,
+// representable and at most maxBytes long, and its time and latency
+// within [0, sim.MaxSeconds] seconds.
 func (t *Trace) Validate() error {
 	if len(t.Header.Apps) == 0 {
 		return fmt.Errorf("trace: header has no applications")
@@ -216,6 +219,25 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace: record %d: rank %d outside app %d's %d procs",
 				i, r.Rank, r.App, t.Header.Apps[r.App].Procs)
 		}
+		switch {
+		case r.Op > pfs.OpBarrier:
+			return fmt.Errorf("trace: record %d: unknown op %d", i, r.Op)
+		case r.Off < 0 || r.Bytes < 0 || r.Bytes > maxBytes || r.Off > math.MaxInt64-r.Bytes:
+			return fmt.Errorf("trace: record %d: extent [%d, +%d) is negative, longer than %d bytes or overflows",
+				i, r.Off, r.Bytes, maxBytes)
+		case r.Time < 0 || r.Time > maxTime || r.Latency < 0 || r.Latency > maxTime:
+			return fmt.Errorf("trace: record %d: time %v or latency %v outside [0, %g] seconds",
+				i, r.Time, r.Latency, sim.MaxSeconds)
+		}
 	}
 	return nil
 }
+
+// Record bounds Validate enforces. maxBytes is the largest request a
+// scenario spec can ask for (2 GiB); the replay plans a request's chunks
+// in one slice, so a longer record could ask for more memory than any
+// host has.
+const (
+	maxTime  = sim.Time(sim.MaxSeconds) * sim.Second
+	maxBytes = 2 << 30
+)

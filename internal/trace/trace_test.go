@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -319,9 +320,37 @@ func TestValidateErrors(t *testing.T) {
 		{Header: header(func(h *trace.Header) { h.Apps[0].FirstNode = 4 })},
 		{Header: header(func(h *trace.Header) { h.Apps[0].FirstNode = -1 })},
 	}
+	// Every record field the replay trusts must be in range.
+	maxT := sim.Seconds(sim.MaxSeconds)
+	for _, r := range []trace.Record{
+		{Op: pfs.OpBarrier + 1},
+		{Op: 9},
+		{Off: -4096, Bytes: 4096},
+		{Bytes: -4096},
+		{Bytes: 2<<30 + 1},
+		{Bytes: 1 << 50},
+		{Off: math.MaxInt64 - 100, Bytes: 4096},
+		{Time: -5},
+		{Time: maxT + 1},
+		{Time: 1 << 62},
+		{Latency: -1},
+		{Latency: maxT + 1},
+	} {
+		cases = append(cases, trace.Trace{Header: good.Header, Records: []trace.Record{r}})
+	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
+	}
+	// The bounds themselves are valid, and so is a barrier record.
+	edge := good
+	edge.Records = []trace.Record{
+		{Time: maxT, Latency: maxT, Off: math.MaxInt64 - 4096, Bytes: 4096, Op: pfs.OpRead},
+		{Bytes: 2 << 30},
+		{Time: maxT, Server: -1, Op: pfs.OpBarrier},
+	}
+	if err := edge.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pfs"
 	"repro/internal/trace"
 )
 
@@ -376,24 +378,29 @@ func TestServerTraceEndpoint(t *testing.T) {
 
 // TestServerBadTraceHeader pins the upload boundary: a trace whose header
 // places an app on a server or node its own platform lacks, or whose
-// platform does not validate, is a 400 rather than a panic inside the
-// replay (which ran on a pool worker goroutine, beyond runJob's recover),
+// platform does not validate, or a record with an unknown op, a negative
+// or overflowing extent or a time out of range, is a 400 rather than a
+// panic inside the replay (which ran on a pool worker or proc goroutine,
+// beyond runJob's recover) or a report of a run that cannot have happened,
 // and the service keeps serving valid uploads afterwards. Jobs 4 keeps the
 // per-session pool parallel on any host.
 func TestServerBadTraceHeader(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Jobs: 4})
 	raw := recordTinyTrace(t)
 	corrupt := func(edit func(*trace.Header)) []byte {
-		tr, err := trace.Read(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		edit(&tr.Header)
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return corruptTrace(t, raw, func(tr *trace.Trace) { edit(&tr.Header) })
+	}
+	// record edits the trace's first write or read record.
+	record := func(edit func(*trace.Record)) []byte {
+		return corruptTrace(t, raw, func(tr *trace.Trace) {
+			for i := range tr.Records {
+				if tr.Records[i].Op != pfs.OpBarrier {
+					edit(&tr.Records[i])
+					return
+				}
+			}
+			t.Fatal("trace has no data record")
+		})
 	}
 	cases := []struct {
 		name string
@@ -402,6 +409,12 @@ func TestServerBadTraceHeader(t *testing.T) {
 		{"target server out of range", corrupt(func(h *trace.Header) { h.Apps[0].TargetServers = []int{99} })},
 		{"zero servers", corrupt(func(h *trace.Header) { h.Cfg.Servers = 0 })},
 		{"app beyond the nodes", corrupt(func(h *trace.Header) { h.Apps[1].FirstNode = h.Cfg.ComputeNodes })},
+		{"negative offset", record(func(r *trace.Record) { r.Off = -4096 })},
+		{"negative bytes", record(func(r *trace.Record) { r.Bytes = -4096 })},
+		{"extent overflows", record(func(r *trace.Record) { r.Off = math.MaxInt64 - 100 })},
+		{"unknown op", record(func(r *trace.Record) { r.Op = 9 })},
+		{"negative time", record(func(r *trace.Record) { r.Time = -5 })},
+		{"time past the bound", record(func(r *trace.Record) { r.Time = 1 << 62 })},
 	}
 	for _, tc := range cases {
 		resp, out := postJSON(t, ts.URL+"/v1/whatif/trace?name=bad.trace", tc.body)
@@ -413,6 +426,22 @@ func TestServerBadTraceHeader(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid upload after the bad ones: status %d: %s", resp.StatusCode, out)
 	}
+}
+
+// corruptTrace decodes raw, applies edit and re-encodes the result without
+// validating it.
+func corruptTrace(t *testing.T, raw []byte, edit func(*trace.Trace)) []byte {
+	t.Helper()
+	tr, err := trace.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(tr)
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestServerDraining pins the shutdown half: a closed server refuses new
