@@ -47,12 +47,17 @@ mitigate:
 # trace smoke: record the periodic-checkpoint builtin at smoke scale,
 # summarize it (Darshan-style), replay it — the -replay step exits nonzero
 # unless every app's completion window reproduces bit-for-bit — and replay
-# it once more under fair-share QoS (the counterfactual arm).
+# it once more under fair-share QoS (the counterfactual arm). Then record
+# and replay the server-crash fault builtin: its replay rides out the crash
+# on the same retry path the recorded run took.
 trace:
 	$(GO) run ./cmd/scenarios -smoke -backend hdd -run periodic-checkpoint-4 -trace ckpt_smoke.trace
 	$(GO) run ./cmd/scenarios -replay ckpt_smoke.trace
 	$(GO) run ./cmd/scenarios -replay ckpt_smoke.trace -qos fairshare
 	rm -f ckpt_smoke.trace
+	$(GO) run ./cmd/scenarios -smoke -backend hdd -run server-crash-checkpoint -trace crash_smoke.trace
+	$(GO) run ./cmd/scenarios -replay crash_smoke.trace
+	rm -f crash_smoke.trace
 
 # bench runs the simulator microbenchmarks plus one figure-level campaign
 # bench and writes the combined `go test -json` stream to $(BENCH_OUT).

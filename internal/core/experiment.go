@@ -198,95 +198,75 @@ func (x *Experiment) launch() {
 }
 
 // runBurst executes one I/O burst — the rank's request plan for wl — with
-// the spec's queue depth. It is the whole phase of a single-burst app and
-// one PhaseIO step of a program. On a platform with a fault plan the
-// client's retrying RPC path is used, and an ErrUnavailable (retries
-// exhausted against a crashed or partitioned server) stalls the process
-// for the policy's Resume pause before re-issuing the same request —
-// stall-and-resume, the way a real MPI job rides out a PFS failover.
+// the spec's queue depth, sleeping the think time before each request. It
+// is the whole phase of a single-burst app and one PhaseIO step of a
+// program.
 func runBurst(p *sim.Proc, cl *pfs.Client, app *App, wl workload.Spec, rank int) {
 	plan := wl.Plan(rank, app.Spec.Procs)
-	qd := wl.QD
 	think := sim.Time(wl.ThinkTime)
-	retrying := cl.Retrying()
+	Burst(p, cl, app.File, wl.QD, len(plan), func(i int) (int64, int64, bool) {
+		if think > 0 {
+			p.Sleep(think)
+		}
+		return plan[i].Off, plan[i].Size, wl.Read
+	})
+}
+
+// Burst issues n requests from cl on f at queue depth qd: one blocking
+// request at a time when qd <= 1, otherwise up to qd in flight, returning
+// once all n have completed. step(i) runs on p just before request i is
+// issued (after its queue-depth slot is free): it takes whatever pause
+// precedes the request and returns the request's extent and direction. It
+// is the issue loop of every workload burst and of the trace replayer.
+// Retries, and the stall-and-resume of requests that run out of them, are
+// the pfs client's business; n == 0 issues nothing.
+func Burst(p *sim.Proc, cl *pfs.Client, f *pfs.File, qd, n int, step func(i int) (off, size int64, read bool)) {
 	if qd <= 1 {
-		for _, ext := range plan {
-			if think > 0 {
-				p.Sleep(think)
-			}
-			switch {
-			case retrying:
-				retryBlocking(p, cl, app.File, ext.Off, ext.Size, wl.Read)
-			case wl.Read:
-				cl.Read(p, app.File, ext.Off, ext.Size)
-			default:
-				cl.Write(p, app.File, ext.Off, ext.Size)
+		for i := 0; i < n; i++ {
+			if off, size, read := step(i); read {
+				cl.Read(p, f, off, size)
+			} else {
+				cl.Write(p, f, off, size)
 			}
 		}
 		return
 	}
+	if n == 0 {
+		return
+	}
 	e := cl.Host.Egress.E
 	sem := sim.NewSemaphore(qd)
-	gate := sim.NewGate(len(plan))
-	for _, ext := range plan {
+	gate := sim.NewGate(n)
+	done := func() {
+		sem.Release()
+		gate.Done(e)
+	}
+	for i := 0; i < n; i++ {
 		sem.Acquire(p)
-		if think > 0 {
-			p.Sleep(think)
-		}
-		if retrying {
-			// The pipelined twin of stall-and-resume: hold the queue-depth
-			// slot across the stall and re-issue until the request lands.
-			ext := ext
-			resume := cl.RetryPolicy().Resume
-			var issue func()
-			onErr := func(err error) {
-				if err == nil {
-					sem.Release()
-					gate.Done(e)
-					return
-				}
-				e.Schedule(resume, issue)
-			}
-			issue = func() {
-				if wl.Read {
-					cl.ReadAsyncRetry(app.File, ext.Off, ext.Size, onErr)
-				} else {
-					cl.WriteAsyncRetry(app.File, ext.Off, ext.Size, onErr)
-				}
-			}
-			issue()
-			continue
-		}
-		done := func() {
-			sem.Release()
-			gate.Done(e)
-		}
-		if wl.Read {
-			cl.ReadAsync(app.File, ext.Off, ext.Size, done)
+		if off, size, read := step(i); read {
+			cl.ReadAsync(f, off, size, done)
 		} else {
-			cl.WriteAsync(app.File, ext.Off, ext.Size, done)
+			cl.WriteAsync(f, off, size, done)
 		}
 	}
 	gate.Wait(p)
 }
 
-// retryBlocking performs one blocking transfer on the retrying path,
-// stalling Resume and re-issuing on ErrUnavailable until it succeeds (the
-// fault plan's validation guarantees crashed servers restart, so this
-// terminates).
-func retryBlocking(p *sim.Proc, cl *pfs.Client, f *pfs.File, off, size int64, read bool) {
-	resume := cl.RetryPolicy().Resume
-	for {
-		var err error
-		if read {
-			err = cl.ReadRetry(p, f, off, size)
-		} else {
-			err = cl.WriteRetry(p, f, off, size)
-		}
-		if err == nil {
-			return
-		}
-		p.Sleep(resume)
+// BarrierWait enters the application barrier bar on p and, when fs has a
+// trace sink, records the wait as a barrier record of cl's rank: issued at
+// entry, completed at release.
+func BarrierWait(p *sim.Proc, fs *pfs.FileSystem, cl *pfs.Client, bar *mpisim.Barrier) {
+	idx := -1
+	sink := fs.Sink
+	if sink != nil {
+		idx = sink.BeginRequest(pfs.IORecord{
+			Time: p.Now(), App: int32(cl.App), Rank: int32(cl.Rank),
+			Server: -1, Op: pfs.OpBarrier,
+		})
+	}
+	bar.Wait(p, cl.Host.Egress.E)
+	if sink != nil {
+		sink.EndRequest(idx)
 	}
 }
 
@@ -323,7 +303,7 @@ type AvailDiag struct {
 	LinkDrops      int64    // segments dropped by down links / loss bursts
 	RPCTimeouts    int64    // client sub-request deadline expirations
 	Retries        int64    // client resends
-	Failures       int64    // sub-requests that surfaced ErrUnavailable
+	Failures       int64    // sub-requests that ran out of retries
 	GoodputBytes   int64    // chunk bytes actually stored or returned
 	OfferedBytes   int64    // chunk bytes clients pushed at servers
 }

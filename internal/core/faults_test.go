@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/pfs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // testRetry is a fast-timescale policy so deadlines actually fire within
@@ -161,4 +162,61 @@ func TestNoFaultNilPlanIdentical(t *testing.T) {
 		base.Diag.Avail.DiscardedBytes != 0 || base.Diag.Avail.LinkDrops != 0 {
 		t.Fatalf("fault counters nonzero on a fault-free run: %+v", base.Diag.Avail)
 	}
+}
+
+// TestStallAndResume pins the outcome of stall-and-resume: a server crash
+// outlasts a small MaxRetries, so requests of blocking (QD 1) and
+// pipelined (QD 4) apps, writing and reading, give up, stall for Resume and
+// are issued again until the server is back. Every app must finish after
+// the restart, and the whole result must equal stallResumeWant, the value
+// this run produced before stall-and-resume moved from core into the pfs
+// client.
+func TestStallAndResume(t *testing.T) {
+	const restart = 400 * sim.Millisecond
+	cfg := faultCfg(
+		fault.Event{At: 10 * sim.Millisecond, Kind: fault.ServerCrash, Server: 0},
+		fault.Event{At: restart, Kind: fault.ServerRestart, Server: 0},
+	)
+	cfg.Faults.Retry = fault.RetryPolicy{
+		Deadline: 50 * sim.Millisecond, Backoff: 10 * sim.Millisecond,
+		BackoffMax: 20 * sim.Millisecond, MaxRetries: 1, Budget: -1,
+		Resume: 30 * sim.Millisecond,
+	}
+	var apps []AppSpec
+	for i, qd := range []int{1, 1, 4, 4} {
+		wl := workload.Spec{Pattern: workload.Strided, BlockBytes: 2 << 20,
+			TransferSize: 256 << 10, QD: qd, Read: i%2 == 1}
+		apps = append(apps, AppSpec{Name: AppName(i), Procs: 4, FirstNode: i,
+			ProcsPerNode: 4, Workload: wl})
+	}
+	res := Prepare(cfg, apps).Run()
+	if res.Diag.Avail.Failures == 0 {
+		t.Fatalf("no request ran out of retries: %+v", res.Diag.Avail)
+	}
+	for _, a := range res.Apps {
+		if a.End < restart {
+			t.Errorf("app %s finished at %v, before the restart", a.Name, a.End)
+		}
+	}
+	if !reflect.DeepEqual(res, stallResumeWant) {
+		t.Fatalf("stall-and-resume result changed:\ngot  %#v\nwant %#v", res, stallResumeWant)
+	}
+}
+
+var stallResumeWant = RunResult{
+	Apps: []AppResult{
+		{Name: "A", End: 439615064, Elapsed: 439615064, Bytes: 8388608, Throughput: 1.9081711904212635e+07},
+		{Name: "B", End: 439453742, Elapsed: 439453742, Bytes: 8388608, Throughput: 1.9088716736880124e+07},
+		{Name: "C", End: 432992782, Elapsed: 432992782, Bytes: 8388608, Throughput: 1.9373551589596704e+07},
+		{Name: "D", End: 432831460, Elapsed: 432831460, Bytes: 8388608, Throughput: 1.9380772368071396e+07},
+	},
+	Diag: Diag{
+		DeviceBytes: 55836672,
+		Events:      9370,
+		Avail: AvailDiag{
+			Crashes: 1, Downtime: 390000000, DiscardedBytes: 7351296,
+			RPCTimeouts: 216, Retries: 108, Failures: 108,
+			GoodputBytes: 54788096, OfferedBytes: 63187968,
+		},
+	},
 }

@@ -25,7 +25,6 @@ import (
 func runProgram(p *sim.Proc, fs *pfs.FileSystem, cl *pfs.Client, app *App, rank int) {
 	prog := app.Spec.Program
 	rng := sim.NewRand(prog.Seed)
-	e := cl.Host.Egress.E
 	for it := 0; it < prog.Iters(); it++ {
 		for _, ph := range prog.Phases {
 			switch ph.Kind {
@@ -38,18 +37,7 @@ func runProgram(p *sim.Proc, fs *pfs.FileSystem, cl *pfs.Client, app *App, rank 
 					p.Sleep(pause)
 				}
 			case workload.PhaseBarrier:
-				idx := -1
-				sink := fs.Sink
-				if sink != nil {
-					idx = sink.BeginRequest(pfs.IORecord{
-						Time: p.Now(), App: int32(cl.App), Rank: int32(rank),
-						Server: -1, Op: pfs.OpBarrier,
-					})
-				}
-				app.Barrier.Wait(p, e)
-				if sink != nil {
-					sink.EndRequest(idx)
-				}
+				BarrierWait(p, fs, cl, app.Barrier)
 			case workload.PhaseIO:
 				runBurst(p, cl, app, ph.IO, rank)
 			}

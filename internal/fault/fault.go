@@ -134,8 +134,8 @@ func (ev Event) validate(servers int) error {
 // whenever a fault plan is injected: every sub-request (one server's share
 // of a striped request) gets a deadline; expiry triggers capped
 // exponential-backoff retry, bounded per request by MaxRetries and per
-// application by Budget; exhaustion surfaces ErrUnavailable to the
-// application, which stalls Resume and re-issues.
+// application by Budget; exhaustion fails the request, and the pfs client
+// stalls Resume and re-issues it.
 type RetryPolicy struct {
 	// Deadline is the per-sub-request reply deadline.
 	Deadline sim.Time
@@ -149,8 +149,10 @@ type RetryPolicy struct {
 	// Budget is the per-application retry budget across the whole run;
 	// <= 0 means unlimited.
 	Budget int64
-	// Resume is how long an application stalls after ErrUnavailable before
-	// re-issuing the failed request.
+	// Resume is how long the pfs client stalls a request that ran out of
+	// retries before issuing it again: a blocking request sleeps it on the
+	// calling process, an asynchronous one is re-issued that much later and
+	// keeps its caller's queue-depth slot meanwhile.
 	Resume sim.Time
 }
 

@@ -1,73 +1,13 @@
 // Package mpisim provides the minimal MPI-like runtime the paper's
-// microbenchmark needs: a world of ranks split into groups (communicators),
-// barriers, and collectively timed I/O phases. Ranks are simulated
-// processes; no message passing beyond barriers is modeled because the
-// benchmark performs none.
+// microbenchmark needs: barriers and collectively timed I/O phases. Ranks
+// are simulated processes; no message passing beyond barriers is modeled
+// because the benchmark performs none.
 package mpisim
 
-import (
-	"fmt"
+import "repro/internal/sim"
 
-	"repro/internal/sim"
-)
-
-// World is the set of all ranks (MPI_COMM_WORLD).
-type World struct {
-	E    *sim.Engine
-	Size int
-}
-
-// NewWorld creates a world of size ranks on engine e.
-func NewWorld(e *sim.Engine, size int) *World {
-	if size <= 0 {
-		panic("mpisim: world size must be positive")
-	}
-	return &World{E: e, Size: size}
-}
-
-// Split partitions the world into n equal contiguous groups, like
-// MPI_Comm_split with color = rank*n/size. It panics if size is not
-// divisible by n.
-func (w *World) Split(n int) []*Comm {
-	if w.Size%n != 0 {
-		panic(fmt.Sprintf("mpisim: cannot split %d ranks into %d equal groups", w.Size, n))
-	}
-	per := w.Size / n
-	comms := make([]*Comm, n)
-	for i := range comms {
-		ranks := make([]int, per)
-		for j := range ranks {
-			ranks[j] = i*per + j
-		}
-		comms[i] = w.Comm(ranks)
-	}
-	return comms
-}
-
-// Comm creates a communicator over the given global ranks.
-func (w *World) Comm(ranks []int) *Comm {
-	return &Comm{w: w, ranks: append([]int(nil), ranks...), barrier: &Barrier{n: len(ranks)}}
-}
-
-// Comm is a communicator: a group of ranks with a reusable barrier.
-type Comm struct {
-	w       *World
-	ranks   []int
-	barrier *Barrier
-}
-
-// Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return len(c.ranks) }
-
-// Ranks returns the global ranks (callers must not modify).
-func (c *Comm) Ranks() []int { return c.ranks }
-
-// Barrier blocks until every rank of the communicator has entered.
-func (c *Comm) Barrier(p *sim.Proc) { c.barrier.Wait(p, c.w.E) }
-
-// NewBarrier returns a reusable rendezvous for n participants — a
-// communicator-free Barrier for callers (the workload-program layer, the
-// trace replayer) that track membership themselves.
+// NewBarrier returns a reusable rendezvous for n participants (the ranks of
+// one application).
 func NewBarrier(n int) *Barrier {
 	if n <= 0 {
 		panic("mpisim: barrier size must be positive")
@@ -110,7 +50,6 @@ type PhaseTimer struct {
 	start   sim.Time
 	end     sim.Time
 	begin   sim.Signal
-	finish  sim.Signal
 }
 
 // NewPhaseTimer creates a timer for n ranks.
@@ -134,15 +73,8 @@ func (t *PhaseTimer) Done() {
 	t.done++
 	if t.done == t.n {
 		t.end = t.e.Now()
-		t.finish.Fire(t.e)
 	}
 }
-
-// AwaitEnd blocks until every rank is done.
-func (t *PhaseTimer) AwaitEnd(p *sim.Proc) { p.Await(&t.finish) }
-
-// OnEnd schedules fn once every rank is done.
-func (t *PhaseTimer) OnEnd(fn func()) { t.finish.OnFire(t.e, fn) }
 
 // Elapsed returns the phase duration (valid once all ranks are done).
 func (t *PhaseTimer) Elapsed() sim.Time { return t.end - t.start }

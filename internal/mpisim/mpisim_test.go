@@ -6,37 +6,15 @@ import (
 	"repro/internal/sim"
 )
 
-func TestSplitEqualGroups(t *testing.T) {
-	e := sim.NewEngine()
-	w := NewWorld(e, 960)
-	groups := w.Split(2)
-	if len(groups) != 2 || groups[0].Size() != 480 || groups[1].Size() != 480 {
-		t.Fatalf("split: %d groups", len(groups))
-	}
-	if groups[0].Ranks()[0] != 0 || groups[1].Ranks()[0] != 480 {
-		t.Fatalf("group rank bases wrong: %d %d", groups[0].Ranks()[0], groups[1].Ranks()[0])
-	}
-}
-
-func TestSplitIndivisiblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewWorld(sim.NewEngine(), 10).Split(3)
-}
-
 func TestBarrierReleasesTogether(t *testing.T) {
 	e := sim.NewEngine()
-	w := NewWorld(e, 4)
-	c := w.Comm([]int{0, 1, 2, 3})
+	b := NewBarrier(4)
 	var releases []sim.Time
 	for i := 0; i < 4; i++ {
 		d := sim.Time(i) * 10 * sim.Millisecond
 		e.Spawn("r", func(p *sim.Proc) {
 			p.Sleep(d)
-			c.Barrier(p)
+			b.Wait(p, e)
 			releases = append(releases, p.Now())
 		})
 	}
@@ -53,15 +31,14 @@ func TestBarrierReleasesTogether(t *testing.T) {
 
 func TestBarrierReusable(t *testing.T) {
 	e := sim.NewEngine()
-	w := NewWorld(e, 2)
-	c := w.Comm([]int{0, 1})
+	b := NewBarrier(2)
 	counts := [2]int{}
 	for i := 0; i < 2; i++ {
 		i := i
 		e.Spawn("r", func(p *sim.Proc) {
 			for round := 0; round < 5; round++ {
 				p.Sleep(sim.Time(i+1) * sim.Millisecond)
-				c.Barrier(p)
+				b.Wait(p, e)
 				counts[i]++
 			}
 		})
@@ -99,37 +76,11 @@ func TestPhaseTimerMeasuresCollectivePhase(t *testing.T) {
 	}
 }
 
-func TestPhaseTimerOnEndAndAwait(t *testing.T) {
-	e := sim.NewEngine()
-	pt := NewPhaseTimer(e, 2)
-	fired := false
-	pt.OnEnd(func() { fired = true })
-	var awaited sim.Time
-	e.Spawn("watcher", func(p *sim.Proc) {
-		pt.AwaitEnd(p)
-		awaited = p.Now()
-	})
-	for i := 0; i < 2; i++ {
-		e.Spawn("r", func(p *sim.Proc) {
-			pt.Enter(p)
-			p.Sleep(25 * sim.Millisecond)
-			pt.Done()
-		})
-	}
-	e.Run()
-	if !fired {
-		t.Fatal("OnEnd not fired")
-	}
-	if awaited != 25*sim.Millisecond {
-		t.Fatalf("awaited = %v", awaited)
-	}
-}
-
-func TestNewWorldPanics(t *testing.T) {
+func TestNewBarrierPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewWorld(sim.NewEngine(), 0)
+	NewBarrier(0)
 }

@@ -3,6 +3,7 @@ package pfs
 import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // Client is one application process using the file system. Clients on the
@@ -50,16 +51,20 @@ func (cl *Client) Conns() map[int]*netsim.Conn { return cl.conns }
 
 // WriteAsync issues a write of [off, off+size) on f and calls onDone when
 // every involved server has acknowledged. It is the building block for
-// pipelined request streams.
+// pipelined request streams. Under the deployment's retry policy a write
+// that ran out of retries is issued again the policy's Resume later
+// (stall-and-resume), and onDone runs only for the attempt that lands, so
+// a caller's queue-depth slot stays held across the stall.
 func (cl *Client) WriteAsync(f *File, off, size int64, onDone func()) {
-	cl.ioAsync(f, off, size, false, onDone)
+	cl.ioAsync(f, off, size, false, onDone, true)
 }
 
 // ReadAsync issues a read of [off, off+size) on f; onDone fires when all
 // data chunks have been returned. (Read workloads are the paper's stated
 // future work; the path mirrors writes with data on the reply direction.)
+// It stalls and resumes like WriteAsync.
 func (cl *Client) ReadAsync(f *File, off, size int64, onDone func()) {
-	cl.ioAsync(f, off, size, true, onDone)
+	cl.ioAsync(f, off, size, true, onDone, true)
 }
 
 // Outstanding returns the client's in-flight request count (observed queue
@@ -124,51 +129,104 @@ func (cl *Client) begin(f *File, plans []srvPlan, off, size int64, read bool) *c
 	return req
 }
 
-func (cl *Client) ioAsync(f *File, off, size int64, read bool, onDone func()) {
+// ioAsync is the client's one request path: it sends each involved
+// server its share of [off, off+size) and runs onDone when the request
+// completes. Under the deployment's retry policy (FileSystem.Retry) every
+// share is a subOp with its own reply deadline, and a request with a share
+// that ran out of retries completes failed. With resume set, a failed
+// request is issued again Resume later and onDone waits for the attempt
+// that lands; without it, onDone runs on failure too and the caller reads
+// the returned request's failed flag. A zero extent reaches no server: its
+// onDone is scheduled at once and ioAsync returns nil.
+func (cl *Client) ioAsync(f *File, off, size int64, read bool, onDone func(), resume bool) *clientReq {
 	plans := f.plan(off, size)
 	if len(plans) == 0 {
 		cl.fs.E.Schedule(0, onDone)
-		return
+		return nil
 	}
 	req := cl.begin(f, plans, off, size, read)
 	req.onDone = onDone
-	// Writes: one reply per server. Reads: one reply per chunk (each reply
-	// carries a chunk of data).
-	if read {
+	rp := cl.fs.Retry
+	switch {
+	case rp != nil:
+		// One completion per server share.
+		req.remaining = len(plans)
+		req.subs = make([]subOp, len(plans))
+		if resume {
+			req.reissue = func() { cl.ioAsync(f, off, size, read, onDone, true) }
+		}
+	case read:
+		// One reply per chunk (each reply carries a chunk of data).
 		for _, p := range plans {
 			req.remaining += len(p.chunks)
 		}
-	} else {
+	default:
+		// One reply per server.
 		req.remaining = len(plans)
 	}
-	for _, p := range plans {
-		srv := f.servers[p.pos]
-		conn := cl.ConnTo(srv)
+	for i, p := range plans {
+		conn := cl.ConnTo(f.servers[p.pos])
 		var bytes int64
 		for _, ck := range p.chunks {
 			bytes += ck.Size
 		}
-		st := &srvReqState{
-			remaining: len(p.chunks), bytes: bytes,
-			issued:  cl.fs.jitteredIssue(),
-			issueAt: cl.fs.E.Now(), read: read,
+		if rp == nil {
+			req.sendShare(conn, f.locals[p.pos], p.chunks, bytes, read, nil)
+			continue
 		}
-		for _, ck := range p.chunks {
-			conn.Send(&newChunk(req, st, f.locals[p.pos], ck, read).msg)
+		expect := 1 // writes: one reply per server share
+		if read {
+			expect = len(p.chunks) // reads: one data reply per chunk
 		}
+		so := &req.subs[i]
+		*so = subOp{
+			req: req, cl: cl, conn: conn,
+			fileID: f.locals[p.pos], chunks: p.chunks, bytes: bytes,
+			read: read, expect: expect, backoff: rp.Backoff,
+		}
+		so.send()
+	}
+	return req
+}
+
+// sendShare sends one attempt at the request's share on one server: a
+// fresh wire-visible request state and every chunk. sub is the share's
+// subOp under a retry policy, nil otherwise.
+func (req *clientReq) sendShare(conn *netsim.Conn, file storage.FileID, chunks []Run, bytes int64, read bool, sub *subOp) {
+	fs := req.cl.fs
+	st := &srvReqState{
+		remaining: len(chunks), bytes: bytes,
+		issued: fs.jitteredIssue(), sub: sub,
+		issueAt: fs.E.Now(), read: read,
+	}
+	for _, ck := range chunks {
+		conn.Send(&newChunk(req, st, file, ck, read).msg)
 	}
 }
 
-// Write performs a blocking write from within a simulated process.
+// Write performs a blocking write from within a simulated process. Under
+// the deployment's retry policy a write that ran out of retries stalls the
+// process for the policy's Resume and is issued again, until it lands.
 func (cl *Client) Write(p *sim.Proc, f *File, off, size int64) {
-	var done sim.Signal
-	cl.WriteAsync(f, off, size, func() { done.Fire(cl.fs.E) })
-	p.Await(&done)
+	cl.ioWait(p, f, off, size, false)
 }
 
-// Read performs a blocking read from within a simulated process.
+// Read performs a blocking read from within a simulated process. It stalls
+// and resumes like Write.
 func (cl *Client) Read(p *sim.Proc, f *File, off, size int64) {
-	var done sim.Signal
-	cl.ReadAsync(f, off, size, func() { done.Fire(cl.fs.E) })
-	p.Await(&done)
+	cl.ioWait(p, f, off, size, true)
+}
+
+// ioWait issues one request and blocks p until it lands, sleeping out the
+// retry policy's Resume on p before each re-issue of a failed attempt.
+func (cl *Client) ioWait(p *sim.Proc, f *File, off, size int64, read bool) {
+	for {
+		var done sim.Signal
+		req := cl.ioAsync(f, off, size, read, func() { done.Fire(cl.fs.E) }, false)
+		p.Await(&done)
+		if req == nil || !req.failed {
+			return
+		}
+		p.Sleep(cl.fs.Retry.Resume)
+	}
 }

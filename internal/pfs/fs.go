@@ -30,8 +30,10 @@ type FileSystem struct {
 	Sink IOSink
 
 	// Retry, when non-nil, is the deployment's client RPC retry policy
-	// (installed by EnableRetry). nil keeps the legacy no-deadline request
-	// path bit-identical to a pre-fault deployment.
+	// (installed by EnableRetry): every client request then arms per-share
+	// reply deadlines and stalls and resumes when it runs out of retries.
+	// nil arms nothing, keeping the request path bit-identical to a
+	// pre-fault deployment.
 	Retry *fault.RetryPolicy
 
 	nextClient int
@@ -63,7 +65,7 @@ func (fs *FileSystem) noteTimeout(app int) {
 	fs.avail[app].Timeouts++
 }
 
-// noteFailure counts one sub-request giving up with ErrUnavailable.
+// noteFailure counts one sub-request that ran out of retries.
 func (fs *FileSystem) noteFailure(app int) {
 	fs.growApp(app)
 	fs.avail[app].Failures++

@@ -76,8 +76,7 @@ func TestRetryPolicyDefaults(t *testing.T) {
 }
 
 // TestRetryBudgetExhaustion: with a positive budget, retries stop when the
-// application's budget runs dry and the sub-request fails over to
-// ErrUnavailable accounting.
+// application's budget runs dry, which fails the sub-request.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	e := sim.NewEngine()
 	fs := &FileSystem{E: e}

@@ -90,7 +90,7 @@ type srvReqState struct {
 	// pending holds the readable chunks not yet pulled from the socket.
 	pending netsim.MsgQueue
 
-	// Client-side retry state (only set on the retrying RPC path). sub is
+	// Client-side retry state (only set under a retry policy). sub is
 	// the sub-request this attempt belongs to; cgot counts replies received
 	// for this attempt. These fields are written exclusively by client-shard
 	// events, the fields above exclusively by server-shard events — the
@@ -106,46 +106,36 @@ type srvReqState struct {
 // is -1 when recording is off). Zero-extent requests never reach a server
 // and get no clientReq.
 //
-// Exactly one of onDone/onErr is set: onDone on the legacy path (remaining
-// counts replies), onErr on the retrying RPC path (remaining counts
-// sub-requests; err carries ErrUnavailable if any of them failed).
+// remaining counts the replies still expected or, under a retry policy,
+// the server shares (subs) not yet finished. failed records that some
+// share ran out of retries; reissue, set for asynchronous callers under a
+// retry policy, issues a failed request again.
 type clientReq struct {
-	remaining int // replies (legacy) or sub-requests (retry) still expected
+	remaining int
 	onDone    func()
-	onErr     func(error)
+	reissue   func()
 	cl        *Client
 	recIdx    int
-	err       error
+	failed    bool
 	subs      []subOp
 }
 
+// replied accounts one reply or, under a retry policy, one finished share.
+// The last one completes the request: a failed request with a reissue goes
+// out again the policy's Resume later, and any other runs onDone.
 func (r *clientReq) replied() {
 	r.remaining--
 	if r.remaining != 0 {
 		return
 	}
-	r.finish()
-	if r.onDone != nil {
-		r.onDone()
-	}
-}
-
-// subDone accounts one finished (completed or failed) sub-request of a
-// retrying request.
-func (r *clientReq) subDone() {
-	r.remaining--
-	if r.remaining != 0 {
-		return
-	}
-	r.finish()
-	if r.onErr != nil {
-		r.onErr(r.err)
-	}
-}
-
-func (r *clientReq) finish() {
-	r.cl.inflight--
-	if s := r.cl.fs.Sink; s != nil && r.recIdx >= 0 {
+	cl := r.cl
+	cl.inflight--
+	if s := cl.fs.Sink; s != nil && r.recIdx >= 0 {
 		s.EndRequest(r.recIdx)
 	}
+	if r.failed && r.reissue != nil {
+		cl.fs.E.Schedule(cl.fs.Retry.Resume, r.reissue)
+		return
+	}
+	r.onDone()
 }

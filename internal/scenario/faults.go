@@ -12,9 +12,10 @@ import (
 
 // FaultBlock is the declarative form of a fault plan (internal/fault): a
 // timeline of injected events plus the client retry policy that rides out
-// the outages. Its presence — even with an empty event list — switches the
-// platform onto the retrying RPC path; absence keeps the fault subsystem
-// entirely out of the build, bit-identical to a pre-fault platform.
+// the outages. Its presence — even with an empty event list — installs the
+// retry policy, so every client request arms reply deadlines; absence keeps
+// the fault subsystem entirely out of the build, bit-identical to a
+// pre-fault platform.
 //
 // Times use the same friendly units as the rest of the spec (seconds for
 // the timeline, milliseconds for the RPC-scale retry knobs). Smoke divides

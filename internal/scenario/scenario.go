@@ -175,10 +175,10 @@ type Spec struct {
 	Trace *TraceBlock `json:"trace,omitempty"`
 
 	// Faults injects a deterministic fault timeline (server crashes,
-	// degraded devices, link flaps) and switches the clients onto the
-	// retrying RPC path (nil = the fault-free platform, bit-identical to a
-	// build without the fault subsystem). Mutually exclusive with Trace — a
-	// replay reproduces a recorded healthy run.
+	// degraded devices, link flaps) and installs the client retry policy
+	// (nil = the fault-free platform, bit-identical to a build without the
+	// fault subsystem). Mutually exclusive with Trace — a recording's header
+	// already carries the fault plan its run had.
 	Faults *FaultBlock `json:"faults,omitempty"`
 
 	// Population stamps out a generated tenant population (seeded class

@@ -11,9 +11,11 @@ import (
 // TestRecordReplayBuiltins is the acceptance pin for the record→replay
 // round trip: replaying a recorded builtin scenario reproduces identical
 // per-application completion times, on both backends, for the program-based
-// builtins and a legacy single-burst one.
+// builtins, a legacy single-burst one, and the two fault builtins, whose
+// replays take the retry path the recorded runs took.
 func TestRecordReplayBuiltins(t *testing.T) {
-	names := []string{"periodic-checkpoint-4", "bursty-poisson-mix", "checkpoint-vs-read"}
+	names := []string{"periodic-checkpoint-4", "bursty-poisson-mix", "checkpoint-vs-read",
+		"server-crash-checkpoint", "degraded-ost-victim"}
 	for _, name := range names {
 		s, err := Lookup(name)
 		if err != nil {

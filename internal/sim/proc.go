@@ -157,7 +157,6 @@ func (q *waitq) grow() {
 type Signal struct {
 	fired   bool
 	waiters waitq
-	fns     []func()
 }
 
 // Fired reports whether the signal has fired.
@@ -173,10 +172,6 @@ func (s *Signal) Fire(e *Engine) {
 	for s.waiters.len() > 0 {
 		s.waiters.pop().wake()
 	}
-	for _, fn := range s.fns {
-		e.Schedule(0, fn)
-	}
-	s.fns = nil
 }
 
 // Await blocks the proc until the signal fires (returns immediately if it
@@ -187,16 +182,6 @@ func (p *Proc) Await(s *Signal) {
 	}
 	s.waiters.push(p)
 	p.park()
-}
-
-// OnFire registers a callback to run (as an event) when the signal fires.
-// If the signal already fired, fn is scheduled immediately.
-func (s *Signal) OnFire(e *Engine, fn func()) {
-	if s.fired {
-		e.Schedule(0, fn)
-		return
-	}
-	s.fns = append(s.fns, fn)
 }
 
 // A Gate is a countdown latch: it opens when its count reaches zero.

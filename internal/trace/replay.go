@@ -65,9 +65,9 @@ type replayApp struct {
 //
 // The preparation mirrors core.Prepare operation for operation (file,
 // timer and client construction order fix server-local file IDs, client IDs
-// and the jitter stream), and the per-rank drivers mirror core's launch
-// bodies, so an unmodified-platform replay reproduces the recorded event
-// structure exactly.
+// and the jitter stream), and each rank issues through core's own burst
+// loop and barrier helper (replayRank), so an unmodified-platform replay
+// reproduces the recorded event structure exactly.
 func ReplayOn(t *Trace, cfg cluster.Config) (*ReplayResult, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -114,11 +114,7 @@ func ReplayOn(t *Trace, cfg cluster.Config) (*ReplayResult, error) {
 					p.Sleep(a.info.Start)
 				}
 				a.timer.Enter(p)
-				if a.info.QD <= 1 {
-					replayBlocking(p, t, pl.FS, a, cl, a.perRank[rank])
-				} else {
-					replayPipelined(p, t, pl.FS, a, cl, a.perRank[rank])
-				}
+				replayRank(p, t, pl.FS, a, cl, a.perRank[rank])
 				// A program may end in a compute phase, which leaves no
 				// record to pace to; sleeping out the recorded phase end
 				// reproduces the trailing pause. Purely local (no shared
@@ -173,85 +169,29 @@ func pace(p *sim.Proc, at sim.Time) {
 	}
 }
 
-// barrier re-enters the application barrier, re-emitting the barrier record
-// exactly like core.runProgram does (the pfs client hook only covers I/O),
-// so the replay's own recording matches the input stream record for record.
-func barrier(p *sim.Proc, fs *pfs.FileSystem, a *replayApp, cl *pfs.Client) {
-	idx := -1
-	sink := fs.Sink
-	if sink != nil {
-		idx = sink.BeginRequest(Record{
-			Time: p.Now(), App: int32(cl.App), Rank: int32(cl.Rank),
-			Server: -1, Op: pfs.OpBarrier,
-		})
-	}
-	a.bar.Wait(p, cl.Host.Egress.E)
-	if sink != nil {
-		sink.EndRequest(idx)
-	}
-}
-
-// replayBlocking drives one rank of a queue-depth<=1 application: each
-// record is paced to its issue time and executed blocking, exactly the
-// event structure of core.runBurst's blocking path.
-func replayBlocking(p *sim.Proc, t *Trace, fs *pfs.FileSystem, a *replayApp, cl *pfs.Client, idxs []int32) {
-	for _, ri := range idxs {
-		r := &t.Records[ri]
-		pace(p, r.Time)
-		switch r.Op {
-		case pfs.OpBarrier:
-			barrier(p, fs, a, cl)
-		case pfs.OpRead:
-			cl.Read(p, a.file, r.Off, r.Bytes)
-		default:
-			cl.Write(p, a.file, r.Off, r.Bytes)
-		}
-	}
-}
-
-// replayPipelined drives one rank of a queue-depth>1 application. Barrier
-// records delimit the bursts: within each segment the rank re-runs
-// core.runBurst's pipelined structure (semaphore of QD tokens, completion
-// gate, pace-then-issue), draining fully before the barrier — which is
-// exactly the recorded structure when each pipelined I/O phase ends at a
-// barrier (or is the program's only one).
-func replayPipelined(p *sim.Proc, t *Trace, fs *pfs.FileSystem, a *replayApp, cl *pfs.Client, idxs []int32) {
-	i := 0
-	for i < len(idxs) {
-		j := i
+// replayRank drives one rank: it splits the rank's records at its barrier
+// records and runs each segment through core.Burst at the app's queue
+// depth, pacing every request to its recorded issue time, then paces to
+// the barrier record and re-enters the barrier. That is core.runBurst's
+// and core.runProgram's event structure exactly whenever each pipelined
+// I/O phase ends at a barrier (or is the program's only one).
+func replayRank(p *sim.Proc, t *Trace, fs *pfs.FileSystem, a *replayApp, cl *pfs.Client, idxs []int32) {
+	for len(idxs) > 0 {
+		j := 0
 		for j < len(idxs) && t.Records[idxs[j]].Op != pfs.OpBarrier {
 			j++
 		}
-		if seg := idxs[i:j]; len(seg) > 0 {
-			replayBurst(p, t, a, cl, seg)
-		}
+		seg := idxs[:j]
+		core.Burst(p, cl, a.file, a.info.QD, len(seg), func(i int) (int64, int64, bool) {
+			r := &t.Records[seg[i]]
+			pace(p, r.Time)
+			return r.Off, r.Bytes, r.Op == pfs.OpRead
+		})
 		if j < len(idxs) {
 			pace(p, t.Records[idxs[j]].Time)
-			barrier(p, fs, a, cl)
+			core.BarrierWait(p, fs, cl, a.bar)
 			j++
 		}
-		i = j
+		idxs = idxs[j:]
 	}
-}
-
-// replayBurst mirrors core.runBurst's pipelined path over one segment.
-func replayBurst(p *sim.Proc, t *Trace, a *replayApp, cl *pfs.Client, seg []int32) {
-	e := cl.Host.Egress.E
-	sem := sim.NewSemaphore(a.info.QD)
-	gate := sim.NewGate(len(seg))
-	for _, ri := range seg {
-		r := &t.Records[ri]
-		sem.Acquire(p)
-		pace(p, r.Time)
-		done := func() {
-			sem.Release()
-			gate.Done(e)
-		}
-		if r.Op == pfs.OpRead {
-			cl.ReadAsync(a.file, r.Off, r.Bytes, done)
-		} else {
-			cl.WriteAsync(a.file, r.Off, r.Bytes, done)
-		}
-	}
-	gate.Wait(p)
 }

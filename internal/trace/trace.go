@@ -10,15 +10,19 @@
 //
 // The simulator is deterministic, so a replay that reproduces the recorded
 // run's event structure reproduces its timing bit for bit. The replayer
-// achieves that by mirroring the experiment layer exactly — same platform
-// construction order, same spawn order, same phase-timer barriers — and
-// then, per rank, sleeping from each wake-up point to the next record's
-// absolute timestamp before reissuing it. Because the recorded run only
-// ever schedules one pause between consecutive operations of a rank (the
+// achieves that by building the platform in the experiment layer's order —
+// same construction order, same spawn order, same phase-timer barriers —
+// and then running the experiment layer's own issue loop: each rank's
+// records are split at its barrier records, every segment goes through
+// core.Burst at the app's queue depth with a step that sleeps from the
+// current wake-up point to the record's absolute timestamp, and every
+// barrier through core.BarrierWait. Because the recorded run only ever
+// schedules one pause between consecutive operations of a rank (the
 // discipline core.runProgram and core.runBurst keep), the replayed sleep is
 // scheduled at the same instant, with the same delay, from the same event
 // as the original pause, and every downstream decision — issue-jitter
-// draws, server queue order, TCP dynamics — replays identically.
+// draws, server queue order, TCP dynamics, and under a fault plan the
+// retries and stall-and-resume of the pfs client — replays identically.
 //
 // The contract's fine print: blocking applications (queue depth <= 1, all
 // the built-in scenarios) replay exactly, as do pipelined (QD > 1)
@@ -27,6 +31,10 @@
 // semaphore window). A pipelined program with back-to-back unbarriered I/O
 // phases replays with one merged semaphore window per barrier-delimited
 // segment, which preserves per-rank request order but may shift timings.
+// A recording in which some request ran out of retries (failures > 0)
+// replays, but not necessarily bit for bit: the failed attempt and its
+// re-issue are two separate records, so the replay issues that request
+// once more than the recorded run did.
 // Replaying on a modified platform (ReplayOn — a different backend, a QoS
 // scheduler enabled) is deliberately counterfactual: timings then answer
 // "what would this recorded workload have seen", and the bit-identity
@@ -185,8 +193,9 @@ func appQD(a core.AppSpec) int {
 // whose platform validates, every app placed on that platform's nodes and
 // servers, and every record's app/rank within the header's application
 // table, its op a write, read or barrier, its extent non-negative,
-// representable and at most maxBytes long, and its time and latency
-// within [0, sim.MaxSeconds] seconds.
+// representable and at most maxBytes long, its time and latency within
+// [0, sim.MaxSeconds] seconds, and its time no earlier than the previous
+// record's (a recorder appends records in issue order).
 func (t *Trace) Validate() error {
 	if len(t.Header.Apps) == 0 {
 		return fmt.Errorf("trace: header has no applications")
@@ -228,6 +237,9 @@ func (t *Trace) Validate() error {
 		case r.Time < 0 || r.Time > maxTime || r.Latency < 0 || r.Latency > maxTime:
 			return fmt.Errorf("trace: record %d: time %v or latency %v outside [0, %g] seconds",
 				i, r.Time, r.Latency, sim.MaxSeconds)
+		case i > 0 && r.Time < t.Records[i-1].Time:
+			return fmt.Errorf("trace: record %d: time %v is before record %d's %v; records must be in issue order",
+				i, r.Time, i-1, t.Records[i-1].Time)
 		}
 	}
 	return nil

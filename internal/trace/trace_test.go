@@ -110,6 +110,38 @@ func TestRoundTripPipelined(t *testing.T) {
 	roundTrip(t, cfg, apps)
 }
 
+// TestRoundTripPipelinedBarriers pins the contract for a queue-depth>1
+// program whose I/O phases are separated by barriers: the replayer splits
+// each rank's records at its barrier records and issues every segment
+// through its own semaphore window.
+func TestRoundTripPipelinedBarriers(t *testing.T) {
+	cfg := testCfg()
+	strided := func(read bool) workload.Spec {
+		return workload.Spec{Pattern: workload.Strided, BlockBytes: 1 << 20,
+			TransferSize: 128 << 10, QD: 4, Read: read}
+	}
+	prog := &workload.Program{
+		Iterations: 2,
+		Phases: []workload.Phase{
+			{Kind: workload.PhaseBarrier},
+			{Kind: workload.PhaseIO, IO: strided(false)},
+			{Kind: workload.PhaseBarrier},
+			{Kind: workload.PhaseIO, IO: strided(true)},
+			{Kind: workload.PhaseCompute, Compute: int64(5 * sim.Millisecond)},
+		},
+		Seed: 3,
+	}
+	apps := []core.AppSpec{
+		{Name: "pipe", Procs: 4, FirstNode: 0, ProcsPerNode: 4, Program: prog},
+		{Name: "other", Procs: 4, FirstNode: 1, ProcsPerNode: 4,
+			Workload: workload.Spec{Pattern: workload.Contiguous, BlockBytes: 2 << 20}},
+	}
+	tr, _ := roundTrip(t, cfg, apps)
+	if s := trace.Summarize(tr)[0]; s.Barriers != 2*2*4 || s.MaxQD < 2 {
+		t.Fatalf("pipe: %d barrier records and max QD %d, want 16 and at least 2", s.Barriers, s.MaxQD)
+	}
+}
+
 // TestRoundTripJitter pins the contract for a Poisson-jittered bursty
 // program: the seeded jitter stream reproduces, so the replay does too.
 func TestRoundTripJitter(t *testing.T) {
@@ -338,6 +370,9 @@ func TestValidateErrors(t *testing.T) {
 	} {
 		cases = append(cases, trace.Trace{Header: good.Header, Records: []trace.Record{r}})
 	}
+	// Records must be in issue order; equal times are fine.
+	cases = append(cases, trace.Trace{Header: good.Header,
+		Records: []trace.Record{{Time: 5}, {Time: 5}, {Time: 4}}})
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
@@ -346,8 +381,8 @@ func TestValidateErrors(t *testing.T) {
 	// The bounds themselves are valid, and so is a barrier record.
 	edge := good
 	edge.Records = []trace.Record{
-		{Time: maxT, Latency: maxT, Off: math.MaxInt64 - 4096, Bytes: 4096, Op: pfs.OpRead},
 		{Bytes: 2 << 30},
+		{Time: maxT, Latency: maxT, Off: math.MaxInt64 - 4096, Bytes: 4096, Op: pfs.OpRead},
 		{Time: maxT, Server: -1, Op: pfs.OpBarrier},
 	}
 	if err := edge.Validate(); err != nil {

@@ -17,7 +17,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/pfs"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -409,12 +411,22 @@ func TestServerBadTraceHeader(t *testing.T) {
 		{"target server out of range", corrupt(func(h *trace.Header) { h.Apps[0].TargetServers = []int{99} })},
 		{"zero servers", corrupt(func(h *trace.Header) { h.Cfg.Servers = 0 })},
 		{"app beyond the nodes", corrupt(func(h *trace.Header) { h.Apps[1].FirstNode = h.Cfg.ComputeNodes })},
+		{"fault plan", corrupt(func(h *trace.Header) { h.Cfg.Faults = &fault.Plan{} })},
 		{"negative offset", record(func(r *trace.Record) { r.Off = -4096 })},
 		{"negative bytes", record(func(r *trace.Record) { r.Bytes = -4096 })},
 		{"extent overflows", record(func(r *trace.Record) { r.Off = math.MaxInt64 - 100 })},
 		{"unknown op", record(func(r *trace.Record) { r.Op = 9 })},
 		{"negative time", record(func(r *trace.Record) { r.Time = -5 })},
 		{"time past the bound", record(func(r *trace.Record) { r.Time = 1 << 62 })},
+		// Out of issue order.
+		{"first and last records swapped", corruptTrace(t, raw, func(tr *trace.Trace) {
+			n := len(tr.Records) - 1
+			tr.Records[0], tr.Records[n] = tr.Records[n], tr.Records[0]
+		})},
+		// In order, but the baseline replay cannot reproduce the recording.
+		{"last record 1 s later", corruptTrace(t, raw, func(tr *trace.Trace) {
+			tr.Records[len(tr.Records)-1].Time += sim.Second
+		})},
 	}
 	for _, tc := range cases {
 		resp, out := postJSON(t, ts.URL+"/v1/whatif/trace?name=bad.trace", tc.body)

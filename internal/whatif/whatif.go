@@ -385,6 +385,12 @@ func (s *Server) computeTrace(q *Query) (*Report, bool, error) {
 		label = "uploaded.trace"
 	}
 	cfg := t.Header.Cfg
+	if cfg.Faults != nil {
+		// Like fault scenarios: a replay under a fault plan stalls and
+		// re-issues a request until it lands, and nothing bounds that
+		// loop, so a crafted plan could pin a worker for good.
+		return nil, false, badRequest(fmt.Errorf("whatif: %s: fault recordings are not served yet", label))
+	}
 	// The label lands in rendered table titles, so it is part of the
 	// baseline's identity: same bytes under a different name recompute.
 	key := cacheKey("trace", []byte(label), q.Trace, mustJSON(cfg))
@@ -402,7 +408,9 @@ func (s *Server) computeTrace(q *Query) (*Report, bool, error) {
 					return nil, 0, badRequest(err)
 				}
 				if !rep.Identical() {
-					return nil, 0, fmt.Errorf("whatif: baseline replay of %s diverged from the recording", label)
+					// A faithful recording replays its own platform bit for
+					// bit, so the upload is at fault, not the service.
+					return nil, 0, badRequest(fmt.Errorf("whatif: baseline replay of %s diverged from the recording", label))
 				}
 				return newTraceBaseline(label, rep, t)
 			})
