@@ -24,9 +24,9 @@ func main() {
 		Servers:     4,
 		DeltaS:      []float64{-10, 0, 10},
 		Apps: []scenario.App{
-			{Name: "checkpoint", Procs: 32, BlockMB: 64},
-			{Name: "analysis", Procs: 16, Pattern: "strided", BlockMB: 16, TransferKB: 256},
-			{Name: "restart", Procs: 16, BlockMB: 32, Read: true, StartS: 2},
+			{Name: "checkpoint", Procs: 32, IO: scenario.IO{BlockMB: 64}},
+			{Name: "analysis", Procs: 16, IO: scenario.IO{Pattern: "strided", BlockMB: 16, TransferKB: 256}},
+			{Name: "restart", Procs: 16, IO: scenario.IO{BlockMB: 32, Read: true}, StartS: 2},
 		},
 	}
 	results, err := scenario.RunAll(spec, core.Runner{}) // hdd + ssd, GOMAXPROCS workers

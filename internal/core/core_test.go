@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -207,6 +208,31 @@ func TestUnfairnessMetric(t *testing.T) {
 	g.Points = []DeltaPoint{{Delta: sim.Seconds(5), IF: []float64{1.0, 1.5}}}
 	if u := g.Unfairness(); u != 1.5 {
 		t.Fatalf("IF-only point unfairness = %v, want 1.5 via the fallback", u)
+	}
+}
+
+// TestSingleBurstIsOneProgram: an app written as a single burst and the
+// same burst written as a one-phase program run the same simulation, down
+// to every counter of the RunResult.
+func TestSingleBurstIsOneProgram(t *testing.T) {
+	cfg := tinyConfig(cluster.HDD, pfs.SyncOn)
+	read := tinyWorkload()
+	read.Read = true
+	for _, wl := range []workload.Spec{
+		tinyWorkload(),
+		{Pattern: workload.Strided, BlockBytes: 2 << 20, TransferSize: 256 << 10, QD: 4,
+			ThinkTime: int64(sim.Millisecond)},
+		read,
+	} {
+		single := TwoAppSpecs(cfg, 8, 4, wl)
+		progs := TwoAppSpecs(cfg, 8, 4, workload.Spec{})
+		for i := range progs {
+			progs[i].Program = workload.Single(wl)
+		}
+		want := Prepare(cfg, single).Run()
+		if got := Prepare(cfg, progs).Run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: one-phase program\n%+v\nsingle burst\n%+v", wl, got, want)
+		}
 	}
 }
 

@@ -173,17 +173,6 @@ func (g *DeltaGraph) PeakIF() float64 {
 	return peak
 }
 
-// PeakIFOf returns the largest interference factor of one application.
-func (g *DeltaGraph) PeakIFOf(i int) float64 {
-	peak := 0.0
-	for _, p := range g.Points {
-		if p.IF[i] > peak {
-			peak = p.IF[i]
-		}
-	}
-	return peak
-}
-
 // At returns the point with the given δ (nil if absent).
 func (g *DeltaGraph) At(d sim.Time) *DeltaPoint {
 	for i := range g.Points {
@@ -263,11 +252,6 @@ func (p *DeltaPoint) order(i, j int) (first, second int, ok bool) {
 	}
 	return j, 0, true
 }
-
-// FlatnessIF reports the peak IF minus 1 — 0 means a perfectly flat
-// (interference-free) δ-graph, the paper's criterion for "interference
-// eliminated".
-func (g *DeltaGraph) FlatnessIF() float64 { return g.PeakIF() - 1 }
 
 // Deltas builds a symmetric δ grid: ±each given second value plus zero.
 func Deltas(secs ...float64) []sim.Time {

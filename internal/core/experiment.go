@@ -46,12 +46,13 @@ type AppSpec struct {
 	// occupy disjoint 30-node sets with 16 processes per node.
 	FirstNode    int
 	ProcsPerNode int
-	// Workload is the I/O phase each process performs.
+	// Workload is the one I/O burst each process performs when Program is
+	// nil: the paper's microbenchmark.
 	Workload workload.Spec
 	// Program, when non-nil, replaces Workload with a multi-phase workload
 	// program (compute think time, barriers, repeated bursts — see
-	// workload.Program). The single-burst Workload path is untouched when
-	// Program is nil, so legacy experiments stay bit-identical.
+	// workload.Program). Every app runs a program: a nil Program runs
+	// workload.Single(Workload), whose one io phase is the burst alone.
 	Program *workload.Program
 	// TargetServers stripes the application's file over a subset of
 	// servers (nil = all servers) — the paper's "targeted servers" knob.
@@ -75,29 +76,32 @@ func (a AppSpec) Validate(cfg cluster.Config) error {
 		return fmt.Errorf("core: app %q spans nodes %d..%d beyond the %d-node platform",
 			a.Name, a.FirstNode, lastNode, cfg.ComputeNodes)
 	}
-	if a.Program != nil {
-		return a.Program.Validate()
-	}
-	return a.Workload.Validate()
+	return a.program().Validate()
 }
 
-// TotalBytes returns the bytes the application moves over its whole phase
-// (all processes; for programs, all iterations).
-func (a AppSpec) TotalBytes() int64 {
+// program resolves the spec to the program its processes run: Program, or
+// else Workload as a one-phase program.
+func (a AppSpec) program() *workload.Program {
 	if a.Program != nil {
-		return a.Program.TotalBytes(a.Procs)
+		return a.Program
 	}
-	return a.Workload.TotalBytes(a.Procs)
+	return workload.Single(a.Workload)
 }
+
+// TotalBytes returns the bytes the application moves over its whole program
+// (all processes, all iterations).
+func (a AppSpec) TotalBytes() int64 { return a.program().TotalBytes(a.Procs) }
 
 // App is an instantiated application within an experiment.
 type App struct {
-	Spec    AppSpec
+	Spec AppSpec
+	// Program is the program every process runs, resolved from Spec once.
+	Program *workload.Program
 	File    *pfs.File
 	Clients []*pfs.Client
 	Timer   *mpisim.PhaseTimer
 	// Barrier is the application-wide rendezvous of program barrier phases
-	// (nil for single-burst apps).
+	// (nil when the program has none).
 	Barrier *mpisim.Barrier
 }
 
@@ -133,11 +137,12 @@ func PrepareSharded(cfg cluster.Config, specs []AppSpec, shards int) *Experiment
 			stripe = cfg.StripeSize
 		}
 		app := &App{
-			Spec:  spec,
-			File:  pl.FS.CreateFile(spec.Name, spec.TargetServers, stripe),
-			Timer: mpisim.NewPhaseTimer(pl.E, spec.Procs),
+			Spec:    spec,
+			Program: spec.program(),
+			File:    pl.FS.CreateFile(spec.Name, spec.TargetServers, stripe),
+			Timer:   mpisim.NewPhaseTimer(pl.E, spec.Procs),
 		}
-		if spec.Program != nil {
+		if app.Program.Barriers() > 0 {
 			app.Barrier = mpisim.NewBarrier(spec.Procs)
 		}
 		for i := 0; i < spec.Procs; i++ {
@@ -186,30 +191,11 @@ func (x *Experiment) launch() {
 					p.Sleep(app.Spec.Start)
 				}
 				app.Timer.Enter(p)
-				if app.Spec.Program != nil {
-					runProgram(p, x.Platform.FS, cl, app, rank)
-				} else {
-					runBurst(p, cl, app, app.Spec.Workload, rank)
-				}
+				runProgram(p, x.Platform.FS, cl, app, rank)
 				app.Timer.Done()
 			})
 		}
 	}
-}
-
-// runBurst executes one I/O burst — the rank's request plan for wl — with
-// the spec's queue depth, sleeping the think time before each request. It
-// is the whole phase of a single-burst app and one PhaseIO step of a
-// program.
-func runBurst(p *sim.Proc, cl *pfs.Client, app *App, wl workload.Spec, rank int) {
-	plan := wl.Plan(rank, app.Spec.Procs)
-	think := sim.Time(wl.ThinkTime)
-	Burst(p, cl, app.File, wl.QD, len(plan), func(i int) (int64, int64, bool) {
-		if think > 0 {
-			p.Sleep(think)
-		}
-		return plan[i].Off, plan[i].Size, wl.Read
-	})
 }
 
 // Burst issues n requests from cl on f at queue depth qd: one blocking
@@ -234,12 +220,11 @@ func Burst(p *sim.Proc, cl *pfs.Client, f *pfs.File, qd, n int, step func(i int)
 	if n == 0 {
 		return
 	}
-	e := cl.Host.Egress.E
 	sem := sim.NewSemaphore(qd)
 	gate := sim.NewGate(n)
 	done := func() {
 		sem.Release()
-		gate.Done(e)
+		gate.Done()
 	}
 	for i := 0; i < n; i++ {
 		sem.Acquire(p)
@@ -264,7 +249,7 @@ func BarrierWait(p *sim.Proc, fs *pfs.FileSystem, cl *pfs.Client, bar *mpisim.Ba
 			Server: -1, Op: pfs.OpBarrier,
 		})
 	}
-	bar.Wait(p, cl.Host.Egress.E)
+	bar.Wait(p)
 	if sink != nil {
 		sink.EndRequest(idx)
 	}
@@ -330,7 +315,7 @@ func (x *Experiment) collect() RunResult {
 		if !app.Timer.Finished() {
 			panic(fmt.Sprintf("core: app %q did not finish (deadlock?)", app.Spec.Name))
 		}
-		bytes := app.Spec.TotalBytes()
+		bytes := app.Program.TotalBytes(app.Spec.Procs)
 		elapsed := app.Timer.Elapsed()
 		res.Apps = append(res.Apps, AppResult{
 			Name:       app.Spec.Name,

@@ -147,16 +147,13 @@ func (r Runner) RunFleet(spec DeltaSpec, opts FleetOpts) *FleetResult {
 
 // shapeKey canonicalizes the baseline-relevant part of an AppSpec: name,
 // placement, start time and the program's jitter seed are excluded, every
-// knob that changes an alone run's workload is included.
+// knob that changes an alone run's workload is included. It reads the
+// resolved program, so a single-burst app and the same burst written as a
+// one-phase program share a shape.
 func shapeKey(a AppSpec) string {
-	prog := "-"
-	if a.Program != nil {
-		p := *a.Program
-		p.Seed = 0
-		prog = fmt.Sprintf("%+v", p)
-	}
-	return fmt.Sprintf("p%d/%d|%+v|%v|%d|%s",
-		a.Procs, a.ProcsPerNode, a.Workload, a.TargetServers, a.Stripe, prog)
+	p := *a.program()
+	p.Seed = 0
+	return fmt.Sprintf("p%d/%d|%+v|%v|%d", a.Procs, a.ProcsPerNode, p, a.TargetServers, a.Stripe)
 }
 
 // fleetPairs picks opts.SamplePairs distinct unordered pairs: even draws

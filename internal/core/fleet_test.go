@@ -19,7 +19,9 @@ import (
 )
 
 // fleetSpecForTest builds a 6-app heterogeneous spec with two workload
-// shapes and staggered arrivals on a contended platform.
+// shapes and staggered arrivals on a contended platform. App t2 writes the
+// big shape as a one-phase program instead of a single burst: the same
+// shape either way.
 func fleetSpecForTest() DeltaSpec {
 	cfg := tinyConfig(cluster.HDD, pfs.SyncOn)
 	cfg.ComputeNodes = 12
@@ -41,6 +43,7 @@ func fleetSpecForTest() DeltaSpec {
 		}
 		offsets[i] = sim.Time(i) * sim.Second / 2
 	}
+	apps[2].Workload, apps[2].Program = workload.Spec{}, workload.Single(big)
 	return DeltaSpec{Cfg: cfg, Apps: apps, StartOffsets: offsets}
 }
 
@@ -64,7 +67,8 @@ func TestAloneIgnoresPlacement(t *testing.T) {
 }
 
 // TestFleetDedupsShapes: 6 apps of 2 workload shapes collapse to 2 alone
-// baselines, with every app mapped to the right one.
+// baselines, with every app mapped to the right one, whichever form its
+// burst is written in.
 func TestFleetDedupsShapes(t *testing.T) {
 	spec := fleetSpecForTest()
 	f := Runner{Parallelism: 1}.RunFleet(spec, FleetOpts{})

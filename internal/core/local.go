@@ -94,7 +94,7 @@ func runLocalClients(cfg cluster.Config, lp LocalParams, b cluster.BackendKind, 
 						Stream: storage.StreamID(file),
 						Done: func() {
 							sem.Release()
-							gate.Done(e)
+							gate.Done()
 						},
 					})
 				})

@@ -6,10 +6,13 @@ import (
 	"repro/internal/workload"
 )
 
-// runProgram executes a multi-phase workload program on one rank: Iterations
+// runProgram executes the app's workload program on one rank: Iterations
 // passes over the phase list, each pass running compute pauses (fixed think
 // time plus deterministic exponential jitter), application-wide barriers and
-// I/O bursts in order.
+// I/O bursts in order. An io phase is the rank's request plan for the
+// phase's spec, issued through Burst at the spec's queue depth with the
+// think time slept before each request; a single-burst app is one such
+// phase.
 //
 // Jitter draws come from a rank-local generator seeded only by the program's
 // Seed: every rank draws the identical sequence (a collective pause that
@@ -23,7 +26,7 @@ import (
 // to each record's absolute timestamp from the same wake-up points
 // reproduces this event structure exactly.
 func runProgram(p *sim.Proc, fs *pfs.FileSystem, cl *pfs.Client, app *App, rank int) {
-	prog := app.Spec.Program
+	prog := app.Program
 	rng := sim.NewRand(prog.Seed)
 	for it := 0; it < prog.Iters(); it++ {
 		for _, ph := range prog.Phases {
@@ -39,7 +42,15 @@ func runProgram(p *sim.Proc, fs *pfs.FileSystem, cl *pfs.Client, app *App, rank 
 			case workload.PhaseBarrier:
 				BarrierWait(p, fs, cl, app.Barrier)
 			case workload.PhaseIO:
-				runBurst(p, cl, app, ph.IO, rank)
+				wl := ph.IO
+				plan := wl.Plan(rank, app.Spec.Procs)
+				think := sim.Time(wl.ThinkTime)
+				Burst(p, cl, app.File, wl.QD, len(plan), func(i int) (int64, int64, bool) {
+					if think > 0 {
+						p.Sleep(think)
+					}
+					return plan[i].Off, plan[i].Size, wl.Read
+				})
 			}
 		}
 	}

@@ -143,8 +143,8 @@ type RetryPolicy struct {
 	// BackoffMax.
 	Backoff    sim.Time
 	BackoffMax sim.Time
-	// MaxRetries caps retries of one sub-request (0 means no retries: the
-	// first deadline expiry already fails the request).
+	// MaxRetries caps retries of one sub-request; 0 keeps the default
+	// (see WithDefaults).
 	MaxRetries int
 	// Budget is the per-application retry budget across the whole run;
 	// <= 0 means unlimited.

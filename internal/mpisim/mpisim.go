@@ -24,7 +24,7 @@ type Barrier struct {
 
 // Wait blocks until n participants have called Wait; the barrier then
 // resets for reuse.
-func (b *Barrier) Wait(p *sim.Proc, e *sim.Engine) {
+func (b *Barrier) Wait(p *sim.Proc) {
 	if b.sig == nil {
 		b.sig = &sim.Signal{}
 	}
@@ -33,7 +33,7 @@ func (b *Barrier) Wait(p *sim.Proc, e *sim.Engine) {
 		s := b.sig
 		b.arrived = 0
 		b.sig = nil
-		s.Fire(e)
+		s.Fire()
 		return
 	}
 	p.Await(b.sig)
@@ -62,7 +62,7 @@ func (t *PhaseTimer) Enter(p *sim.Proc) {
 	t.entered++
 	if t.entered == t.n {
 		t.start = t.e.Now()
-		t.begin.Fire(t.e)
+		t.begin.Fire()
 		return
 	}
 	p.Await(&t.begin)

@@ -14,7 +14,7 @@ func TestBarrierReleasesTogether(t *testing.T) {
 		d := sim.Time(i) * 10 * sim.Millisecond
 		e.Spawn("r", func(p *sim.Proc) {
 			p.Sleep(d)
-			b.Wait(p, e)
+			b.Wait(p)
 			releases = append(releases, p.Now())
 		})
 	}
@@ -38,7 +38,7 @@ func TestBarrierReusable(t *testing.T) {
 		e.Spawn("r", func(p *sim.Proc) {
 			for round := 0; round < 5; round++ {
 				p.Sleep(sim.Time(i+1) * sim.Millisecond)
-				b.Wait(p, e)
+				b.Wait(p)
 				counts[i]++
 			}
 		})

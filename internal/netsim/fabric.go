@@ -117,9 +117,6 @@ type Host struct {
 // Stats returns the host's cumulative counters.
 func (h *Host) Stats() HostStats { return h.stats }
 
-// PortQueued returns the bytes currently in the ingress port queue.
-func (h *Host) PortQueued() int64 { return h.portQ }
-
 // SetLinkDown administratively downs (true) or restores (false) the host's
 // link. While down, every data segment crossing the link is dropped in
 // either direction, as are the host's ACKs and replies; senders recover

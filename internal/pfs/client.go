@@ -67,10 +67,6 @@ func (cl *Client) ReadAsync(f *File, off, size int64, onDone func()) {
 	cl.ioAsync(f, off, size, true, onDone, true)
 }
 
-// Outstanding returns the client's in-flight request count (observed queue
-// depth, the QD field of its trace records).
-func (cl *Client) Outstanding() int { return int(cl.inflight) }
-
 // srvPlan is one server's share of a request: the server's position in
 // the file's server list and the share's flow-sized chunks.
 type srvPlan struct {
@@ -222,7 +218,7 @@ func (cl *Client) Read(p *sim.Proc, f *File, off, size int64) {
 func (cl *Client) ioWait(p *sim.Proc, f *File, off, size int64, read bool) {
 	for {
 		var done sim.Signal
-		req := cl.ioAsync(f, off, size, read, func() { done.Fire(cl.fs.E) }, false)
+		req := cl.ioAsync(f, off, size, read, done.Fire, false)
 		p.Await(&done)
 		if req == nil || !req.failed {
 			return

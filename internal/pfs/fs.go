@@ -85,10 +85,6 @@ func (fs *FileSystem) takeRetry(app int) bool {
 	return true
 }
 
-// AvailApps returns how many application IDs have client-side availability
-// state.
-func (fs *FileSystem) AvailApps() int { return len(fs.avail) }
-
 // ClientAvailFor returns app's client-side availability counters (zero
 // value if unobserved).
 func (fs *FileSystem) ClientAvailFor(app int) ClientAvail {

@@ -22,13 +22,15 @@ func tenantApp(t population.Tenant) App {
 	a.Phases = make([]Phase, len(t.Phases))
 	for i, ph := range t.Phases {
 		a.Phases[i] = Phase{
-			Kind:       ph.Kind,
-			Pattern:    ph.Pattern,
-			BlockMB:    ph.BlockMB,
-			TransferKB: ph.TransferKB,
-			Read:       ph.Read,
-			ComputeS:   ph.ComputeS,
-			JitterS:    ph.JitterS,
+			Kind: ph.Kind,
+			IO: IO{
+				Pattern:    ph.Pattern,
+				BlockMB:    ph.BlockMB,
+				TransferKB: ph.TransferKB,
+				Read:       ph.Read,
+			},
+			ComputeS: ph.ComputeS,
+			JitterS:  ph.JitterS,
 		}
 	}
 	return a

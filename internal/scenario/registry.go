@@ -27,9 +27,9 @@ func Builtin() []Spec {
 			SSDChannels: 4,
 			DeltaS:      []float64{-15, -5, 0, 5, 15},
 			Apps: []App{
-				{Procs: 32, Pattern: "strided", BlockMB: 16, TransferKB: 256},
-				{Procs: 32, Pattern: "strided", BlockMB: 16, TransferKB: 256},
-				{Procs: 32, Pattern: "strided", BlockMB: 16, TransferKB: 256},
+				{Procs: 32, IO: IO{Pattern: "strided", BlockMB: 16, TransferKB: 256}},
+				{Procs: 32, IO: IO{Pattern: "strided", BlockMB: 16, TransferKB: 256}},
+				{Procs: 32, IO: IO{Pattern: "strided", BlockMB: 16, TransferKB: 256}},
 			},
 		},
 		{
@@ -39,8 +39,8 @@ func Builtin() []Spec {
 			Servers: 4,
 			DeltaS:  []float64{-10, 0, 10},
 			Apps: []App{
-				{Name: "checkpoint", Procs: 32, BlockMB: 64},
-				{Name: "restart", Procs: 32, BlockMB: 32, Read: true},
+				{Name: "checkpoint", Procs: 32, IO: IO{BlockMB: 64}},
+				{Name: "restart", Procs: 32, IO: IO{BlockMB: 32, Read: true}},
 			},
 		},
 		{
@@ -50,9 +50,9 @@ func Builtin() []Spec {
 			Servers: 4,
 			DeltaS:  []float64{-10, 0, 10},
 			Apps: []App{
-				{Name: "elephant", Procs: 32, BlockMB: 128},
-				{Name: "mouse1", Procs: 8, Pattern: "strided", BlockMB: 4, TransferKB: 64},
-				{Name: "mouse2", Procs: 8, Pattern: "strided", BlockMB: 4, TransferKB: 64},
+				{Name: "elephant", Procs: 32, IO: IO{BlockMB: 128}},
+				{Name: "mouse1", Procs: 8, IO: IO{Pattern: "strided", BlockMB: 4, TransferKB: 64}},
+				{Name: "mouse2", Procs: 8, IO: IO{Pattern: "strided", BlockMB: 4, TransferKB: 64}},
 			},
 		},
 		{
@@ -62,10 +62,10 @@ func Builtin() []Spec {
 			Servers: 4,
 			DeltaS:  []float64{-20, -5, 0, 5, 20},
 			Apps: []App{
-				{Procs: 16, BlockMB: 16},
-				{Procs: 16, BlockMB: 16, StartS: 2},
-				{Procs: 16, BlockMB: 16, StartS: 4},
-				{Procs: 16, BlockMB: 16, StartS: 6},
+				{Procs: 16, IO: IO{BlockMB: 16}},
+				{Procs: 16, IO: IO{BlockMB: 16}, StartS: 2},
+				{Procs: 16, IO: IO{BlockMB: 16}, StartS: 4},
+				{Procs: 16, IO: IO{BlockMB: 16}, StartS: 6},
 			},
 		},
 		{
@@ -75,10 +75,10 @@ func Builtin() []Spec {
 			Servers: 4,
 			DeltaS:  []float64{-10, 0, 10},
 			Apps: []App{
-				{Procs: 16, BlockMB: 16},
-				{Procs: 16, BlockMB: 16},
-				{Procs: 16, BlockMB: 16},
-				{Procs: 16, BlockMB: 16},
+				{Procs: 16, IO: IO{BlockMB: 16}},
+				{Procs: 16, IO: IO{BlockMB: 16}},
+				{Procs: 16, IO: IO{BlockMB: 16}},
+				{Procs: 16, IO: IO{BlockMB: 16}},
 			},
 		},
 		{
@@ -88,10 +88,10 @@ func Builtin() []Spec {
 			Servers: 4,
 			DeltaS:  []float64{-10, 0, 10},
 			Apps: []App{
-				{Procs: 16, BlockMB: 16, TargetServers: []int{0}},
-				{Procs: 16, BlockMB: 16, TargetServers: []int{1}},
-				{Procs: 16, BlockMB: 16, TargetServers: []int{2}},
-				{Procs: 16, BlockMB: 16, TargetServers: []int{3}},
+				{Procs: 16, IO: IO{BlockMB: 16}, TargetServers: []int{0}},
+				{Procs: 16, IO: IO{BlockMB: 16}, TargetServers: []int{1}},
+				{Procs: 16, IO: IO{BlockMB: 16}, TargetServers: []int{2}},
+				{Procs: 16, IO: IO{BlockMB: 16}, TargetServers: []int{3}},
 			},
 		},
 		{
@@ -102,8 +102,8 @@ func Builtin() []Spec {
 			Servers: 4,
 			DeltaS:  []float64{-10, 0, 10},
 			Apps: []App{
-				{Name: "aggressor", Procs: 32, BlockMB: 128},
-				{Name: "victim", Procs: 8, Pattern: "strided", BlockMB: 8, TransferKB: 256},
+				{Name: "aggressor", Procs: 32, IO: IO{BlockMB: 128}},
+				{Name: "victim", Procs: 8, IO: IO{Pattern: "strided", BlockMB: 8, TransferKB: 256}},
 			},
 		},
 		{
@@ -116,11 +116,11 @@ func Builtin() []Spec {
 			Apps: []App{
 				{Name: "checkpoint", Procs: 32, Iterations: 4, Phases: []Phase{
 					{Kind: "barrier"},
-					{Kind: "io", BlockMB: 16},
+					{Kind: "io", IO: IO{BlockMB: 16}},
 					{Kind: "compute", ComputeS: 2},
 				}},
 				{Name: "reader", Procs: 8, Iterations: 4, Phases: []Phase{
-					{Kind: "io", Pattern: "strided", BlockMB: 8, TransferKB: 256, Read: true},
+					{Kind: "io", IO: IO{Pattern: "strided", BlockMB: 8, TransferKB: 256, Read: true}},
 					{Kind: "compute", ComputeS: 0.5},
 				}},
 			},
@@ -135,15 +135,15 @@ func Builtin() []Spec {
 			Apps: []App{
 				{Name: "tenant1", Procs: 16, Seed: 11, Iterations: 3, Phases: []Phase{
 					{Kind: "compute", ComputeS: 0.5, JitterS: 1.5},
-					{Kind: "io", BlockMB: 12},
+					{Kind: "io", IO: IO{BlockMB: 12}},
 				}},
 				{Name: "tenant2", Procs: 16, Seed: 23, Iterations: 3, Phases: []Phase{
 					{Kind: "compute", ComputeS: 0.5, JitterS: 1.5},
-					{Kind: "io", BlockMB: 12},
+					{Kind: "io", IO: IO{BlockMB: 12}},
 				}},
 				{Name: "tenant3", Procs: 16, Seed: 37, Iterations: 3, Phases: []Phase{
 					{Kind: "compute", ComputeS: 0.5, JitterS: 1.5},
-					{Kind: "io", Pattern: "strided", BlockMB: 8, TransferKB: 256},
+					{Kind: "io", IO: IO{Pattern: "strided", BlockMB: 8, TransferKB: 256}},
 				}},
 			},
 		},
@@ -154,8 +154,8 @@ func Builtin() []Spec {
 			Servers: 4,
 			DeltaS:  []float64{-10, 0, 10},
 			Apps: []App{
-				{Name: "large-req", Procs: 16, Pattern: "strided", BlockMB: 16, TransferKB: 1024},
-				{Name: "small-req", Procs: 16, Pattern: "strided", BlockMB: 16, TransferKB: 64},
+				{Name: "large-req", Procs: 16, IO: IO{Pattern: "strided", BlockMB: 16, TransferKB: 1024}},
+				{Name: "small-req", Procs: 16, IO: IO{Pattern: "strided", BlockMB: 16, TransferKB: 64}},
 			},
 		},
 		// The fault builtins live at the end of the registry: golden
@@ -178,8 +178,8 @@ func Builtin() []Spec {
 				Retries: 12, RetryBudget: -1, ResumeMS: 250,
 			},
 			Apps: []App{
-				{Name: "checkpoint", Procs: 32, Pattern: "strided", BlockMB: 64, TransferKB: 1024},
-				{Name: "restart", Procs: 8, Pattern: "strided", BlockMB: 8, TransferKB: 256, Read: true},
+				{Name: "checkpoint", Procs: 32, IO: IO{Pattern: "strided", BlockMB: 64, TransferKB: 1024}},
+				{Name: "restart", Procs: 8, IO: IO{Pattern: "strided", BlockMB: 8, TransferKB: 256, Read: true}},
 			},
 		},
 		{
@@ -199,9 +199,9 @@ func Builtin() []Spec {
 				Retries: 10, RetryBudget: -1, ResumeMS: 250,
 			},
 			Apps: []App{
-				{Name: "victim", Procs: 16, Pattern: "strided", BlockMB: 16, TransferKB: 512,
+				{Name: "victim", Procs: 16, IO: IO{Pattern: "strided", BlockMB: 16, TransferKB: 512},
 					TargetServers: []int{0}},
-				{Name: "bulk", Procs: 16, BlockMB: 32},
+				{Name: "bulk", Procs: 16, IO: IO{BlockMB: 32}},
 			},
 		},
 	}

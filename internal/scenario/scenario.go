@@ -44,18 +44,9 @@ type App struct {
 	Procs int `json:"procs"`
 	// PPN is processes per node; 0 uses the platform's cores per node.
 	PPN int `json:"ppn,omitempty"`
-	// Pattern is "contiguous" (default) or "strided".
-	Pattern string `json:"pattern,omitempty"`
-	// BlockMB is the per-process I/O volume in MiB (required, > 0).
-	BlockMB int64 `json:"block_mb"`
-	// TransferKB is the strided request size in KiB (required for strided).
-	TransferKB int64 `json:"transfer_kb,omitempty"`
-	// QD is the per-process queue depth (0/1 = blocking requests).
-	QD int `json:"qd,omitempty"`
-	// ThinkMS is a fixed client-side cost per request, in milliseconds.
-	ThinkMS float64 `json:"think_ms,omitempty"`
-	// Read makes the phase read instead of write.
-	Read bool `json:"read,omitempty"`
+	// IO is the app's one burst (block_mb is then required): the same
+	// knobs, under the same keys, as an "io" phase.
+	IO
 	// TargetServers stripes this app's file over a server subset
 	// (empty = all servers) — the paper's partitioning knob.
 	TargetServers []int `json:"target_servers,omitempty"`
@@ -67,9 +58,8 @@ type App struct {
 
 	// Phases turns the app into a multi-phase workload program (compute
 	// think time, barriers, repeated I/O bursts — see workload.Program).
-	// Mutually exclusive with the single-burst knobs above (pattern,
-	// block_mb, transfer_kb, qd, think_ms, read), which then move into the
-	// individual "io" phases.
+	// Mutually exclusive with the single-burst knobs (IO), which then move
+	// into the individual "io" phases.
 	Phases []Phase `json:"phases,omitempty"`
 	// Iterations repeats the phase list (0 = once). Only valid with phases.
 	Iterations int `json:"iterations,omitempty"`
@@ -79,24 +69,90 @@ type App struct {
 }
 
 // Phase is the declarative form of one workload-program step. Kind selects
-// which knobs apply: "io" takes the single-burst knobs (pattern, block_mb,
-// transfer_kb, qd, think_ms, read), "compute" takes compute_s and jitter_s
-// (a fixed pause plus an exponential extra with that mean — a Poisson
-// burst-arrival process), "barrier" takes none.
+// which knobs apply: "io" takes the burst knobs (IO), "compute" takes
+// compute_s and jitter_s (a fixed pause plus an exponential extra with that
+// mean — a Poisson burst-arrival process), "barrier" takes none.
 type Phase struct {
 	Kind string `json:"kind"`
 
-	// io phase knobs (see App for units and semantics).
-	Pattern    string  `json:"pattern,omitempty"`
-	BlockMB    int64   `json:"block_mb,omitempty"`
-	TransferKB int64   `json:"transfer_kb,omitempty"`
-	QD         int     `json:"qd,omitempty"`
-	ThinkMS    float64 `json:"think_ms,omitempty"`
-	Read       bool    `json:"read,omitempty"`
+	// IO holds the io phase knobs.
+	IO
 
 	// compute phase knobs, in seconds.
 	ComputeS float64 `json:"compute_s,omitempty"`
 	JitterS  float64 `json:"jitter_s,omitempty"`
+}
+
+// IO is one I/O burst in friendly units: the single-burst knobs of an App
+// and the knobs of an "io" phase, with the same JSON keys in both. The zero
+// value is "no burst".
+type IO struct {
+	// Pattern is "contiguous" (default) or "strided".
+	Pattern string `json:"pattern,omitempty"`
+	// BlockMB is the per-process I/O volume in MiB (> 0).
+	BlockMB int64 `json:"block_mb,omitempty"`
+	// TransferKB is the strided request size in KiB (required for strided).
+	TransferKB int64 `json:"transfer_kb,omitempty"`
+	// QD is the per-process queue depth (0/1 = blocking requests).
+	QD int `json:"qd,omitempty"`
+	// ThinkMS is a fixed client-side cost per request, in milliseconds.
+	ThinkMS float64 `json:"think_ms,omitempty"`
+	// Read makes the burst read instead of write.
+	Read bool `json:"read,omitempty"`
+}
+
+// validate checks the burst's knobs; the caller names the app or phase.
+func (io IO) validate() error {
+	if io.BlockMB <= 0 {
+		return fmt.Errorf("block_mb must be > 0, got %d", io.BlockMB)
+	}
+	if io.BlockMB > maxBlockMB || io.TransferKB > maxTransferKB {
+		return fmt.Errorf("block_mb/transfer_kb exceed the %d MiB / %d KiB caps", maxBlockMB, maxTransferKB)
+	}
+	pat, err := parsePattern(io.Pattern)
+	if err != nil {
+		return err
+	}
+	if pat == workload.Strided {
+		if io.TransferKB <= 0 {
+			return fmt.Errorf("strided pattern needs transfer_kb > 0")
+		}
+		if (io.BlockMB<<20)%(io.TransferKB<<10) != 0 {
+			return fmt.Errorf("block_mb %d not divisible by transfer_kb %d", io.BlockMB, io.TransferKB)
+		}
+	}
+	if io.QD < 0 || io.ThinkMS < 0 {
+		return fmt.Errorf("negative parameter")
+	}
+	return sim.CheckMillis("think_ms", io.ThinkMS)
+}
+
+// spec compiles a validated burst into its workload form.
+func (io IO) spec() workload.Spec {
+	pat, _ := parsePattern(io.Pattern) // validated
+	return workload.Spec{
+		Pattern:      pat,
+		BlockBytes:   io.BlockMB << 20,
+		TransferSize: io.TransferKB << 10,
+		QD:           io.QD,
+		ThinkTime:    int64(io.ThinkMS * float64(sim.Millisecond)),
+		Read:         io.Read,
+	}
+}
+
+// smoke shrinks the burst's volume by 16, to at least 1 MiB; no burst
+// stays no burst. A strided burst whose shrunken block no longer divides by
+// its transfer size falls back to one request per block.
+func (io IO) smoke() IO {
+	if io.BlockMB <= 0 {
+		return io
+	}
+	io.BlockMB = max(1, io.BlockMB/16)
+	if pat, err := parsePattern(io.Pattern); err == nil && pat == workload.Strided &&
+		io.TransferKB > 0 && (io.BlockMB<<20)%(io.TransferKB<<10) != 0 {
+		io.TransferKB = io.BlockMB << 10
+	}
+	return io
 }
 
 // phaseKindNames are the valid Phase.Kind values.
@@ -374,8 +430,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %q app %q: procs must be > 0, got %d", s.Name, label, a.Procs)
 		}
 		if len(a.Phases) > 0 {
-			if a.Pattern != "" || a.BlockMB != 0 || a.TransferKB != 0 ||
-				a.QD != 0 || a.ThinkMS != 0 || a.Read {
+			if a.IO != (IO{}) {
 				return fmt.Errorf("scenario %q app %q: phases and the single-burst knobs "+
 					"(pattern, block_mb, transfer_kb, qd, think_ms, read) are mutually exclusive; "+
 					"move them into the io phases", s.Name, label)
@@ -393,34 +448,14 @@ func (s Spec) Validate() error {
 			if a.Iterations != 0 || a.Seed != 0 {
 				return fmt.Errorf("scenario %q app %q: iterations/seed apply only to phases", s.Name, label)
 			}
-			if a.BlockMB <= 0 {
-				return fmt.Errorf("scenario %q app %q: block_mb must be > 0, got %d", s.Name, label, a.BlockMB)
-			}
-			if a.BlockMB > maxBlockMB || a.TransferKB > maxTransferKB {
-				return fmt.Errorf("scenario %q app %q: block_mb/transfer_kb exceed the %d MiB / %d KiB caps",
-					s.Name, label, maxBlockMB, maxTransferKB)
-			}
-			pat, err := parsePattern(a.Pattern)
-			if err != nil {
+			if err := a.IO.validate(); err != nil {
 				return fmt.Errorf("scenario %q app %q: %w", s.Name, label, err)
 			}
-			if pat == workload.Strided {
-				if a.TransferKB <= 0 {
-					return fmt.Errorf("scenario %q app %q: strided pattern needs transfer_kb > 0", s.Name, label)
-				}
-				if (a.BlockMB<<20)%(a.TransferKB<<10) != 0 {
-					return fmt.Errorf("scenario %q app %q: block_mb %d not divisible by transfer_kb %d",
-						s.Name, label, a.BlockMB, a.TransferKB)
-				}
-			}
 		}
-		if a.PPN < 0 || a.QD < 0 || a.ThinkMS < 0 || a.StripeKB < 0 || a.StartS < 0 {
+		if a.PPN < 0 || a.StripeKB < 0 || a.StartS < 0 {
 			return fmt.Errorf("scenario %q app %q: negative parameter", s.Name, label)
 		}
 		if err := sim.CheckSeconds("start_s", a.StartS, 0); err != nil {
-			return fmt.Errorf("scenario %q app %q: %w", s.Name, label, err)
-		}
-		if err := sim.CheckMillis("think_ms", a.ThinkMS); err != nil {
 			return fmt.Errorf("scenario %q app %q: %w", s.Name, label, err)
 		}
 		if a.StripeKB > maxStripeKB {
@@ -449,40 +484,14 @@ func (ph Phase) validate() error {
 	if err != nil {
 		return err
 	}
-	ioKnobs := ph.Pattern != "" || ph.BlockMB != 0 || ph.TransferKB != 0 ||
-		ph.QD != 0 || ph.ThinkMS != 0 || ph.Read
 	switch kind {
 	case workload.PhaseIO:
 		if ph.ComputeS != 0 || ph.JitterS != 0 {
 			return fmt.Errorf("io phase with compute_s/jitter_s")
 		}
-		if ph.BlockMB <= 0 {
-			return fmt.Errorf("io phase needs block_mb > 0, got %d", ph.BlockMB)
-		}
-		if ph.BlockMB > maxBlockMB || ph.TransferKB > maxTransferKB {
-			return fmt.Errorf("io phase block_mb/transfer_kb exceed the %d MiB / %d KiB caps",
-				maxBlockMB, maxTransferKB)
-		}
-		pat, err := parsePattern(ph.Pattern)
-		if err != nil {
-			return err
-		}
-		if pat == workload.Strided {
-			if ph.TransferKB <= 0 {
-				return fmt.Errorf("strided io phase needs transfer_kb > 0")
-			}
-			if (ph.BlockMB<<20)%(ph.TransferKB<<10) != 0 {
-				return fmt.Errorf("block_mb %d not divisible by transfer_kb %d", ph.BlockMB, ph.TransferKB)
-			}
-		}
-		if ph.QD < 0 {
-			return fmt.Errorf("negative parameter")
-		}
-		if err := sim.CheckMillis("think_ms", ph.ThinkMS); err != nil {
-			return err
-		}
+		return ph.IO.validate()
 	case workload.PhaseCompute:
-		if ioKnobs {
+		if ph.IO != (IO{}) {
 			return fmt.Errorf("compute phase with io knobs")
 		}
 		if err := sim.CheckSeconds("compute_s", ph.ComputeS, 0); err != nil {
@@ -492,7 +501,7 @@ func (ph Phase) validate() error {
 			return err
 		}
 	case workload.PhaseBarrier:
-		if ioKnobs || ph.ComputeS != 0 || ph.JitterS != 0 {
+		if ph.IO != (IO{}) || ph.ComputeS != 0 || ph.JitterS != 0 {
 			return fmt.Errorf("barrier phase carries no knobs")
 		}
 	}
@@ -504,15 +513,7 @@ func (ph Phase) compile() workload.Phase {
 	kind, _ := parsePhaseKind(ph.Kind) // validated
 	switch kind {
 	case workload.PhaseIO:
-		pat, _ := parsePattern(ph.Pattern) // validated
-		return workload.Phase{Kind: workload.PhaseIO, IO: workload.Spec{
-			Pattern:      pat,
-			BlockBytes:   ph.BlockMB << 20,
-			TransferSize: ph.TransferKB << 10,
-			QD:           ph.QD,
-			ThinkTime:    int64(ph.ThinkMS * float64(sim.Millisecond)),
-			Read:         ph.Read,
-		}}
+		return workload.Phase{Kind: workload.PhaseIO, IO: ph.IO.spec()}
 	case workload.PhaseCompute:
 		return workload.Phase{Kind: workload.PhaseCompute,
 			Compute:    int64(ph.ComputeS * float64(sim.Second)),
@@ -623,15 +624,7 @@ func (s Spec) Build(backend cluster.BackendKind) (cluster.Config, core.DeltaSpec
 		if len(a.Phases) > 0 {
 			app.Program = a.program(i)
 		} else {
-			pat, _ := parsePattern(a.Pattern) // validated above
-			app.Workload = workload.Spec{
-				Pattern:      pat,
-				BlockBytes:   a.BlockMB << 20,
-				TransferSize: a.TransferKB << 10,
-				QD:           a.QD,
-				ThinkTime:    int64(a.ThinkMS * float64(sim.Millisecond)),
-				Read:         a.Read,
-			}
+			app.Workload = a.IO.spec()
 		}
 		node += (a.Procs + ppn - 1) / ppn
 		spec.Apps = append(spec.Apps, app)
@@ -682,22 +675,19 @@ func (s Spec) Smoke() Spec {
 	for i, a := range s.Apps {
 		a.Procs = max(2, a.Procs/8)
 		a.StartS /= timeDiv
+		a.IO = a.IO.smoke()
 		if len(a.Phases) > 0 {
-			// Programs shrink phase by phase: burst volumes like the
-			// single-burst path, compute pauses and jitter means with the
-			// time axes.
+			// Programs shrink phase by phase: burst volumes like an app's
+			// one burst, compute pauses and jitter means with the time
+			// axes.
 			phases := make([]Phase, len(a.Phases))
 			for pi, ph := range a.Phases {
-				ph.BlockMB = shrinkBlock(ph.BlockMB)
-				ph.TransferKB = fixTransfer(ph.Pattern, ph.BlockMB, ph.TransferKB)
+				ph.IO = ph.IO.smoke()
 				ph.ComputeS /= timeDiv
 				ph.JitterS /= timeDiv
 				phases[pi] = ph
 			}
 			a.Phases = phases
-		} else {
-			a.BlockMB = max(1, a.BlockMB/16)
-			a.TransferKB = fixTransfer(a.Pattern, a.BlockMB, a.TransferKB)
 		}
 		out.Apps[i] = a
 	}
@@ -734,26 +724,6 @@ func (s Spec) Smoke() Spec {
 		out.Nodes = 0
 	}
 	return out
-}
-
-// shrinkBlock divides an io volume by the smoke factor; zero (a non-io
-// phase) stays zero.
-func shrinkBlock(mb int64) int64 {
-	if mb <= 0 {
-		return mb
-	}
-	return max(1, mb/16)
-}
-
-// fixTransfer keeps strided divisibility after shrinking: when the shrunken
-// block no longer divides by the transfer size, fall back to one request
-// per block.
-func fixTransfer(pattern string, blockMB, transferKB int64) int64 {
-	if pat, err := parsePattern(pattern); err == nil && pat == workload.Strided &&
-		transferKB > 0 && (blockMB<<20)%(transferKB<<10) != 0 {
-		return blockMB << 10
-	}
-	return transferKB
 }
 
 // Parse decodes one scenario from JSON, rejecting unknown fields (a typo'd

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/qos"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestQoSBlockCompilesAndValidates: the declarative qos block compiles
@@ -18,7 +21,7 @@ func TestQoSBlockCompilesAndValidates(t *testing.T) {
 	spec := Spec{
 		Name: "q", Servers: 2,
 		QoS:  &QoS{Scheduler: "tokenbucket", RateMBps: 32, BurstMB: 2, FlowSlots: 4},
-		Apps: []App{{Procs: 4, BlockMB: 8}},
+		Apps: []App{{Procs: 4, IO: IO{BlockMB: 8}}},
 	}
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
@@ -146,7 +149,7 @@ func TestValidationErrors(t *testing.T) {
 		return Spec{
 			Name:    "t",
 			Servers: 4,
-			Apps:    []App{{Name: "A", Procs: 4, BlockMB: 8}},
+			Apps:    []App{{Name: "A", Procs: 4, IO: IO{BlockMB: 8}}},
 		}
 	}
 	cases := []struct {
@@ -183,13 +186,13 @@ func TestValidationErrors(t *testing.T) {
 		{"start past the bound", func(s *Spec) { s.Apps[0].StartS = 2e6 }, "start_s"},
 		{"think past the clock", func(s *Spec) { s.Apps[0].ThinkMS = 1e300 }, "think_ms"},
 		{"phase think past the clock", func(s *Spec) {
-			s.Apps[0] = App{Procs: 4, Phases: []Phase{{Kind: "io", BlockMB: 8, ThinkMS: 1e300}}}
+			s.Apps[0] = App{Procs: 4, Phases: []Phase{{Kind: "io", IO: IO{BlockMB: 8, ThinkMS: 1e300}}}}
 		}, "think_ms"},
 		{"compute past the clock", func(s *Spec) {
-			s.Apps[0] = App{Procs: 4, Phases: []Phase{{Kind: "io", BlockMB: 8}, {Kind: "compute", ComputeS: 1e10}}}
+			s.Apps[0] = App{Procs: 4, Phases: []Phase{{Kind: "io", IO: IO{BlockMB: 8}}, {Kind: "compute", ComputeS: 1e10}}}
 		}, "compute_s"},
 		{"jitter past the bound", func(s *Spec) {
-			s.Apps[0] = App{Procs: 4, Phases: []Phase{{Kind: "compute", JitterS: 2e6}, {Kind: "io", BlockMB: 8}}}
+			s.Apps[0] = App{Procs: 4, Phases: []Phase{{Kind: "compute", JitterS: 2e6}, {Kind: "io", IO: IO{BlockMB: 8}}}}
 		}, "jitter_s"},
 		{"qos tick past the bound", func(s *Spec) {
 			s.QoS = &QoS{Scheduler: "controller", TickMS: 1e10}
@@ -264,8 +267,48 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppBurstIsOneIOPhase: an app's single-burst keys and the same keys
+// written as its one "io" phase run the same experiment — equal δ-graphs
+// and IF matrices, and equal recordings, records and app tables alike.
+func TestAppBurstIsOneIOPhase(t *testing.T) {
+	const pair = `{"name":"eq","backend":"hdd","servers":2,"delta_s":[0,0.05],"apps":[%s,` +
+		`{"procs":4,"pattern":"strided","block_mb":4,"transfer_kb":256}]}`
+	var graphs []*Result
+	var traces []*trace.Trace
+	for _, app := range []string{
+		`{"procs":8,"block_mb":16,"qd":4}`,
+		`{"procs":8,"phases":[{"kind":"io","block_mb":16,"qd":4}]}`,
+	} {
+		s, err := Parse([]byte(fmt.Sprintf(pair, app)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Run(s, cluster.HDD, core.Runner{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, _, err := Record(s, cluster.HDD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs, traces = append(graphs, r), append(traces, tr)
+	}
+	if len(traces[0].Records) == 0 {
+		t.Fatal("recorded no records")
+	}
+	if !reflect.DeepEqual(graphs[0].Graph, graphs[1].Graph) {
+		t.Errorf("δ-graphs differ:\n%+v\n%+v", graphs[0].Graph, graphs[1].Graph)
+	}
+	if !reflect.DeepEqual(graphs[0].Matrix, graphs[1].Matrix) {
+		t.Errorf("IF matrices differ:\n%+v\n%+v", graphs[0].Matrix, graphs[1].Matrix)
+	}
+	if !reflect.DeepEqual(traces[0], traces[1]) {
+		t.Errorf("recordings differ: %d vs %d records", len(traces[0].Records), len(traces[1].Records))
+	}
+}
+
 func TestBuildPinnedBackend(t *testing.T) {
-	s := Spec{Name: "pinned", Backend: "ram", Apps: []App{{Procs: 2, BlockMB: 4}}}
+	s := Spec{Name: "pinned", Backend: "ram", Apps: []App{{Procs: 2, IO: IO{BlockMB: 4}}}}
 	backends, err := s.Backends()
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +360,7 @@ func TestSmokeGridAndPatternEdgeCases(t *testing.T) {
 		Name:    "edge",
 		Servers: 2,
 		DeltaS:  []float64{0, 2, 5, 10},
-		Apps:    []App{{Procs: 16, Pattern: "Strided", BlockMB: 20, TransferKB: 4096}},
+		Apps:    []App{{Procs: 16, IO: IO{Pattern: "Strided", BlockMB: 20, TransferKB: 4096}}},
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)

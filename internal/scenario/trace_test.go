@@ -99,7 +99,7 @@ func TestTraceSpecValidation(t *testing.T) {
 	}
 	bad := []Spec{
 		{Name: "r", Trace: &TraceBlock{}},
-		{Name: "r", Trace: &TraceBlock{Path: "x"}, Apps: []App{{Procs: 1, BlockMB: 1}}},
+		{Name: "r", Trace: &TraceBlock{Path: "x"}, Apps: []App{{Procs: 1, IO: IO{BlockMB: 1}}}},
 		{Name: "r", Trace: &TraceBlock{Path: "x"}, DeltaS: []float64{0}},
 		{Name: "r", Trace: &TraceBlock{Path: "x"}, Backend: "hdd"},
 		{Name: "r", Trace: &TraceBlock{Path: "x"}, Servers: 4},
@@ -115,7 +115,7 @@ func TestTraceSpecValidation(t *testing.T) {
 		t.Fatal("expected Build to reject a trace scenario")
 	}
 	// Replay of a non-trace spec errors.
-	if _, _, err := Replay(Spec{Name: "x", Apps: []App{{Procs: 1, BlockMB: 1}}}); err == nil {
+	if _, _, err := Replay(Spec{Name: "x", Apps: []App{{Procs: 1, IO: IO{BlockMB: 1}}}}); err == nil {
 		t.Fatal("expected Replay to reject a non-trace scenario")
 	}
 }
@@ -126,11 +126,11 @@ func TestPhaseValidation(t *testing.T) {
 	good := []Spec{
 		prog(App{Procs: 4, Iterations: 2, Phases: []Phase{
 			{Kind: "barrier"},
-			{Kind: "io", BlockMB: 1},
+			{Kind: "io", IO: IO{BlockMB: 1}},
 			{Kind: "compute", ComputeS: 0.1, JitterS: 0.2},
 		}}),
 		prog(App{Procs: 4, Phases: []Phase{
-			{Kind: "io", Pattern: "strided", BlockMB: 1, TransferKB: 256, QD: 4},
+			{Kind: "io", IO: IO{Pattern: "strided", BlockMB: 1, TransferKB: 256, QD: 4}},
 		}}),
 	}
 	for i, s := range good {
@@ -140,31 +140,31 @@ func TestPhaseValidation(t *testing.T) {
 	}
 	bad := []Spec{
 		// phases + single-burst knobs
-		prog(App{Procs: 4, BlockMB: 1, Phases: []Phase{{Kind: "io", BlockMB: 1}}}),
+		prog(App{Procs: 4, IO: IO{BlockMB: 1}, Phases: []Phase{{Kind: "io", IO: IO{BlockMB: 1}}}}),
 		// iterations without phases
-		prog(App{Procs: 4, BlockMB: 1, Iterations: 2}),
+		prog(App{Procs: 4, IO: IO{BlockMB: 1}, Iterations: 2}),
 		// seed without phases
-		prog(App{Procs: 4, BlockMB: 1, Seed: 3}),
+		prog(App{Procs: 4, IO: IO{BlockMB: 1}, Seed: 3}),
 		// missing kind
-		prog(App{Procs: 4, Phases: []Phase{{BlockMB: 1}}}),
+		prog(App{Procs: 4, Phases: []Phase{{IO: IO{BlockMB: 1}}}}),
 		// unknown kind
 		prog(App{Procs: 4, Phases: []Phase{{Kind: "wait"}}}),
 		// io phase without block_mb
 		prog(App{Procs: 4, Phases: []Phase{{Kind: "io"}}}),
 		// io phase with compute knobs
-		prog(App{Procs: 4, Phases: []Phase{{Kind: "io", BlockMB: 1, ComputeS: 1}}}),
+		prog(App{Procs: 4, Phases: []Phase{{Kind: "io", IO: IO{BlockMB: 1}, ComputeS: 1}}}),
 		// strided io phase without transfer
-		prog(App{Procs: 4, Phases: []Phase{{Kind: "io", Pattern: "strided", BlockMB: 1}}}),
+		prog(App{Procs: 4, Phases: []Phase{{Kind: "io", IO: IO{Pattern: "strided", BlockMB: 1}}}}),
 		// indivisible strided io phase
-		prog(App{Procs: 4, Phases: []Phase{{Kind: "io", Pattern: "strided", BlockMB: 1, TransferKB: 300}}}),
+		prog(App{Procs: 4, Phases: []Phase{{Kind: "io", IO: IO{Pattern: "strided", BlockMB: 1, TransferKB: 300}}}}),
 		// compute phase with io knobs
-		prog(App{Procs: 4, Phases: []Phase{{Kind: "compute", BlockMB: 1}}}),
+		prog(App{Procs: 4, Phases: []Phase{{Kind: "compute", IO: IO{BlockMB: 1}}}}),
 		// negative compute
 		prog(App{Procs: 4, Phases: []Phase{{Kind: "compute", ComputeS: -1}}}),
 		// barrier phase with knobs
 		prog(App{Procs: 4, Phases: []Phase{{Kind: "barrier", ComputeS: 1}}}),
 		// negative iterations
-		prog(App{Procs: 4, Iterations: -1, Phases: []Phase{{Kind: "io", BlockMB: 1}}}),
+		prog(App{Procs: 4, Iterations: -1, Phases: []Phase{{Kind: "io", IO: IO{BlockMB: 1}}}}),
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

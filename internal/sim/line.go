@@ -78,9 +78,6 @@ func (l *Line) SendCall(n int64, tgt Target, op uint32, a, b int64) Time {
 // Busy returns cumulative time the line has been occupied.
 func (l *Line) Busy() Time { return l.busy }
 
-// BusyUntil returns the time at which the line next becomes idle.
-func (l *Line) BusyUntil() Time { return l.busyUntil }
-
 // Bytes returns cumulative bytes accepted by the line.
 func (l *Line) Bytes() int64 { return l.bytes }
 

@@ -164,7 +164,7 @@ func (s *Signal) Fired() bool { return s.fired }
 
 // Fire releases all waiters. Waiters resume as separate events at the
 // current time, in Await order. Firing twice is a no-op.
-func (s *Signal) Fire(e *Engine) {
+func (s *Signal) Fire() {
 	if s.fired {
 		return
 	}
@@ -206,13 +206,13 @@ func (g *Gate) Add(delta int) {
 }
 
 // Done lowers the count; when it reaches zero the gate opens.
-func (g *Gate) Done(e *Engine) {
+func (g *Gate) Done() {
 	g.n--
 	if g.n < 0 {
 		panic("sim: Gate count below zero")
 	}
 	if g.n == 0 {
-		g.opened.Fire(e)
+		g.opened.Fire()
 	}
 }
 

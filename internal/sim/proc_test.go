@@ -82,7 +82,7 @@ func TestSignalBroadcast(t *testing.T) {
 			}
 		})
 	}
-	e.Schedule(42, func() { s.Fire(e) })
+	e.Schedule(42, s.Fire)
 	e.Run()
 	if woke != 4 {
 		t.Fatalf("woke = %d, want 4", woke)
@@ -99,7 +99,7 @@ func TestSignalBroadcast(t *testing.T) {
 	}
 	// Firing again is a no-op: it schedules nothing.
 	before := e.Executed()
-	s.Fire(e)
+	s.Fire()
 	e.Run()
 	if e.Executed() != before {
 		t.Fatalf("double fire ran %d events", e.Executed()-before)
@@ -116,7 +116,7 @@ func TestGate(t *testing.T) {
 	})
 	for i := 1; i <= 3; i++ {
 		d := Time(i) * 10
-		e.Schedule(d, func() { g.Done(e) })
+		e.Schedule(d, g.Done)
 	}
 	e.Run()
 	if opened != 30 {
@@ -128,9 +128,8 @@ func TestGate(t *testing.T) {
 }
 
 func TestGateAddAfterOpenPanics(t *testing.T) {
-	e := NewEngine()
 	g := NewGate(1)
-	g.Done(e)
+	g.Done()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic adding to opened gate")
@@ -246,7 +245,7 @@ func TestManyProcsNoLeak(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e.Spawn("p", func(p *Proc) {
 			p.Sleep(Time(1))
-			g.Done(e)
+			g.Done()
 		})
 	}
 	e.Run()

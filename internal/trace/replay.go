@@ -172,9 +172,9 @@ func pace(p *sim.Proc, at sim.Time) {
 // replayRank drives one rank: it splits the rank's records at its barrier
 // records and runs each segment through core.Burst at the app's queue
 // depth, pacing every request to its recorded issue time, then paces to
-// the barrier record and re-enters the barrier. That is core.runBurst's
-// and core.runProgram's event structure exactly whenever each pipelined
-// I/O phase ends at a barrier (or is the program's only one).
+// the barrier record and re-enters the barrier. That is core.runProgram's
+// event structure exactly whenever each pipelined I/O phase ends at a
+// barrier (or is the program's only one).
 func replayRank(p *sim.Proc, t *Trace, fs *pfs.FileSystem, a *replayApp, cl *pfs.Client, idxs []int32) {
 	for len(idxs) > 0 {
 		j := 0

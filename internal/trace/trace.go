@@ -18,9 +18,9 @@
 // current wake-up point to the record's absolute timestamp, and every
 // barrier through core.BarrierWait. Because the recorded run only ever
 // schedules one pause between consecutive operations of a rank (the
-// discipline core.runProgram and core.runBurst keep), the replayed sleep is
-// scheduled at the same instant, with the same delay, from the same event
-// as the original pause, and every downstream decision — issue-jitter
+// discipline core.runProgram keeps), the replayed sleep is scheduled at
+// the same instant, with the same delay, from the same event as the
+// original pause, and every downstream decision — issue-jitter
 // draws, server queue order, TCP dynamics, and under a fault plan the
 // retries and stall-and-resume of the pfs client — replays identically.
 //
@@ -152,12 +152,8 @@ func RecordRun(cfg cluster.Config, apps []core.AppSpec) (*Trace, core.RunResult)
 	// The request count is known up front, so the whole run records without
 	// a single allocation on the record path.
 	n := 0
-	for _, a := range apps {
-		if a.Program != nil {
-			n += a.Procs * (a.Program.Requests() + a.Program.Barriers())
-		} else {
-			n += a.Procs * a.Workload.Requests()
-		}
+	for _, a := range x.Apps {
+		n += a.Spec.Procs * (a.Program.Requests() + a.Program.Barriers())
 	}
 	rec.Reserve(n)
 	x.Platform.FS.Sink = rec
@@ -171,7 +167,7 @@ func RecordRun(cfg cluster.Config, apps []core.AppSpec) (*Trace, core.RunResult)
 			PPN:           a.ProcsPerNode,
 			TargetServers: a.TargetServers,
 			Stripe:        a.Stripe,
-			QD:            appQD(a),
+			QD:            x.Apps[i].Program.MaxQD(),
 			Start:         a.Start,
 			PhaseStart:    res.Apps[i].Start,
 			PhaseEnd:      res.Apps[i].End,
@@ -179,14 +175,6 @@ func RecordRun(cfg cluster.Config, apps []core.AppSpec) (*Trace, core.RunResult)
 		})
 	}
 	return t, res
-}
-
-// appQD returns the queue depth the replayer must honor for one app.
-func appQD(a core.AppSpec) int {
-	if a.Program != nil {
-		return a.Program.MaxQD()
-	}
-	return a.Workload.QD
 }
 
 // Validate checks the trace for structural consistency: a present header

@@ -97,7 +97,8 @@ func TestRoundTripBlocking(t *testing.T) {
 }
 
 // TestRoundTripPipelined pins the contract for a queue-depth>1 single-burst
-// application (one semaphore window, like core.runBurst's pipelined path).
+// application (one semaphore window, like a pipelined io phase of
+// core.runProgram).
 func TestRoundTripPipelined(t *testing.T) {
 	cfg := testCfg()
 	apps := []core.AppSpec{

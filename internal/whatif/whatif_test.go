@@ -18,8 +18,8 @@ func tinySpec() scenario.Spec {
 		Servers: 2,
 		DeltaS:  []float64{0},
 		Apps: []scenario.App{
-			{Name: "bulk", Procs: 4, BlockMB: 4},
-			{Name: "strided", Procs: 2, Pattern: "strided", BlockMB: 2, TransferKB: 256},
+			{Name: "bulk", Procs: 4, IO: scenario.IO{BlockMB: 4}},
+			{Name: "strided", Procs: 2, IO: scenario.IO{Pattern: "strided", BlockMB: 2, TransferKB: 256}},
 		},
 	}
 }
