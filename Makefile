@@ -3,14 +3,14 @@
 GO      ?= go
 # BENCH_OUT is the perf snapshot consumed by CI artifacts and by future
 # perf PRs; the _N suffix tracks the PR number that produced it.
-BENCH_OUT ?= BENCH_19.json
+BENCH_OUT ?= BENCH_22.json
 # BENCH_PREV is the previous PR's committed snapshot; bench-check fails when
 # a serial-path benchmark regressed beyond the benchguard tolerance.
-BENCH_PREV ?= BENCH_18.json
+BENCH_PREV ?= BENCH_19.json
 
 # The serial-path benchmarks bench-check and bench-ab judge: the micro
 # benchmarks, and the campaign-sized ones bench-ab runs once per side.
-GUARDED_MICRO    = EngineEventThroughput|EngineStandingQueue|TransportThroughput|HDDElevator|HDDManyFiles|FairShareScheduler|TraceRecord|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord
+GUARDED_MICRO    = EngineEventThroughput|EngineStandingQueue|ProcHandoff|TransportThroughput|HDDElevator|HDDManyFiles|FairShareScheduler|TraceRecord|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord
 GUARDED_CAMPAIGN = Figure2SyncOn|FleetScenario
 
 # bench-ab compares BASE against the working tree on this host.
@@ -72,7 +72,7 @@ trace:
 #	jq -r 'select(.Action=="output") | .Output' BENCH_4.json > new.txt
 #	benchstat old.txt new.txt
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineStandingQueue|BenchmarkTransportThroughput|BenchmarkHDDElevator|BenchmarkHDDManyFiles|BenchmarkFairShareScheduler|BenchmarkTraceRecord' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineStandingQueue|BenchmarkProcHandoff|BenchmarkTransportThroughput|BenchmarkHDDElevator|BenchmarkHDDManyFiles|BenchmarkFairShareScheduler|BenchmarkTraceRecord' \
 		-benchmem -benchtime 0.5s -count 5 -json . > $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure2SyncOn$$' \
 		-benchmem -benchtime 1x -count 3 -json . >> $(BENCH_OUT)
@@ -147,8 +147,8 @@ fleet:
 # faults smoke: run every fault-injection builtin on HDD at smoke scale
 # (faulted vs healthy-twin comparison plus availability telemetry), then
 # re-check faulted runs on the sharded kernel against the serial oracle
-# under the race detector, which still watches every proc's handoffs
-# between goroutines.
+# under the race detector, which still watches every proc's coroutine
+# switches to and from the engine.
 faults:
 	$(GO) run ./cmd/scenarios -faults -smoke -backend hdd -run all
 	$(GO) test -race -run 'FaultShardConformance|FaultScenarioShardConformance' \

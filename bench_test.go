@@ -406,6 +406,27 @@ func BenchmarkEngineStandingQueue(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkProcHandoff times one proc wake-up: each op is one Step, which
+// hands control to a proc sleeping in a loop and takes it back when the
+// proc parks in its next Sleep. Every MPI rank blocks and wakes this way.
+func BenchmarkProcHandoff(b *testing.B) {
+	e := sim.NewEngine()
+	e.Spawn("sleeper", func(p *sim.Proc) {
+		for i := 0; i <= b.N; i++ {
+			p.Sleep(sim.Microsecond)
+		}
+	})
+	e.Step() // start the proc; it parks in its first Sleep
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.StopTimer()
+	if e.Run(); e.ProcsFinished() != 1 {
+		b.Fatalf("sleeper did not finish: %d procs finished", e.ProcsFinished())
+	}
+}
+
 func BenchmarkTransportThroughput(b *testing.B) {
 	// One connection moving b.N segments of 64 KiB.
 	e := sim.NewEngine()

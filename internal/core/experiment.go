@@ -25,6 +25,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/mpisim"
@@ -186,7 +187,7 @@ func (x *Experiment) launch() {
 		for rank := 0; rank < app.Spec.Procs; rank++ {
 			rank := rank
 			cl := app.Clients[rank]
-			e.Spawn(fmt.Sprintf("%s/%d", app.Spec.Name, rank), func(p *sim.Proc) {
+			e.Spawn(app.Spec.Name+"/"+strconv.Itoa(rank), func(p *sim.Proc) {
 				if app.Spec.Start > 0 {
 					p.Sleep(app.Spec.Start)
 				}

@@ -180,6 +180,17 @@ func (c *Conn) Send(m *Message) {
 	c.pump()
 }
 
+// Grow makes room for n more Sends in the connection's queues, so a sender
+// about to Send n messages grows each queue at most once instead of
+// doubling it up from one. The receive queue is receiver-owned state, so it
+// is grown only when both sides share an engine.
+func (c *Conn) Grow(n int) {
+	c.sendQ.Grow(n)
+	if c.srcE() == c.dstE() {
+		c.rcvQ.Grow(n)
+	}
+}
+
 // OnApply implements sim.Applier: the receiver-shard landing point for
 // Send's receive-queue append.
 func (c *Conn) OnApply(a, b int64, data any) {

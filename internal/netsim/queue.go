@@ -1,5 +1,7 @@
 package netsim
 
+import "slices"
+
 // MsgQueue is a FIFO of messages indexed from a moving head, so a pop never
 // copy-shifts the queue. A pop nils out its slot; the queue resets to the
 // front of its backing array when it empties and compacts when the head
@@ -16,6 +18,9 @@ func (q *MsgQueue) Len() int { return len(q.buf) - q.head }
 
 // Push appends m at the tail.
 func (q *MsgQueue) Push(m *Message) { q.buf = append(q.buf, m) }
+
+// Grow makes room for n more pushes without reallocating.
+func (q *MsgQueue) Grow(n int) { q.buf = slices.Grow(q.buf, n) }
 
 // At returns the i-th message from the head (0 is the head).
 func (q *MsgQueue) At(i int) *Message { return q.buf[q.head+i] }

@@ -169,3 +169,27 @@ func TestMsgQueueCompacts(t *testing.T) {
 		t.Fatalf("popped %d of %d; queue not reset (len %d, head %d)", popped, len(msgs), len(q.buf), q.head)
 	}
 }
+
+// TestConnGrowFitsSends pins Conn.Grow: on a serial fabric, after Grow(n)
+// the next n Sends fit the send and the receive queue without growing
+// either.
+func TestConnGrowFitsSends(t *testing.T) {
+	e := sim.NewEngine()
+	f := NewFabric(e, DefaultParams())
+	c := f.Dial(f.NewHost("c", 1.25e9, 0), f.NewHost("s", 1.25e9, 0), 0)
+	const n = 6
+	c.Grow(n)
+	sendCap, rcvCap := cap(c.sendQ.buf), cap(c.rcvQ.buf)
+	if sendCap < n || rcvCap < n {
+		t.Fatalf("Grow(%d) left capacities send %d, receive %d", n, sendCap, rcvCap)
+	}
+	msgs := make([]Message, n)
+	for i := range msgs {
+		msgs[i].Size = 4096
+		c.Send(&msgs[i])
+	}
+	if cap(c.sendQ.buf) != sendCap || cap(c.rcvQ.buf) != rcvCap {
+		t.Fatalf("%d Sends grew the queues: send %d → %d, receive %d → %d",
+			n, sendCap, cap(c.sendQ.buf), rcvCap, cap(c.rcvQ.buf))
+	}
+}

@@ -16,28 +16,25 @@ type Client struct {
 	Host *netsim.Host
 
 	fs       *FileSystem
-	conns    map[int]*netsim.Conn // server ID -> connection
-	inflight int32                // outstanding requests (observed queue depth)
+	conns    []*netsim.Conn // by server ID; nil until the first ConnTo
+	inflight int32          // outstanding requests (observed queue depth)
 }
 
 // NewClient registers a client process running on host for application app.
 func (fs *FileSystem) NewClient(host *netsim.Host, app int) *Client {
 	fs.nextClient++
-	return &Client{
-		ID:    fs.nextClient,
-		App:   app,
-		Host:  host,
-		fs:    fs,
-		conns: make(map[int]*netsim.Conn),
-	}
+	return &Client{ID: fs.nextClient, App: app, Host: host, fs: fs}
 }
 
 // ConnTo returns (dialing lazily) the connection to srv. PVFS keeps one
 // BMI/TCP connection per client-server pair; so do we — the connection
 // count is the incast fan-in. Probes use it to attach window traces before
-// a run.
+// a run. A server's ID is its position in the file system's Servers.
 func (cl *Client) ConnTo(srv *Server) *netsim.Conn {
-	if c, ok := cl.conns[srv.ID]; ok {
+	if cl.conns == nil {
+		cl.conns = make([]*netsim.Conn, len(cl.fs.Servers))
+	}
+	if c := cl.conns[srv.ID]; c != nil {
 		return c
 	}
 	c := cl.fs.Fabric.Dial(cl.Host, srv.Host, cl.App)
@@ -45,9 +42,6 @@ func (cl *Client) ConnTo(srv *Server) *netsim.Conn {
 	cl.conns[srv.ID] = c
 	return c
 }
-
-// Conns returns the client's dialed connections (for probes).
-func (cl *Client) Conns() map[int]*netsim.Conn { return cl.conns }
 
 // WriteAsync issues a write of [off, off+size) on f and calls onDone when
 // every involved server has acknowledged. It is the building block for
@@ -195,6 +189,7 @@ func (req *clientReq) sendShare(conn *netsim.Conn, file storage.FileID, chunks [
 		issued: fs.jitteredIssue(), sub: sub,
 		issueAt: fs.E.Now(), read: read,
 	}
+	conn.Grow(len(chunks))
 	for _, ck := range chunks {
 		conn.Send(&newChunk(req, st, file, ck, read).msg)
 	}

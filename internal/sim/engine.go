@@ -77,12 +77,10 @@ type qent struct {
 // engine's handoff discipline, one piece at a time, so it may freely mutate
 // shared simulation state without locks.
 type Engine struct {
-	now     Time
-	slots   []event // payload slab the queue entries index into
-	free    []int64 // indices of unused slots
-	seq     uint64
-	yield   chan struct{} // procs hand control back to the loop on this
-	current *Proc         // proc currently holding control, if any
+	now   Time
+	slots []event // payload slab the queue entries index into
+	free  []int64 // indices of unused slots
+	seq   uint64
 
 	// The radix queue (see "queue" below) of slot entries, ordered by the
 	// slots' (at, sched, psched, gsched, src, seq); its buckets come after
@@ -109,18 +107,11 @@ type Engine struct {
 	// Bucket 0 holds the entries due at last; bucket k > 0 those whose due
 	// time first differs from last at bit k-1.
 	buckets [64][]qent
-
-	// procPanic holds a proc body's panic until handoff re-raises it on
-	// the engine's goroutine. It comes after the buckets so the fields the
-	// event loop reads keep their offsets: placed before the queue fields,
-	// it slowed BenchmarkFigure2SyncOn in 15 of 20 alternating pairs on a
-	// 2-vCPU VM.
-	procPanic any
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{}), minAt: -1}
+	return &Engine{minAt: -1}
 }
 
 // Now returns the current simulated time.

@@ -1,52 +1,55 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a coroutine-style simulated process. A Proc's body is an ordinary
-// Go function running on its own goroutine, but control is handed between
-// the engine's event loop and at most one Proc at a time, so Proc bodies may
-// read and write shared simulation state without synchronization and the
+// Proc is a simulated process: an ordinary Go function run as an iter.Pull
+// coroutine, so control passes between the engine's event loop and at most
+// one Proc at a time, and each pass is one coroutine switch on the calling
+// thread with no trip through the Go scheduler. Proc bodies may therefore
+// read and write shared simulation state without synchronization, and the
 // simulation stays deterministic.
 //
 // Procs block with Sleep, Await (Signal), Gate.Wait and Semaphore.Acquire.
 // All blocking operations must be called from the Proc's own body.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
+	eng   *Engine
+	name  string
+	body  func(*Proc)
+	next  func() (struct{}, bool) // resumes the body; nil until it starts
+	yield func(struct{}) bool     // parks the body; set when it starts
 }
 
 // Spawn creates a process and schedules it to start at the current time.
 // The body runs with coroutine semantics: it executes exclusively until it
-// blocks or returns. The goroutine is created lazily inside the start
-// event, so an engine that is dropped without running leaks nothing; the
-// one closure this costs is per-spawn, not per-event, and spawns are cold
-// next to the Sleep/wake path.
+// blocks or returns. The coroutine, and the goroutine under it, is created
+// by the first handoff, so an engine that is dropped without running
+// starts no goroutine.
+//
+// A panic in the body reaches the caller of Run (or RunUntil, or Step) on
+// the engine's goroutine, naming the proc. A body that calls
+// runtime.Goexit ends that caller's goroutine too, the way iter.Pull
+// propagates it.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name, body: body}
 	e.spawned++
-	e.Schedule(0, func() {
-		go func() {
-			<-p.resume // wait for first handoff
-			defer e.exit(p)
-			body(p)
-		}()
-		e.handoff(p)
-	})
+	e.scheduleProc(0, p)
 	return p
 }
 
-// exit is a proc goroutine's final handoff back to the loop. A body that
-// panicked hands control back too, and leaves its panic for handoff to
-// re-raise on the engine's goroutine, where the caller of Run can recover
-// it.
-func (e *Engine) exit(p *Proc) {
-	if v := recover(); v != nil {
-		e.procPanic = fmt.Sprintf("sim: proc %q panicked: %v", p.name, v)
-	} else {
-		e.finished++
-	}
-	e.yield <- struct{}{}
+// run is the proc's coroutine. iter.Pull re-raises a panic of the body
+// from next, on the engine's goroutine; run only names the proc in it.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if v := recover(); v != nil {
+			panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, v))
+		}
+	}()
+	p.body(p)
+	p.eng.finished++
 }
 
 // SpawnAt is Spawn with a start delay.
@@ -54,27 +57,21 @@ func (e *Engine) SpawnAt(d Time, name string, body func(*Proc)) {
 	e.Schedule(d, func() { e.Spawn(name, body) })
 }
 
-// handoff gives control to p and waits until p parks or exits.
-// It must only be called from the engine's execution context (inside an
-// event callback); that invariant is what serializes the simulation.
+// handoff gives control to p and returns when p parks or exits; the first
+// handoff starts p. It must only be called from the engine's execution
+// context (inside an event callback); that invariant is what serializes
+// the simulation.
 func (e *Engine) handoff(p *Proc) {
-	prev := e.current
-	e.current = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.current = prev
-	if e.procPanic != nil {
-		v := e.procPanic
-		e.procPanic = nil
-		panic(v)
+	if p.next == nil {
+		p.next, _ = iter.Pull(p.run)
 	}
+	p.next()
 }
 
 // park suspends the calling proc until the next handoff to it.
 func (p *Proc) park() {
 	p.eng.parked++
-	p.eng.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	p.eng.parked--
 }
 
@@ -84,12 +81,6 @@ func (p *Proc) park() {
 func (p *Proc) wake() {
 	p.eng.scheduleProc(0, p)
 }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -188,23 +189,49 @@ func TestSemaphoreTryAcquire(t *testing.T) {
 }
 
 // TestProcPanicReachesCaller pins that a panic in a proc body, which runs
-// on its own goroutine, reaches the caller of Run with the proc's name.
+// as a coroutine, reaches the caller of Run with the proc's name: from a
+// parked body, and from a body's first run, which the start handoff runs.
 func TestProcPanicReachesCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(*Proc)
+		now  Time
+	}{
+		{"after park", func(p *Proc) { p.Sleep(3); panic("boom") }, 3},
+		{"before first park", func(p *Proc) { panic("boom") }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			e.Spawn("p", tc.body)
+			defer func() {
+				v := recover()
+				if msg, _ := v.(string); !strings.Contains(msg, `"p"`) || !strings.Contains(msg, "boom") {
+					t.Fatalf("recovered %v, want a panic naming proc \"p\" and boom", v)
+				}
+				if e.Now() != tc.now {
+					t.Fatalf("now = %v, want %v", e.Now(), tc.now)
+				}
+			}()
+			e.Run()
+		})
+	}
+}
+
+// TestSpawnStartsNoGoroutine pins Spawn's promise that a proc's coroutine
+// starts with its first handoff, so an engine dropped before it runs
+// leaves no goroutine behind.
+func TestSpawnStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine()
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(3)
-		panic("boom")
-	})
-	defer func() {
-		v := recover()
-		if msg, _ := v.(string); !strings.Contains(msg, `"p"`) || !strings.Contains(msg, "boom") {
-			t.Fatalf("recovered %v, want a panic naming proc \"p\" and boom", v)
-		}
-		if e.Now() != 3 {
-			t.Fatalf("now = %v, want 3", e.Now())
-		}
-	}()
-	e.Run()
+	for i := 0; i < 100; i++ {
+		e.Spawn("idle", func(p *Proc) { p.Sleep(1) })
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after 100 spawns, want %d", n, before)
+	}
+	if e.ProcsSpawned() != 100 || e.Pending() != 100 {
+		t.Fatalf("spawned %d with %d events pending, want 100 and 100", e.ProcsSpawned(), e.Pending())
+	}
 }
 
 func TestSpawnAt(t *testing.T) {

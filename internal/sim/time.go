@@ -1,10 +1,10 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel is single-threaded from the simulation's point of view: events
-// execute one at a time in (time, insertion) order, and coroutine-style
-// processes (Proc) hand control back and forth with the event loop through a
-// strict handoff protocol, so simulations are fully deterministic for a given
-// seed and input, regardless of GOMAXPROCS.
+// execute one at a time in (time, insertion) order, and processes (Proc) are
+// coroutines that hand control back and forth with the event loop, so
+// simulations are fully deterministic for a given seed and input,
+// regardless of GOMAXPROCS.
 //
 // The package also provides the small set of synchronization and resource
 // primitives the rest of the simulator is built from: Signal (one-shot

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -109,7 +110,7 @@ func ReplayOn(t *Trace, cfg cluster.Config) (*ReplayResult, error) {
 		for rank := 0; rank < a.info.Procs; rank++ {
 			rank := rank
 			cl := a.cls[rank]
-			pl.E.Spawn(fmt.Sprintf("%s/%d", a.info.Name, rank), func(p *sim.Proc) {
+			pl.E.Spawn(a.info.Name+"/"+strconv.Itoa(rank), func(p *sim.Proc) {
 				if a.info.Start > 0 {
 					p.Sleep(a.info.Start)
 				}
