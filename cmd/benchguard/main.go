@@ -1,41 +1,30 @@
-// benchguard compares two `go test -json` benchmark snapshots (the
-// BENCH_N.json files the Makefile's bench target writes) and fails when a
-// benchmark regressed beyond a tolerance factor.
+// benchguard judges benchmark runs. It has two modes.
 //
-// It guards the *serial-path* trajectory across PRs: the bench job runs it
-// with the previous PR's committed snapshot as -old and the fresh one as
-// -new. The time tolerance is deliberately generous — snapshots come from
-// different CI machines (different CPUs, frequencies, neighbors), so only
-// a gross regression (default 1.5×) is a signal rather than noise.
-//
-// Allocation counts do not depend on the machine, so they get a tight,
-// fixed rule instead: a benchmark whose median allocs/op exceeds the
-// baseline's by more than 1% fails. Micro-benchmarks allocate exactly the
-// same every run, and the Figure 2 campaign moved by at most 0.1% between
-// runs in BENCH_12 and BENCH_14, so the rule catches an allocation a hot
-// path gains that the time gate would miss. Benchmarks run without
-// -benchmem report no allocs/op and are guarded on time alone.
-//
-// Usage:
-//
-//	benchguard -old BENCH_5.json -new BENCH_6.json [-tolerance 1.5] [-match regexp]
-//	benchguard -ab -old base.txt -new head.txt [-match regexp]
-//
-// Benchmarks present in only one file are reported but never fail the
-// guard (new benches appear, old ones retire): the comparison always runs
-// over the intersection. An empty intersection — a baseline predating
-// every current benchmark — is a warning, not an error: the guard has
-// nothing to check yet, and failing would block the very PR that
-// introduces the benchmarks.
+// By default it compares two `go test -json` benchmark snapshots (the
+// BENCH_N.json files the Makefile's bench target writes) by allocation
+// count, which does not depend on the machine: a benchmark whose median
+// allocs/op exceeds the baseline's by more than 1% fails. Micro-benchmarks
+// allocate exactly the same every run, and the Figure 2 campaign moved by
+// at most 0.1% between runs in BENCH_12 and BENCH_14, so the rule catches
+// an allocation a hot path gains. Only benchmarks that report allocs/op in
+// both snapshots are compared (new benches appear, old ones retire, and
+// benchmarks run without -benchmem report none). Time is not judged across
+// snapshots: they come from different hosts, whose speed has drifted 2–3×
+// from one snapshot to the next.
 //
 // With -ab the two files are runs of a base and a head test binary
 // alternated on one host (make bench-ab), so host drift hits both sides
 // alike. Result i of a benchmark in one file pairs with result i in the
-// other, and each benchmark gets a verdict by bench/compare's rule (see
-// judgeAB). This mode prints every verdict, then exits 1 if any benchmark
-// is "slower". "too few pairs" fails nothing, and a benchmark only one
-// side ran is not compared, so a change that adds a guarded benchmark is
-// not failed for it.
+// other, and each benchmark gets a ns/op verdict by bench/compare's rule
+// (see judgeAB). This mode prints every verdict, then exits 1 if any
+// benchmark is "slower". "too few pairs" fails nothing, and a benchmark
+// only one side ran is not compared, so a change that adds a guarded
+// benchmark is not failed for it.
+//
+// Usage:
+//
+//	benchguard -old BENCH_19.json -new BENCH_22.json [-match regexp]
+//	benchguard -ab -old base.txt -new head.txt [-match regexp]
 package main
 
 import (
@@ -136,7 +125,6 @@ func median(s []float64) float64 {
 func main() {
 	oldPath := flag.String("old", "", "baseline snapshot (previous PR's BENCH_N.json)")
 	newPath := flag.String("new", "", "fresh snapshot to check")
-	tolerance := flag.Float64("tolerance", 1.5, "fail when new median ns/op exceeds old by this factor")
 	match := flag.String("match", ".*", "only guard benchmarks whose name matches this regexp")
 	ab := flag.Bool("ab", false, "judge paired on-host runs of a base (-old) and a head (-new) binary; fail when one is slower")
 	flag.Parse()
@@ -168,15 +156,8 @@ func main() {
 		return
 	}
 
-	timeOK := guard(os.Stdout, oldB, newB, *tolerance, re, *oldPath)
-	allocsOK := guardAllocs(os.Stdout, oldA, newA, re)
-	if !timeOK {
-		fmt.Fprintf(os.Stderr, "benchguard: regression beyond %.2fx tolerance\n", *tolerance)
-	}
-	if !allocsOK {
+	if !guardAllocs(os.Stdout, oldA, newA, re) {
 		fmt.Fprintf(os.Stderr, "benchguard: allocs/op above the baseline by more than %.0f%%\n", 100*(allocsTolerance-1))
-	}
-	if !timeOK || !allocsOK {
 		os.Exit(1)
 	}
 }
@@ -188,7 +169,7 @@ const allocsTolerance = 1.01
 // guardAllocs applies the allocs/op rule to every matching benchmark that
 // reports allocs/op in both snapshots, printing one sorted line each, and
 // reports whether all of them pass. A benchmark without allocation samples
-// on either side is left to the time guard.
+// on either side is not judged.
 func guardAllocs(w io.Writer, oldA, newA map[string][]float64, re *regexp.Regexp) bool {
 	names := make([]string, 0, len(newA))
 	for name := range newA {
@@ -208,62 +189,6 @@ func guardAllocs(w io.Writer, oldA, newA map[string][]float64, re *regexp.Regexp
 		fmt.Fprintf(w, "%s %-45s old %12.0f allocs/op  new %12.0f allocs/op\n", verdict, name, o, n)
 	}
 	return ok
-}
-
-// guard compares the two snapshots over their intersection, printing one
-// deterministic (sorted) line per benchmark — ok/FAIL for common names,
-// SKIP for retired ones, NEW for benchmarks the baseline predates — and
-// reports whether the guard passes. Missing baselines only warn: the guard
-// checks trajectories, and a benchmark's first snapshot has none.
-func guard(w io.Writer, oldB, newB map[string][]float64, tolerance float64, re *regexp.Regexp, oldPath string) bool {
-	names := make([]string, 0, len(oldB)+len(newB))
-	for name := range oldB {
-		names = append(names, name)
-	}
-	for name := range newB {
-		if _, ok := oldB[name]; !ok {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-
-	failed := false
-	compared, missing := 0, 0
-	for _, name := range names {
-		if !re.MatchString(name) {
-			continue
-		}
-		oldS, inOld := oldB[name]
-		newS, inNew := newB[name]
-		switch {
-		case !inNew:
-			fmt.Fprintf(w, "SKIP %-45s retired (only in %s)\n", name, oldPath)
-		case !inOld:
-			missing++
-			fmt.Fprintf(w, "NEW  %-45s (no baseline; not guarded this round)\n", name)
-		default:
-			compared++
-			o, n := median(oldS), median(newS)
-			ratio := n / o
-			verdict := "ok  "
-			if ratio > tolerance {
-				verdict = "FAIL"
-				failed = true
-			}
-			fmt.Fprintf(w, "%s %-45s old %12.0f ns/op  new %12.0f ns/op  ratio %.2f\n", verdict, name, o, n, ratio)
-		}
-	}
-	if compared == 0 {
-		fmt.Fprintf(w, "benchguard: warning: no common benchmarks between the snapshots "+
-			"(%d new without a baseline); nothing to guard yet\n", missing)
-		return true
-	}
-	if failed {
-		return false
-	}
-	fmt.Fprintf(w, "benchguard: %d benchmarks within %.2fx of %s (%d new unguarded)\n",
-		compared, tolerance, oldPath, missing)
-	return true
 }
 
 // abVerdict is the outcome of one benchmark's on-host A/B.

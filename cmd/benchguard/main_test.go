@@ -10,70 +10,6 @@ import (
 
 var any = regexp.MustCompile(".*")
 
-func TestGuardIntersection(t *testing.T) {
-	oldB := map[string][]float64{
-		"BenchmarkA": {100, 110, 90},
-		"BenchmarkB": {200},
-		"BenchmarkR": {50}, // retired
-	}
-	newB := map[string][]float64{
-		"BenchmarkA": {120},       // 1.2x: within tolerance
-		"BenchmarkB": {400},       // 2.0x: regression
-		"BenchmarkN": {10, 10, 9}, // no baseline
-	}
-	var b strings.Builder
-	if guard(&b, oldB, newB, 1.5, any, "old.json") {
-		t.Fatalf("guard passed despite a 2.0x regression:\n%s", b.String())
-	}
-	out := b.String()
-	for _, want := range []string{
-		"ok   BenchmarkA",
-		"FAIL BenchmarkB",
-		"SKIP BenchmarkR",
-		"NEW  BenchmarkN",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	// Deterministic order: lines sorted by benchmark name.
-	if strings.Index(out, "BenchmarkA") > strings.Index(out, "BenchmarkB") ||
-		strings.Index(out, "BenchmarkN") > strings.Index(out, "BenchmarkR") {
-		t.Errorf("output not sorted by name:\n%s", out)
-	}
-}
-
-// TestGuardMissingBaselineWarns pins the intersection contract: a baseline
-// that predates every current benchmark warns and passes instead of
-// erroring — the guard has nothing to compare yet.
-func TestGuardMissingBaselineWarns(t *testing.T) {
-	oldB := map[string][]float64{"BenchmarkOld": {100}}
-	newB := map[string][]float64{"BenchmarkNew1": {10}, "BenchmarkNew2": {20}}
-	var b strings.Builder
-	if !guard(&b, oldB, newB, 1.5, any, "old.json") {
-		t.Fatalf("guard failed with no common benchmarks:\n%s", b.String())
-	}
-	out := b.String()
-	if !strings.Contains(out, "warning: no common benchmarks") {
-		t.Errorf("missing-intersection warning absent:\n%s", out)
-	}
-	if !strings.Contains(out, "2 new without a baseline") {
-		t.Errorf("new-benchmark count absent:\n%s", out)
-	}
-}
-
-func TestGuardMatchFilter(t *testing.T) {
-	oldB := map[string][]float64{"BenchmarkKeep": {100}, "BenchmarkDrop": {100}}
-	newB := map[string][]float64{"BenchmarkKeep": {100}, "BenchmarkDrop": {1000}}
-	var b strings.Builder
-	if !guard(&b, oldB, newB, 1.5, regexp.MustCompile("Keep"), "old.json") {
-		t.Fatalf("guard failed on a filtered-out regression:\n%s", b.String())
-	}
-	if strings.Contains(b.String(), "BenchmarkDrop") {
-		t.Errorf("filtered benchmark still reported:\n%s", b.String())
-	}
-}
-
 func TestParseBenchLines(t *testing.T) {
 	lines := []string{
 		"BenchmarkEventKernel-8   \t 1000 \t 123.4 ns/op \t 5 B/op \t 2 allocs/op",

@@ -251,29 +251,61 @@ func NewDevice(e *sim.Engine, c Config) storage.Device {
 	panic("cluster: unknown backend")
 }
 
-// Build assembles the platform.
-func Build(c Config) *Platform {
+// Build assembles the platform on one serial engine.
+func Build(c Config) *Platform { return build(c, nil) }
+
+// BuildSharded assembles the platform across `shards` independently-clocked
+// engines of one sim.ShardSet (see build for the layout). The shard count is
+// clamped to 1+Servers (no point in more shards than servers); shards <= 1 —
+// or a transport with no safe lookahead — falls back to the serial Build,
+// bit-identical to always.
+func BuildSharded(c Config, shards int) *Platform {
+	shards = min(shards, 1+c.Servers)
+	la := c.Net.Lookahead()
+	if shards <= 1 || la <= 0 {
+		return Build(c)
+	}
+	return build(c, sim.NewShardSet(shards, la))
+}
+
+// build assembles the platform on set's engines, or on one fresh engine when
+// set is nil. Shard 0 owns the clients, compute-node NICs, file system and
+// coordination state; shards 1..K-1 own the storage servers (host NIC,
+// device, cache, server logic) in contiguous blocks. Host IDs and
+// random-stream forks come from this one construction order whatever the
+// shard count, which is what makes sharded runs reproduce serial results
+// bit for bit.
+func build(c Config, set *sim.ShardSet) *Platform {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
-	e := sim.NewEngine()
+	var e *sim.Engine
+	srvEngine := func(int) *sim.Engine { return e }
+	if set == nil {
+		e = sim.NewEngine()
+	} else {
+		e = set.Engine(0)
+		srvEngine = func(i int) *sim.Engine { return set.Engine(1 + i*(set.Shards()-1)/c.Servers) }
+	}
 	fab := netsim.NewFabric(e, c.Net)
 	pl := &Platform{
 		Cfg:    c,
 		E:      e,
 		Rand:   sim.NewRand(c.Seed),
 		Fabric: fab,
+		Set:    set,
 	}
 	sp := c.Srv
 	sp.Sync = c.Sync
 	for i := 0; i < c.Servers; i++ {
-		host := fab.NewHost(fmt.Sprintf("srv%d", i), c.ServerNIC, c.PerSeg)
-		dev, sdev, deg := newBackend(e, c)
+		se := srvEngine(i)
+		host := fab.NewHostOn(se, fmt.Sprintf("srv%d", i), c.ServerNIC, c.PerSeg)
+		dev, sdev, deg := newBackend(se, c)
 		var cache *storage.WriteCache
 		if c.Sync == pfs.SyncOff {
-			cache = storage.NewWriteCache(e, c.Cache, sdev)
+			cache = storage.NewWriteCache(se, c.Cache, sdev)
 		}
-		pl.Servers = append(pl.Servers, pfs.NewServer(e, i, host, sdev, cache, sp))
+		pl.Servers = append(pl.Servers, pfs.NewServer(se, i, host, sdev, cache, sp))
 		pl.Devices = append(pl.Devices, dev)
 		pl.Caches = append(pl.Caches, cache)
 		pl.Degraded = append(pl.Degraded, deg)
@@ -324,64 +356,6 @@ func (pl *Platform) installFaults() {
 		}
 	}
 	fault.Schedule(p, hooks)
-}
-
-// BuildSharded assembles the platform across `shards` independently-clocked
-// engines of one sim.ShardSet: shard 0 owns the clients, compute-node NICs,
-// file system and coordination state; shards 1..K-1 own the storage servers
-// (host NIC, device, cache, server logic) in contiguous blocks. The shard
-// count is clamped to 1+Servers (no point in more shards than servers);
-// shards <= 1 — or a transport with no safe lookahead — falls back to the
-// serial Build, bit-identical to always.
-//
-// Construction order (host IDs, engine wiring aside, random-stream forks)
-// matches Build exactly, which is what makes sharded runs reproduce serial
-// results bit for bit.
-func BuildSharded(c Config, shards int) *Platform {
-	if shards > 1+c.Servers {
-		shards = 1 + c.Servers
-	}
-	la := c.Net.Lookahead()
-	if shards <= 1 || la <= 0 {
-		return Build(c)
-	}
-	if err := c.Validate(); err != nil {
-		panic(err)
-	}
-	set := sim.NewShardSet(shards, la)
-	e := set.Engine(0)
-	fab := netsim.NewFabric(e, c.Net)
-	pl := &Platform{
-		Cfg:    c,
-		E:      e,
-		Rand:   sim.NewRand(c.Seed),
-		Fabric: fab,
-		Set:    set,
-	}
-	sp := c.Srv
-	sp.Sync = c.Sync
-	srvShards := shards - 1
-	for i := 0; i < c.Servers; i++ {
-		se := set.Engine(1 + i*srvShards/c.Servers)
-		host := fab.NewHostOn(se, fmt.Sprintf("srv%d", i), c.ServerNIC, c.PerSeg)
-		dev, sdev, deg := newBackend(se, c)
-		var cache *storage.WriteCache
-		if c.Sync == pfs.SyncOff {
-			cache = storage.NewWriteCache(se, c.Cache, sdev)
-		}
-		pl.Servers = append(pl.Servers, pfs.NewServer(se, i, host, sdev, cache, sp))
-		pl.Devices = append(pl.Devices, dev)
-		pl.Caches = append(pl.Caches, cache)
-		pl.Degraded = append(pl.Degraded, deg)
-	}
-	for i := 0; i < c.ComputeNodes; i++ {
-		pl.Nodes = append(pl.Nodes, fab.NewHost(fmt.Sprintf("node%d", i), c.ClientNIC, c.PerSeg))
-	}
-	pl.FS = pfs.NewFileSystem(e, fab, pl.Servers)
-	pl.FS.Rand = pl.Rand.Fork()
-	pl.FS.IssueJitter = c.IssueJitter
-	pl.installFaults()
-	return pl
 }
 
 // Run executes the simulation to completion — across all shards for a

@@ -70,38 +70,15 @@ type DeltaGraph struct {
 }
 
 // RunDelta executes the alone baselines and every δ point serially, in
-// submission order. It is the reference implementation; Runner.RunDelta
-// executes the same independent simulations on a worker pool and produces
-// an identical DeltaGraph.
+// submission order: it is Runner{Parallelism: 1}.RunDelta(spec).
 func RunDelta(spec DeltaSpec) *DeltaGraph {
-	spec.validate()
-	g := &DeltaGraph{Alone: make([]sim.Time, len(spec.Apps))}
-	for i := range spec.Apps {
-		g.Alone[i] = runAlone(spec, i, 1)
-	}
-	for _, d := range spec.Deltas {
-		pt := runPoint(spec, d, 1)
-		pt.applyAlone(g.Alone)
-		g.Points = append(g.Points, pt)
-	}
-	return g
-}
-
-// runAlone measures application i running by itself (start offsets do not
-// apply: a baseline is the application alone on an idle platform) on
-// `shards` event engines.
-func runAlone(spec DeltaSpec, i, shards int) sim.Time {
-	app := spec.Apps[i]
-	app.Start = 0
-	x := PrepareSharded(spec.Cfg, []AppSpec{app}, shards)
-	res := x.Run()
-	return res.Apps[0].Elapsed
+	return Runner{Parallelism: 1}.RunDelta(spec)
 }
 
 // AppsAt returns the spec's application list with burst start times set for
 // the point at offset d — every trailing application (i > 0) shifted by d on
 // top of its fixed offset, normalized so the earliest start is 0. It is the
-// app list runPoint simulates; the trace layer uses it to record the same
+// app list a δ point simulates; the trace layer uses it to record the same
 // co-run a δ point would execute.
 func (s DeltaSpec) AppsAt(d sim.Time) []AppSpec {
 	s.validate()
@@ -124,40 +101,62 @@ func (s DeltaSpec) AppsAt(d sim.Time) []AppSpec {
 	return apps
 }
 
-// runPoint measures all applications together with every trailing
-// application (i > 0) shifted by d relative to application 0, on top of the
-// spec's fixed per-app offsets, normalized so the earliest start is 0.
-// IF is left zero: it is the one quantity that needs the alone baselines,
-// so applyAlone fills it in once those are known — which lets a Runner
-// execute points and baselines concurrently.
-func runPoint(spec DeltaSpec, d sim.Time, shards int) DeltaPoint {
-	n := len(spec.Apps)
-	apps := spec.AppsAt(d)
-	x := PrepareSharded(spec.Cfg, apps, shards)
-	res := x.Run()
-	pt := DeltaPoint{
-		Delta:      d,
-		Start:      make([]sim.Time, n),
-		Elapsed:    make([]sim.Time, n),
-		IF:         make([]float64, n),
-		Throughput: make([]float64, n),
-		Diag:       res.Diag,
+// jobs lists the spec's simulations: the alone baseline of each application
+// (start 0 and no offset: a baseline is the application by itself on an idle
+// platform), then the co-run of each δ point.
+func (s DeltaSpec) jobs() []job {
+	s.validate()
+	out := make([]job, 0, len(s.Apps)+len(s.Deltas))
+	for _, a := range s.Apps {
+		a.Start = 0
+		out = append(out, job{s.Cfg, []AppSpec{a}})
 	}
-	for i := 0; i < n; i++ {
-		pt.Start[i] = apps[i].Start
-		pt.Elapsed[i] = res.Apps[i].Elapsed
-		pt.Throughput[i] = res.Apps[i].Throughput
+	for _, d := range s.Deltas {
+		out = append(out, job{s.Cfg, s.AppsAt(d)})
 	}
-	return pt
+	return out
 }
 
-// applyAlone derives the interference factors from the alone baselines.
-func (p *DeltaPoint) applyAlone(alone []sim.Time) {
-	for i := range alone {
-		if alone[i] > 0 {
-			p.IF[i] = float64(p.Elapsed[i]) / float64(alone[i])
-		}
+// graph reduces the results of s.jobs() to the δ-graph. Each point records
+// the start times its co-run used, and its interference factors divide by
+// the alone baselines.
+func (s DeltaSpec) graph(jobs []job, res []RunResult) *DeltaGraph {
+	n := len(s.Apps)
+	g := &DeltaGraph{
+		Alone:  make([]sim.Time, n),
+		Points: make([]DeltaPoint, len(s.Deltas)),
 	}
+	for i := range g.Alone {
+		g.Alone[i] = res[i].Apps[0].Elapsed
+	}
+	for k, d := range s.Deltas {
+		apps, r := jobs[n+k].apps, res[n+k]
+		pt := DeltaPoint{
+			Delta:      d,
+			Start:      make([]sim.Time, n),
+			Elapsed:    make([]sim.Time, n),
+			IF:         make([]float64, n),
+			Throughput: make([]float64, n),
+			Diag:       r.Diag,
+		}
+		for i := range apps {
+			pt.Start[i] = apps[i].Start
+			pt.Elapsed[i] = r.Apps[i].Elapsed
+			pt.Throughput[i] = r.Apps[i].Throughput
+			pt.IF[i] = interference(pt.Elapsed[i], g.Alone[i])
+		}
+		g.Points[k] = pt
+	}
+	return g
+}
+
+// interference returns elapsed over the alone baseline, the interference
+// factor; 0 when there is no baseline.
+func interference(elapsed, alone sim.Time) float64 {
+	if alone <= 0 {
+		return 0
+	}
+	return float64(elapsed) / float64(alone)
 }
 
 // PeakIF returns the largest interference factor any application sees.
@@ -230,7 +229,7 @@ func (g *DeltaGraph) Unfairness() float64 {
 
 // order reports which of applications i and j entered its I/O phase first
 // at this point; ok is false for simultaneous starts (no first mover).
-// Points built by runPoint carry their normalized start vector; hand-built
+// Points of a run δ-graph carry their normalized start vector; hand-built
 // points without one fall back to the paper's rule — the δ sign orders
 // application 0 against the trailing set, and trailing apps are mutually
 // simultaneous.

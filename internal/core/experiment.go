@@ -6,21 +6,22 @@
 // complete an I/O phase as a function of the delay δ between the leading
 // application's burst and the rest, each point an independent experiment),
 // per-app completion vectors, pairwise interference-factor matrices
-// (RunPairwise), interference and fairness metrics, the local disk-level
-// interference experiment of Table I, and tcpdump-like probes for TCP
-// window and progress traces.
+// (RunDeltaPairwise), fleet summaries, interference and fairness metrics,
+// the local disk-level interference experiment of Table I, and
+// tcpdump-like probes for TCP window and progress traces.
 //
 // The paper itself only ever co-runs two applications; TwoAppSpecs builds
 // that canonical pair, and a two-app DeltaSpec reproduces the paper's
-// figures bit-for-bit. Everything else — DeltaSpec, RunDelta, Runner,
-// RunPairwise — takes an arbitrary application list, which is what the
-// scenario layer (internal/scenario) drives.
+// figures bit-for-bit. Everything else — DeltaSpec, RunDelta, Runner —
+// takes an arbitrary application list, which is what the scenario layer
+// (internal/scenario) drives.
 //
 // Every simulation is deterministic and self-contained: Prepare builds a
 // fresh cluster.Platform with its own event engine, so distinct runs share
-// no state. Runner exploits that to execute a δ-graph's baselines and
-// points — or many δ-graphs at once — on a bounded worker pool while
-// producing byte-identical results to the serial RunDelta path.
+// no state. Every Runner method — δ-graphs, mitigation sweeps, pairwise
+// matrices, fleets — lists its simulations as jobs, runs the list on one
+// bounded worker pool and reduces the results, byte-identical at any
+// parallelism.
 package core
 
 import (

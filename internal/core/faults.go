@@ -17,11 +17,7 @@ type FaultComparison struct {
 // IF returns application i's interference factor under faults: faulted
 // elapsed time over healthy elapsed time (1 = the faults cost nothing).
 func (fc FaultComparison) IF(i int) float64 {
-	h := fc.Healthy.Apps[i].Elapsed
-	if h <= 0 {
-		return 0
-	}
-	return float64(fc.Faulted.Apps[i].Elapsed) / float64(h)
+	return interference(fc.Faulted.Apps[i].Elapsed, fc.Healthy.Apps[i].Elapsed)
 }
 
 // GoodputRatio returns goodput over offered bytes of the faulted run (1 =

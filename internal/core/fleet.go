@@ -72,10 +72,9 @@ func (f *FleetResult) AloneOf(i int) sim.Time { return f.Alone[f.ShapeOf[i]] }
 // RunFleet executes the fleet summary of spec's application list: the full
 // co-run at δ=0 (arrival offsets applied via AppsAt, like a δ point), the
 // deduplicated shape baselines, and opts.SamplePairs sampled pair co-runs —
-// all independent simulations flattened onto the pool, so the result is
-// bit-identical at every Parallelism and every shard count.
+// one job list on the pool, so the result is bit-identical at every
+// Parallelism and every shard count.
 func (r Runner) RunFleet(spec DeltaSpec, opts FleetOpts) *FleetResult {
-	spec.validate()
 	n := len(spec.Apps)
 	coApps := spec.AppsAt(0)
 
@@ -100,46 +99,37 @@ func (r Runner) RunFleet(spec DeltaSpec, opts FleetOpts) *FleetResult {
 	}
 
 	pairs := fleetPairs(n, opts)
+	jobs := make([]job, 0, 1+len(reps)+len(pairs))
+	jobs = append(jobs, job{spec.Cfg, coApps})
+	for _, rep := range reps {
+		jobs = append(jobs, job{spec.Cfg, []AppSpec{rep}})
+	}
+	for _, p := range pairs {
+		jobs = append(jobs, p.job(spec.Cfg, spec.Apps))
+	}
+	res := r.runJobs(jobs)
 	f := &FleetResult{
+		CoRun:   res[0],
 		Alone:   make([]sim.Time, len(reps)),
 		ShapeOf: shapeOf,
 		Shapes:  len(reps),
 		IF:      make([]float64, n),
 		Pairs:   make([]PairSample, len(pairs)),
 	}
-	// Task 0 is the co-run, tasks 1..len(reps) the shape baselines, the
-	// rest the pair co-runs. Results land in index-addressed slots and the
-	// IFs are derived after the pool drains (the Runner determinism
-	// contract).
-	r.ForEach(1+len(reps)+len(pairs), func(t int) {
-		switch {
-		case t == 0:
-			f.CoRun = PrepareSharded(spec.Cfg, coApps, r.Shards).Run()
-		case t <= len(reps):
-			u := t - 1
-			x := PrepareSharded(spec.Cfg, []AppSpec{reps[u]}, r.Shards)
-			f.Alone[u] = x.Run().Apps[0].Elapsed
-		default:
-			k := t - 1 - len(reps)
-			f.Pairs[k] = PairSample{
-				I:       pairs[k].i,
-				J:       pairs[k].j,
-				Elapsed: runPair(spec.Cfg, spec.Apps, pairs[k], r.Shards),
-			}
-		}
-	})
-	for i := range f.IF {
-		if a := f.Alone[shapeOf[i]]; a > 0 {
-			f.IF[i] = float64(f.CoRun.Apps[i].Elapsed) / float64(a)
-		}
+	for u := range reps {
+		f.Alone[u] = res[1+u].Apps[0].Elapsed
 	}
-	for k := range f.Pairs {
-		p := &f.Pairs[k]
-		if a := f.Alone[shapeOf[p.I]]; a > 0 {
-			p.IF[0] = float64(p.Elapsed[0]) / float64(a)
-		}
-		if a := f.Alone[shapeOf[p.J]]; a > 0 {
-			p.IF[1] = float64(p.Elapsed[1]) / float64(a)
+	for i := range f.IF {
+		f.IF[i] = interference(f.CoRun.Apps[i].Elapsed, f.AloneOf(i))
+	}
+	for k, p := range pairs {
+		pairApps := res[1+len(reps)+k].Apps
+		a, b := pairApps[0].Elapsed, pairApps[1].Elapsed
+		f.Pairs[k] = PairSample{
+			I:       p.i,
+			J:       p.j,
+			Elapsed: [2]sim.Time{a, b},
+			IF:      [2]float64{interference(a, f.AloneOf(p.i)), interference(b, f.AloneOf(p.j))},
 		}
 	}
 	return f

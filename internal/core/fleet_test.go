@@ -85,14 +85,33 @@ func TestFleetDedupsShapes(t *testing.T) {
 	}
 }
 
-// TestFleetMatchesDeltaGraph: on a set small enough to afford the
-// exhaustive path, the fleet co-run IFs must equal the δ=0 point of the
-// same spec (alone baselines computed per app, at the app's own placement —
-// equality also re-checks placement immateriality end to end).
+// TestFleetMatchesDeltaGraph: the fleet's co-run and shape baselines must
+// equal direct runs of the same apps, outside the Runner, and on a set
+// small enough to afford the exhaustive path the co-run IFs must equal the
+// δ=0 point of the same spec (alone baselines computed per app, at the
+// app's own placement — equality also re-checks placement immateriality
+// end to end).
 func TestFleetMatchesDeltaGraph(t *testing.T) {
 	spec := fleetSpecForTest()
 	spec.Deltas = []sim.Time{0}
 	f := Runner{Parallelism: 1}.RunFleet(spec, FleetOpts{})
+
+	co := append([]AppSpec(nil), spec.Apps...)
+	for i := range co {
+		co[i].Start = spec.StartOffsets[i]
+	}
+	if want := Prepare(spec.Cfg, co).Run(); !reflect.DeepEqual(f.CoRun, want) {
+		t.Fatalf("fleet co-run %+v, want %+v from the direct run", f.CoRun, want)
+	}
+	// Shape u is first seen at app u: big, then small.
+	for u := 0; u < f.Shapes; u++ {
+		rep := spec.Apps[u]
+		rep.FirstNode = 0
+		if want := Prepare(spec.Cfg, []AppSpec{rep}).Run().Apps[0].Elapsed; f.Alone[u] != want {
+			t.Fatalf("shape %d: baseline %v, want %v from the direct run", u, f.Alone[u], want)
+		}
+	}
+
 	g := RunDelta(spec)
 	p := g.Points[0]
 	for i := range spec.Apps {
@@ -108,18 +127,26 @@ func TestFleetMatchesDeltaGraph(t *testing.T) {
 	}
 }
 
-// TestFleetPairSamplesMatchPairwise: each sampled pair's IFs must equal the
-// corresponding cells of the exhaustive pairwise matrix.
+// TestFleetPairSamplesMatchPairwise: each sampled pair's elapsed times must
+// equal a direct co-run of the pair, and its IFs the corresponding cells of
+// the exhaustive pairwise matrix.
 func TestFleetPairSamplesMatchPairwise(t *testing.T) {
 	spec := fleetSpecForTest()
 	f := Runner{Parallelism: 1}.RunFleet(spec, FleetOpts{SamplePairs: 6, SampleSeed: 9})
 	if len(f.Pairs) == 0 {
 		t.Fatal("no pairs sampled")
 	}
-	m := Runner{Parallelism: 1}.RunPairwise(spec.Cfg, spec.Apps)
+	spec.Deltas = []sim.Time{0}
+	_, m := Runner{Parallelism: 1}.RunDeltaPairwise(spec)
 	for _, p := range f.Pairs {
 		if p.I >= p.J || p.J >= len(spec.Apps) {
 			t.Fatalf("bad pair (%d,%d)", p.I, p.J)
+		}
+		a, b := spec.Apps[p.I], spec.Apps[p.J]
+		res := Prepare(spec.Cfg, []AppSpec{a, b}).Run()
+		if p.Elapsed != [2]sim.Time{res.Apps[0].Elapsed, res.Apps[1].Elapsed} {
+			t.Fatalf("pair (%d,%d): elapsed %v, want %v %v from the direct co-run",
+				p.I, p.J, p.Elapsed, res.Apps[0].Elapsed, res.Apps[1].Elapsed)
 		}
 		if p.IF[0] != m.Cell[p.I][p.J] || p.IF[1] != m.Cell[p.J][p.I] {
 			t.Fatalf("pair (%d,%d): fleet IFs (%v,%v) != matrix (%v,%v)",

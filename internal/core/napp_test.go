@@ -178,63 +178,87 @@ func TestDeltaSpecValidatePanics(t *testing.T) {
 	})
 }
 
-// TestRunPairwiseMatrix checks the matrix contract on three apps: unit
-// diagonal, off-diagonal cells match an independent two-app co-run, and
-// pool parallelism does not change a single bit.
+// TestRunPairwiseMatrix holds RunDeltaPairwise to direct runs on three apps
+// of different burst sizes, at pool sizes 1 and 8: every alone baseline,
+// every δ point's starts, elapsed times, throughputs and diagnostics, and
+// every matrix cell must equal its own Prepare(…).Run(), outside the
+// Runner; the diagonal is exactly 1.
 func TestRunPairwiseMatrix(t *testing.T) {
 	cfg := tinyConfig(cluster.RAM, pfs.SyncOn)
 	cfg.ComputeNodes = 6
-	wl := tinyWorkload()
-	wl.BlockBytes = 16 << 20
-	apps := AppSpecs(cfg, 3, 8, 4, wl)
-
-	m := Runner{Parallelism: 1}.RunPairwise(cfg, apps)
-	if m.Dim() != 3 {
-		t.Fatalf("dim = %d", m.Dim())
+	apps := AppSpecs(cfg, 3, 8, 4, tinyWorkload())
+	for i := range apps {
+		apps[i].Workload.BlockBytes = int64(16+8*i) << 20
 	}
-	for i := 0; i < 3; i++ {
-		if m.Cell[i][i] != 1 {
-			t.Fatalf("diagonal [%d] = %v", i, m.Cell[i][i])
-		}
-		if m.Alone[i] <= 0 {
-			t.Fatalf("alone[%d] missing", i)
-		}
-	}
-	// Independent check of one cell: IF of app 0 next to app 1.
-	a, b := apps[0], apps[1]
-	a.Start, b.Start = 0, 0
-	res := Prepare(cfg, []AppSpec{a, b}).Run()
-	want := float64(res.Apps[0].Elapsed) / float64(m.Alone[0])
-	if m.Cell[0][1] != want {
-		t.Fatalf("Cell[0][1] = %v, want %v from the independent co-run", m.Cell[0][1], want)
-	}
-	if m.Cell[0][1] < 1.2 {
-		t.Fatalf("equal apps at δ=0 should interfere, IF = %v", m.Cell[0][1])
-	}
-
-	par := Runner{Parallelism: 8}.RunPairwise(cfg, apps)
-	if !reflect.DeepEqual(m, par) {
-		t.Fatalf("pairwise matrix diverged across pool sizes")
-	}
-
-	// Reusing precomputed baselines must change nothing but the run count.
-	from := Runner{Parallelism: 4}.RunPairwiseFrom(cfg, apps, m.Alone)
-	if !reflect.DeepEqual(m, from) {
-		t.Fatalf("RunPairwiseFrom with precomputed baselines diverged")
-	}
-
-	// The fused δ-graph+matrix task set must equal the two-call path.
 	spec := DeltaSpec{Cfg: cfg, Apps: apps, Deltas: Deltas(2)}
-	wantG := RunDelta(spec)
-	g, fused := Runner{Parallelism: 8}.RunDeltaPairwise(spec)
-	if !reflect.DeepEqual(wantG, g) {
-		t.Fatalf("fused run's δ-graph diverged from RunDelta")
+
+	alone := make([]sim.Time, len(apps))
+	for i, a := range apps {
+		alone[i] = Prepare(cfg, []AppSpec{a}).Run().Apps[0].Elapsed
 	}
-	if !reflect.DeepEqual(m, fused) {
-		t.Fatalf("fused run's matrix diverged from RunPairwise")
+	points := make([]RunResult, len(spec.Deltas))
+	starts := make([][]sim.Time, len(spec.Deltas))
+	for k, d := range spec.Deltas {
+		// δ shifts apps 1 and 2 against app 0; the earliest starts at 0.
+		starts[k] = []sim.Time{0, d, d}
+		if d < 0 {
+			starts[k] = []sim.Time{-d, 0, 0}
+		}
+		co := append([]AppSpec(nil), apps...)
+		for i := range co {
+			co[i].Start = starts[k][i]
+		}
+		points[k] = Prepare(cfg, co).Run()
+	}
+	cell := make([][]float64, len(apps))
+	for i := range apps {
+		cell[i] = make([]float64, len(apps))
+		cell[i][i] = 1
+	}
+	for i := range apps {
+		for j := i + 1; j < len(apps); j++ {
+			res := Prepare(cfg, []AppSpec{apps[i], apps[j]}).Run()
+			cell[i][j] = float64(res.Apps[0].Elapsed) / float64(alone[i])
+			cell[j][i] = float64(res.Apps[1].Elapsed) / float64(alone[j])
+		}
 	}
 
-	v, ag, f := m.Peak()
+	var firstG *DeltaGraph
+	var first *IFMatrix
+	for _, par := range []int{1, 8} {
+		g, m := Runner{Parallelism: par}.RunDeltaPairwise(spec)
+		if !reflect.DeepEqual(g.Alone, alone) || !reflect.DeepEqual(m.Alone, alone) {
+			t.Fatalf("par %d: baselines %v and %v, want %v from direct runs", par, g.Alone, m.Alone, alone)
+		}
+		for k, pt := range g.Points {
+			want := points[k]
+			if pt.Delta != spec.Deltas[k] || !reflect.DeepEqual(pt.Start, starts[k]) {
+				t.Fatalf("par %d point %d: δ %v starts %v, want %v %v", par, k, pt.Delta, pt.Start, spec.Deltas[k], starts[k])
+			}
+			for i := range apps {
+				if pt.Elapsed[i] != want.Apps[i].Elapsed || pt.Throughput[i] != want.Apps[i].Throughput {
+					t.Fatalf("par %d δ=%v app %d: elapsed %v throughput %v, want %v %v from the direct run",
+						par, pt.Delta, i, pt.Elapsed[i], pt.Throughput[i], want.Apps[i].Elapsed, want.Apps[i].Throughput)
+				}
+			}
+			if pt.Diag != want.Diag {
+				t.Fatalf("par %d δ=%v: diagnostics %+v, want %+v from the direct run", par, pt.Delta, pt.Diag, want.Diag)
+			}
+		}
+		if m.Dim() != len(apps) || !reflect.DeepEqual(m.Cell, cell) {
+			t.Fatalf("par %d: cells %v, want %v from direct runs", par, m.Cell, cell)
+		}
+		if first == nil {
+			firstG, first = g, m
+		} else if !reflect.DeepEqual(firstG, g) || !reflect.DeepEqual(first, m) {
+			t.Fatalf("δ-graph or matrix diverged across pool sizes")
+		}
+	}
+
+	if first.Cell[0][1] < 1.2 {
+		t.Fatalf("apps at δ=0 should interfere, IF = %v", first.Cell[0][1])
+	}
+	v, ag, f := first.Peak()
 	if f < 1.2 || v == ag {
 		t.Fatalf("peak = (%d, %d, %v)", v, ag, f)
 	}

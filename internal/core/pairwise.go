@@ -60,87 +60,36 @@ func (m *IFMatrix) Asymmetry() float64 {
 	return peak
 }
 
-// RunPairwise measures the pairwise interference-factor matrix of apps on
-// cfg: one alone run per application plus one co-run per unordered pair,
-// every simulation independent and executed on the pool. One pair run fills
-// both Cell[i][j] and Cell[j][i], so an n-app matrix costs
-// n + n*(n-1)/2 simulations.
-func (r Runner) RunPairwise(cfg cluster.Config, apps []AppSpec) *IFMatrix {
-	return r.RunPairwiseFrom(cfg, apps, nil)
-}
-
-// RunPairwiseFrom is RunPairwise with precomputed alone baselines. The
-// baselines must come from the same cfg and apps with Start=0 — which is
-// exactly what DeltaGraph.Alone holds — so a caller that already ran a
-// δ-graph skips the n redundant alone simulations. nil computes them here.
-func (r Runner) RunPairwiseFrom(cfg cluster.Config, apps []AppSpec, alone []sim.Time) *IFMatrix {
-	n := len(apps)
-	if n == 0 {
-		panic("core: RunPairwise needs at least one application")
-	}
-	if alone != nil && len(alone) != n {
-		panic(fmt.Sprintf("core: RunPairwiseFrom got %d apps but %d baselines", n, len(alone)))
-	}
-	m := newIFMatrix(apps)
-	pairs := appPairs(n)
-	// Baseline tasks only when not precomputed: task t < base is the alone
-	// run of app t, task base+k the co-run of pair k.
-	base := n
-	if alone != nil {
-		copy(m.Alone, alone)
-		base = 0
-	}
-	elapsed := make([][2]sim.Time, len(pairs))
-	r.ForEach(base+len(pairs), func(t int) {
-		if t < base {
-			app := apps[t]
-			app.Start = 0
-			x := PrepareSharded(cfg, []AppSpec{app}, r.Shards)
-			m.Alone[t] = x.Run().Apps[0].Elapsed
-			return
-		}
-		elapsed[t-base] = runPair(cfg, apps, pairs[t-base], r.Shards)
-	})
-	m.fill(pairs, elapsed)
-	return m
-}
-
-// RunDeltaPairwise executes a δ-graph and the pairwise matrix of the same
-// application set as ONE flattened task set — every alone baseline, δ point
-// and pair co-run claims a pool slot concurrently, with the baselines
-// shared by both results. Output is identical to RunDelta followed by
-// RunPairwiseFrom(…, graph.Alone); only the wall-clock differs.
+// RunDeltaPairwise executes a δ-graph and the pairwise interference-factor
+// matrix of the same application set as one job list: the δ-graph's alone
+// baselines and points, then one co-run at δ=0 per unordered application
+// pair. The matrix shares the δ-graph's baselines, and one pair run fills
+// both Cell[i][j] and Cell[j][i], so an n-app matrix adds n*(n-1)/2
+// simulations to the δ-graph's.
 func (r Runner) RunDeltaPairwise(spec DeltaSpec) (*DeltaGraph, *IFMatrix) {
-	spec.validate()
-	n := len(spec.Apps)
-	g := &DeltaGraph{
-		Alone:  make([]sim.Time, n),
-		Points: make([]DeltaPoint, len(spec.Deltas)),
+	jobs := spec.jobs()
+	n := len(jobs)
+	pairs := appPairs(len(spec.Apps))
+	for _, p := range pairs {
+		jobs = append(jobs, p.job(spec.Cfg, spec.Apps))
 	}
+	res := r.runJobs(jobs)
+	g := spec.graph(jobs[:n], res[:n])
 	m := newIFMatrix(spec.Apps)
-	pairs := appPairs(n)
-	elapsed := make([][2]sim.Time, len(pairs))
-	r.ForEach(n+len(spec.Deltas)+len(pairs), func(t int) {
-		switch {
-		case t < n:
-			g.Alone[t] = runAlone(spec, t, r.Shards)
-		case t < n+len(spec.Deltas):
-			g.Points[t-n] = runPoint(spec, spec.Deltas[t-n], r.Shards)
-		default:
-			k := t - n - len(spec.Deltas)
-			elapsed[k] = runPair(spec.Cfg, spec.Apps, pairs[k], r.Shards)
-		}
-	})
-	for i := range g.Points {
-		g.Points[i].applyAlone(g.Alone)
-	}
 	copy(m.Alone, g.Alone)
-	m.fill(pairs, elapsed)
+	m.fill(pairs, res[n:])
 	return g, m
 }
 
 // appPair indexes one unordered application pair.
 type appPair struct{ i, j int }
+
+// job co-runs the pair's two applications of apps at δ=0.
+func (p appPair) job(cfg cluster.Config, apps []AppSpec) job {
+	a, b := apps[p.i], apps[p.j]
+	a.Start, b.Start = 0, 0
+	return job{cfg, []AppSpec{a, b}}
+}
 
 // appPairs enumerates the n*(n-1)/2 unordered pairs in row order.
 func appPairs(n int) []appPair {
@@ -172,23 +121,12 @@ func newIFMatrix(apps []AppSpec) *IFMatrix {
 	return m
 }
 
-// runPair co-runs one application pair at δ=0 and returns both elapsed times.
-func runPair(cfg cluster.Config, apps []AppSpec, p appPair, shards int) [2]sim.Time {
-	a, b := apps[p.i], apps[p.j]
-	a.Start, b.Start = 0, 0
-	res := PrepareSharded(cfg, []AppSpec{a, b}, shards).Run()
-	return [2]sim.Time{res.Apps[0].Elapsed, res.Apps[1].Elapsed}
-}
-
-// fill derives the off-diagonal cells from the pair co-runs and baselines.
-func (m *IFMatrix) fill(pairs []appPair, elapsed [][2]sim.Time) {
+// fill derives the off-diagonal cells from the baselines and the pair
+// co-runs' results, res[k] being the run of pairs[k].
+func (m *IFMatrix) fill(pairs []appPair, res []RunResult) {
 	for k, p := range pairs {
-		if m.Alone[p.i] > 0 {
-			m.Cell[p.i][p.j] = float64(elapsed[k][0]) / float64(m.Alone[p.i])
-		}
-		if m.Alone[p.j] > 0 {
-			m.Cell[p.j][p.i] = float64(elapsed[k][1]) / float64(m.Alone[p.j])
-		}
+		m.Cell[p.i][p.j] = interference(res[k].Apps[0].Elapsed, m.Alone[p.i])
+		m.Cell[p.j][p.i] = interference(res[k].Apps[1].Elapsed, m.Alone[p.j])
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/sim"
+	"repro/internal/cluster"
 )
 
 // Runner executes independent simulations on a bounded worker pool. The
@@ -18,13 +18,14 @@ import (
 // means runtime.GOMAXPROCS(0). Parallelism 1 degenerates to a serial loop
 // in submission order.
 //
-// Determinism: results are written to slots fixed by submission order and
-// derived quantities (interference factors) are computed after the pool
-// drains, so a Runner produces byte-identical results to the serial path at
-// any parallelism level — only wall-clock time changes. Nested use (a
-// figure fanning out series whose δ-graphs fan out points) is safe: each
-// level runs its own pool, which briefly oversubscribes the CPU but never
-// deadlocks and never changes results.
+// Determinism: every Runner method enumerates its simulations as a job
+// list, each job's result lands at the job's index, and derived quantities
+// (interference factors) are computed after the pool drains, so a Runner
+// produces byte-identical results at any parallelism level — only
+// wall-clock time changes. Nested use (a figure fanning out series whose
+// δ-graphs fan out points) is safe: each level runs its own pool, which
+// briefly oversubscribes the CPU but never deadlocks and never changes
+// results.
 type Runner struct {
 	// Parallelism is the maximum number of concurrent simulations.
 	// <= 0 selects runtime.GOMAXPROCS(0).
@@ -101,45 +102,46 @@ func (r Runner) ForEach(n int, fn func(int)) {
 	}
 }
 
+// job is one independent simulation: apps co-running on a fresh platform
+// built from cfg.
+type job struct {
+	cfg  cluster.Config
+	apps []AppSpec
+}
+
+// runJobs runs every job on the pool, each on its own platform of r.Shards
+// event engines, and returns the results in job order. Every Runner method
+// that simulates is a job list handed to runJobs and a reduction of its
+// results.
+func (r Runner) runJobs(jobs []job) []RunResult {
+	res := make([]RunResult, len(jobs))
+	r.ForEach(len(jobs), func(i int) {
+		res[i] = PrepareSharded(jobs[i].cfg, jobs[i].apps, r.Shards).Run()
+	})
+	return res
+}
+
 // RunDelta executes every alone baseline (one per application) and every δ
-// point of spec concurrently on the pool. The result is identical to
-// core.RunDelta(spec); see the Runner type comment for why.
+// point of spec concurrently on the pool. The result is the same at every
+// Parallelism; see the Runner type comment for why.
 func (r Runner) RunDelta(spec DeltaSpec) *DeltaGraph {
 	return r.RunDeltas([]DeltaSpec{spec})[0]
 }
 
-// RunDeltas runs many independent δ-graph specs on one pool, flattening
-// every spec's baselines and points into a single task set so a figure with
-// few series still fills all workers. Results preserve spec order.
+// RunDeltas runs many independent δ-graph specs on one pool, joining every
+// spec's job list into one so a figure with few series still fills all
+// workers. Results preserve spec order.
 func (r Runner) RunDeltas(specs []DeltaSpec) []*DeltaGraph {
-	graphs := make([]*DeltaGraph, len(specs))
-	// Flatten: per spec, one alone task per application plus one per δ.
-	type task struct{ spec, slot int } // slot < len(Apps) = alone; rest = points
-	var tasks []task
-	for si, sp := range specs {
-		sp.validate()
-		graphs[si] = &DeltaGraph{
-			Alone:  make([]sim.Time, len(sp.Apps)),
-			Points: make([]DeltaPoint, len(sp.Deltas)),
-		}
-		for t := 0; t < len(sp.Apps)+len(sp.Deltas); t++ {
-			tasks = append(tasks, task{si, t})
-		}
+	var jobs []job
+	for _, sp := range specs {
+		jobs = append(jobs, sp.jobs()...)
 	}
-	r.ForEach(len(tasks), func(i int) {
-		tk := tasks[i]
-		sp := specs[tk.spec]
-		g := graphs[tk.spec]
-		if tk.slot < len(sp.Apps) {
-			g.Alone[tk.slot] = runAlone(sp, tk.slot, r.Shards)
-			return
-		}
-		g.Points[tk.slot-len(sp.Apps)] = runPoint(sp, sp.Deltas[tk.slot-len(sp.Apps)], r.Shards)
-	})
-	for _, g := range graphs {
-		for i := range g.Points {
-			g.Points[i].applyAlone(g.Alone)
-		}
+	res := r.runJobs(jobs)
+	graphs := make([]*DeltaGraph, len(specs))
+	for i, sp := range specs {
+		n := len(sp.Apps) + len(sp.Deltas)
+		graphs[i] = sp.graph(jobs[:n], res[:n])
+		jobs, res = jobs[n:], res[n:]
 	}
 	return graphs
 }

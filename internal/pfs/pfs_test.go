@@ -198,22 +198,34 @@ func TestReadPathReturnsData(t *testing.T) {
 func TestFlowSlotBackpressure(t *testing.T) {
 	// More concurrent requests than flow slots: a request backlog must form
 	// (the Trove bottleneck) and fully drain by the end.
-	r := buildRig(1, 4, "hdd", SyncOn)
+	sp := DefaultServerParams()
+	sp.FlowBufs = 2
+	r := buildRigParams(1, 4, "hdd", sp)
 	f := r.fs.CreateFile("f", nil, 64<<10)
+	srv := r.fs.Servers[0]
+	writing := 4
 	for i := 0; i < 4; i++ {
 		cl := r.fs.NewClient(r.cliHost[i], 0)
 		base := int64(i) * (64 << 20)
 		r.e.Spawn("w", func(p *sim.Proc) {
-			// Each client issues 16 sequential 1 MiB writes: 64 requests
-			// against 16 flow slots over the run.
+			// Each client writes 16 sequential 1 MiB blocks, one at a
+			// time: 4 requests at once against 2 flow slots.
 			for k := int64(0); k < 16; k++ {
 				cl.Write(p, f, base+k<<20, 1<<20)
 			}
+			writing--
 		})
 	}
+	// A probe samples the backlog every millisecond while the writers run.
+	maxQueued := 0
+	r.e.Spawn("probe", func(p *sim.Proc) {
+		for writing > 0 {
+			maxQueued = max(maxQueued, srv.QueuedRequests())
+			p.Sleep(sim.Millisecond)
+		}
+	})
 	r.e.Run()
-	srv := r.fs.Servers[0]
-	if srv.Stats().MaxQueued == 0 {
+	if maxQueued == 0 {
 		t.Fatal("no request backlog ever formed")
 	}
 	if srv.FreeFlows() != srv.P.FlowBufs {
@@ -234,13 +246,14 @@ func TestRepliesCounted(t *testing.T) {
 		}
 	})
 	r.e.Run()
-	var replies int64
+	var granted int64
 	for _, s := range r.fs.Servers {
-		replies += s.Stats().Replies
+		granted += s.Tel.App(0).Granted
 	}
-	// Each 1 MiB write at 64 KiB stripe on 3 servers touches all 3.
-	if replies != 15 {
-		t.Fatalf("replies = %d, want 15", replies)
+	// Each 1 MiB write at 64 KiB stripe on 3 servers touches all 3, and each
+	// server grants its share of the write one flow slot.
+	if granted != 15 {
+		t.Fatalf("granted write shares = %d, want 15", granted)
 	}
 }
 

@@ -104,16 +104,6 @@ func DefaultServerParams() ServerParams {
 	}
 }
 
-// ServerStats counts server-side work.
-type ServerStats struct {
-	Chunks    int64
-	Bytes     int64
-	Replies   int64
-	Requests  int64
-	MaxQueued int   // high-water mark of the request backlog
-	Crashes   int64 // fail-stop events injected into this server
-}
-
 // Server is one PVFS storage daemon: a host on the fabric, a CPU, a flow
 // layer serving at most FlowBufs requests concurrently, and a backend
 // (device, cache or null). Which queued request gets a free flow slot is
@@ -167,8 +157,6 @@ type Server struct {
 	// for: at most one useful wake-up is in flight at a time.
 	wakeArmed bool
 	wakeAt    sim.Time
-
-	stats ServerStats
 }
 
 // NewServer builds a server bound to host with the given backend. cache may
@@ -212,9 +200,6 @@ func NewServer(e *sim.Engine, id int, host *netsim.Host, dev storage.Device, cac
 	return s
 }
 
-// Stats returns cumulative counters.
-func (s *Server) Stats() ServerStats { return s.stats }
-
 // AppDepth reports the active scheduler's current in-flight chunk budget
 // for app — 0 when unbounded or when the scheduler has no depth lever. A
 // diagnostic for tests and probes.
@@ -244,7 +229,6 @@ func (s *Server) Crash() {
 		return
 	}
 	s.down = true
-	s.stats.Crashes++
 	s.Tel.MarkDown(s.E.Now())
 	for _, st := range s.reqQueue {
 		s.abortReq(st)
@@ -312,12 +296,8 @@ func (s *Server) onReadable(c *netsim.Conn, m *netsim.Message) {
 		st.srv = s
 		st.conn = c
 		st.arriveAt = s.E.Now()
-		s.stats.Requests++
 		s.Tel.Arrive(c.App, st.bytes)
 		s.reqQueue = append(s.reqQueue, st)
-		if len(s.reqQueue) > s.stats.MaxQueued {
-			s.stats.MaxQueued = len(s.reqQueue)
-		}
 	}
 	if st.active {
 		s.consume(st)
@@ -439,8 +419,6 @@ func (s *Server) consume(st *srvReqState) {
 		ck := st.pending.Pop().Meta.(*chunkMsg)
 		st.conn.ReadHead()
 		st.inflight++
-		s.stats.Chunks++
-		s.stats.Bytes += ck.size
 		s.Tel.Consume(st.conn.App, ck.size)
 		s.cpu.SendCall(ck.size, ck, opStore, 0, 0)
 	}
@@ -511,7 +489,6 @@ func (s *Server) readChunkServed(c *netsim.Conn, ck *chunkMsg) {
 	if ck.srvState.dead {
 		return
 	}
-	s.stats.Replies++
 	s.Tel.Done(c.App, ck.size)
 	c.Reply(ck.size, ck, opReply, 0, 0)
 	s.readChunkDone(ck.srvState)
@@ -528,7 +505,6 @@ func (s *Server) chunkDone(c *netsim.Conn, ck *chunkMsg) {
 	st.inflight--
 	s.Tel.Done(c.App, ck.size)
 	if st.remaining == 0 {
-		s.stats.Replies++
 		c.Reply(s.P.RespBytes, ck, opReply, 0, 0)
 		s.finishFlow(st)
 		return

@@ -2,6 +2,7 @@ package whatif
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -340,7 +341,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	if err != nil {
 		var mbe *http.MaxBytesError
-		if errAs(err, &mbe) {
+		if errors.As(err, &mbe) {
 			httpError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds the %d byte cap", s.cfg.MaxBody))
 		} else {
@@ -489,23 +490,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		return
 	}
 	w.Write(append(b, '\n'))
-}
-
-// errAs is errors.As without importing errors twice across files.
-func errAs(err error, target any) bool {
-	type unwrapper interface{ Unwrap() error }
-	for err != nil {
-		if mbe, ok := target.(**http.MaxBytesError); ok {
-			if e, ok := err.(*http.MaxBytesError); ok {
-				*mbe = e
-				return true
-			}
-		}
-		u, ok := err.(unwrapper)
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
