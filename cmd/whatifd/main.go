@@ -48,7 +48,7 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (host:port)")
-		cacheMB      = flag.Int("cache-mb", 256, "baseline cache budget, MiB (0 disables caching)")
+		cacheMB      = flag.Int("cache-mb", 256, "cache budget, MiB, shared by whole reports and the simulations under them (0 disables caching)")
 		queueLen     = flag.Int("queue", 64, "session queue bound (full queue answers 429)")
 		workers      = flag.Int("workers", 2, "sessions executing concurrently")
 		jobs         = flag.Int("j", 0, "simulation parallelism inside one session (0 = all cores)")

@@ -79,6 +79,36 @@ func TestServeSmoke(t *testing.T) {
 		}
 	}
 
+	// The same builtin with an arm subset: a new report, yet every
+	// simulation under it was run by the session above, so the report is
+	// the cache's only miss.
+	subset, err := json.Marshal(map[string]any{
+		"scenario": json.RawMessage(specJSON),
+		"backend":  "hdd",
+		"smoke":    true,
+		"arms":     []string{"fairshare"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := health(t, baseURL)
+	srep, disp := post(t, baseURL+"/v1/whatif", "application/json", subset)
+	if disp != "miss" {
+		t.Fatalf("arm-subset session: X-Whatif-Cache = %q, want miss", disp)
+	}
+	if misses := health(t, baseURL).Cache.Misses - before.Cache.Misses; misses != 1 {
+		t.Fatalf("arm-subset session missed the cache %d times, want once (its report)", misses)
+	}
+	if len(srep.Arms) != 2 {
+		t.Fatalf("arm-subset session returned %d arms, want 2", len(srep.Arms))
+	}
+	for _, a := range srep.Arms {
+		if a.Text != wantScenario[a.Scheme] {
+			t.Fatalf("arm-subset session: arm %q text diverges from `scenarios -tsv -smoke -backend hdd -run aggressor-victim -qos %s`:\n--- service ---\n%s\n--- CLI ---\n%s",
+				a.Scheme, a.Scheme, a.Text, wantScenario[a.Scheme])
+		}
+	}
+
 	// Trace session: the recorded bytes under the CLI's own path label.
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {
@@ -218,6 +248,21 @@ func post(t *testing.T, url, ctype string, body []byte) (*whatif.Report, string)
 		t.Fatalf("POST %s: response is not a report: %v", url, err)
 	}
 	return &rep, res.cache
+}
+
+// health fetches and decodes /healthz.
+func health(t *testing.T, baseURL string) whatif.Health {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h whatif.Health
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatalf("decoding /healthz: %v", err)
+	}
+	return h
 }
 
 // repoRoot resolves the module root from the package directory.

@@ -28,7 +28,8 @@
 // that make such traces worth recording. The replayer and the
 // mitigation sweeps are also servable: internal/whatif and cmd/whatifd
 // expose them as a long-running what-if daemon (stdlib HTTP/JSON) with
-// a content-addressed baseline cache, a bounded session queue with
+// a content-addressed cache of whole reports and every simulation under
+// them, a bounded session queue with
 // explicit backpressure, and responses whose embedded tables are
 // byte-identical to the equivalent cmd/scenarios runs (SCENARIOS.md,
 // "The what-if HTTP API"). An observability layer (internal/obs)

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
@@ -73,14 +75,16 @@ func (f *FleetResult) AloneOf(i int) sim.Time { return f.Alone[f.ShapeOf[i]] }
 // co-run at δ=0 (arrival offsets applied via AppsAt, like a δ point), the
 // deduplicated shape baselines, and opts.SamplePairs sampled pair co-runs —
 // one job list on the pool, so the result is bit-identical at every
-// Parallelism and every shard count.
+// Parallelism and every shard count. Only the co-run builds spec.Cfg's
+// whole platform; each baseline and pair runs on one sized to its own apps
+// (see packed).
 func (r Runner) RunFleet(spec DeltaSpec, opts FleetOpts) *FleetResult {
 	n := len(spec.Apps)
 	coApps := spec.AppsAt(0)
 
 	// Deduplicate alone baselines by shape. The canonical representative of
-	// a shape is its first-seen application normalized to node 0, start 0,
-	// keeping its own program seed.
+	// a shape is its first-seen application, keeping its own program seed;
+	// its job runs it alone on node 0 at start 0.
 	shapeOf := make([]int, n)
 	var reps []AppSpec
 	shapeIdx := make(map[string]int)
@@ -90,10 +94,7 @@ func (r Runner) RunFleet(spec DeltaSpec, opts FleetOpts) *FleetResult {
 		if !ok {
 			u = len(reps)
 			shapeIdx[k] = u
-			rep := a
-			rep.FirstNode = 0
-			rep.Start = 0
-			reps = append(reps, rep)
+			reps = append(reps, a)
 		}
 		shapeOf[i] = u
 	}
@@ -102,10 +103,10 @@ func (r Runner) RunFleet(spec DeltaSpec, opts FleetOpts) *FleetResult {
 	jobs := make([]job, 0, 1+len(reps)+len(pairs))
 	jobs = append(jobs, job{spec.Cfg, coApps})
 	for _, rep := range reps {
-		jobs = append(jobs, job{spec.Cfg, []AppSpec{rep}})
+		jobs = append(jobs, packed(spec.Cfg, rep))
 	}
 	for _, p := range pairs {
-		jobs = append(jobs, p.job(spec.Cfg, spec.Apps))
+		jobs = append(jobs, packed(spec.Cfg, spec.Apps[p.i], spec.Apps[p.j]))
 	}
 	res := r.runJobs(jobs)
 	f := &FleetResult{
@@ -133,6 +134,24 @@ func (r Runner) RunFleet(spec DeltaSpec, opts FleetOpts) *FleetResult {
 		}
 	}
 	return f
+}
+
+// packed is the job of apps alone at δ=0 on a platform sized to them: cfg
+// with as many compute nodes as the apps use, the apps renumbered in order
+// onto nodes from 0. A fleet's apps occupy disjoint nodes, so this keeps
+// which processes share a NIC; host IDs and names only label hosts, no
+// randomness is drawn per host, an idle host adds nothing to a run's
+// diagnostics and the dial order is the apps'. The result is therefore the
+// one on cfg's full platform, without building its idle nodes.
+func packed(cfg cluster.Config, apps ...AppSpec) job {
+	apps = slices.Clone(apps)
+	node := 0
+	for i := range apps {
+		apps[i].FirstNode, apps[i].Start = node, 0
+		node += (apps[i].Procs + apps[i].ProcsPerNode - 1) / apps[i].ProcsPerNode
+	}
+	cfg.ComputeNodes = node
+	return job{cfg, apps}
 }
 
 // shapeKey canonicalizes the baseline-relevant part of an AppSpec: name,

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,6 +41,21 @@ type Runner struct {
 	// independently-clocked shards (cluster.BuildSharded). Results are
 	// bit-identical either way; only wall-clock time changes.
 	Shards int
+
+	// Memo, when non-nil, resolves every simulation the runner executes by
+	// its content (see Memo). nil runs every job, computing no key.
+	Memo Memo
+}
+
+// Memo resolves a simulation by its content address. Resolve returns the
+// result of run, which simulates the job addressed by key: by calling run,
+// or from an earlier or concurrent Resolve of the same key. Two jobs share
+// a key only when they simulate the same platform config and apps, so a
+// result may be shared between jobs, Runner methods and their callers; the
+// Runner hands every caller its own copy of the per-app slice. A panic in run must reach
+// every caller of Resolve waiting on that key, as a panic.
+type Memo interface {
+	Resolve(key string, run func() RunResult) RunResult
 }
 
 // workers resolves the effective pool size for n tasks.
@@ -109,15 +129,73 @@ type job struct {
 	apps []AppSpec
 }
 
+// run simulates the job on a fresh platform of the given number of event
+// engines.
+func (j job) run(shards int) RunResult {
+	return PrepareSharded(j.cfg, j.apps, shards).Run()
+}
+
+// jobKeys returns each job's content address: the sha256 of the JSON of
+// struct{Cfg cluster.Config; Apps []AppSpec} holding the job's platform
+// config and apps. Every field of both is exported, and none has a custom
+// marshaller (TestJobKeySeesEveryField), so the JSON spells out everything
+// the simulation reads. The shard count stays out: results are identical at
+// every shard count. Jobs of one list mostly share a config, so a config
+// equal to the previous job's is not encoded again.
+func jobKeys(jobs []job) []string {
+	keys := make([]string, len(jobs))
+	var cfg []byte
+	for i, j := range jobs {
+		if i == 0 || j.cfg != jobs[i-1].cfg {
+			cfg = mustMarshal(j.cfg)
+		}
+		h := sha256.New()
+		h.Write([]byte(`{"Cfg":`))
+		h.Write(cfg)
+		h.Write([]byte(`,"Apps":`))
+		h.Write(mustMarshal(j.apps))
+		h.Write([]byte(`}`))
+		keys[i] = hex.EncodeToString(h.Sum(nil))
+	}
+	return keys
+}
+
+// mustMarshal encodes plain exported data, which cannot fail.
+func mustMarshal(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("core: job key: %v", err))
+	}
+	return b
+}
+
 // runJobs runs every job on the pool, each on its own platform of r.Shards
-// event engines, and returns the results in job order. Every Runner method
-// that simulates is a job list handed to runJobs and a reduction of its
-// results.
+// event engines, and returns the results in job order. With a Memo each job
+// resolves through it by key instead. Every Runner method that simulates is
+// a job list handed to runJobs and a reduction of its results.
 func (r Runner) runJobs(jobs []job) []RunResult {
 	res := make([]RunResult, len(jobs))
+	var keys []string
+	if r.Memo != nil {
+		keys = jobKeys(jobs)
+	}
 	r.ForEach(len(jobs), func(i int) {
-		res[i] = PrepareSharded(jobs[i].cfg, jobs[i].apps, r.Shards).Run()
+		if r.Memo == nil {
+			res[i] = jobs[i].run(r.Shards)
+			return
+		}
+		res[i] = r.resolve(keys[i], jobs[i])
 	})
+	return res
+}
+
+// resolve runs one job through the memo. The memo's result may be shared,
+// so the caller gets its own copy of the per-app slice, the one part of a
+// RunResult a reducer could write through (Diag is a value, and runJobs
+// never observes, so Timeline is nil).
+func (r Runner) resolve(key string, j job) RunResult {
+	res := r.Memo.Resolve(key, func() RunResult { return j.run(r.Shards) })
+	res.Apps = slices.Clone(res.Apps)
 	return res
 }
 

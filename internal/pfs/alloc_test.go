@@ -1,6 +1,10 @@
 package pfs
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 // chunkAllocs measures the heap allocations of one read or write request of
 // n chunks on a warmed single-server rig, run to completion. The rig's
@@ -69,6 +73,62 @@ func TestReadReplyAllocs(t *testing.T) {
 		if got, want := chunkAllocs(t, SyncOn, n, true), float64(n+requestAllocs); got != want {
 			t.Errorf("read of %d chunks (%d replies): %.0f allocations, want %.0f (one per chunk + %d per request)",
 				n, n, got, want, requestAllocs)
+		}
+	}
+}
+
+// blockingAllocs measures the heap allocations of one blocking request of
+// n chunks, issued by a proc on a warmed single-server rig: the proc waits
+// for a go-ahead, issues the request and waits again, so each measured run
+// is exactly one request.
+func blockingAllocs(t *testing.T, n int, read bool) float64 {
+	t.Helper()
+	r := buildRig(1, 1, "ram", SyncOn)
+	flow := r.fs.Servers[0].P.FlowBufSize
+	f := r.fs.CreateFile("f", nil, flow)
+	cl := r.fs.NewClient(r.cliHost[0], 0)
+	next := sim.NewSemaphore(0)
+	issued, stop := 0, false
+	r.e.Spawn("rank", func(p *sim.Proc) {
+		for {
+			next.Acquire(p)
+			if stop {
+				return
+			}
+			if read {
+				cl.Read(p, f, 0, int64(n)*flow)
+			} else {
+				cl.Write(p, f, 0, int64(n)*flow)
+			}
+			issued++
+		}
+	})
+	request := func() {
+		next.Release()
+		r.e.Run()
+	}
+	for i := 0; i < 4; i++ {
+		request()
+	}
+	avg := testing.AllocsPerRun(50, request)
+	stop = true
+	request()
+	if issued != 55 || cl.inflight != 0 {
+		t.Fatalf("%d of 55 requests returned, %d in flight", issued, cl.inflight)
+	}
+	return avg
+}
+
+// TestBlockingRequestAllocs pins that a blocking Write or Read costs no
+// more allocations than WriteAsync of the same size: the process waits on
+// its client's own completion token, not on a fresh signal per request.
+func TestBlockingRequestAllocs(t *testing.T) {
+	for _, read := range []bool{false, true} {
+		for _, n := range []int{1, 8} {
+			async := chunkAllocs(t, SyncOn, n, false)
+			if got := blockingAllocs(t, n, read); got > async {
+				t.Errorf("blocking read=%v of %d chunks: %.0f allocations, WriteAsync %.0f", read, n, got, async)
+			}
 		}
 	}
 }

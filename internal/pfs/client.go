@@ -18,6 +18,13 @@ type Client struct {
 	fs       *FileSystem
 	conns    []*netsim.Conn // by server ID; nil until the first ConnTo
 	inflight int32          // outstanding requests (observed queue depth)
+
+	// done is the completion token of the client's blocking request: a
+	// client is one process, so it has at most one. The request's
+	// completion releases it (release, bound on the first blocking
+	// request), and the process waits to acquire it.
+	done    sim.Semaphore
+	release func()
 }
 
 // NewClient registers a client process running on host for application app.
@@ -209,12 +216,17 @@ func (cl *Client) Read(p *sim.Proc, f *File, off, size int64) {
 }
 
 // ioWait issues one request and blocks p until it lands, sleeping out the
-// retry policy's Resume on p before each re-issue of a failed attempt.
+// retry policy's Resume on p before each re-issue of a failed attempt. The
+// wait is the client's own, so a blocking request allocates nothing beyond
+// what WriteAsync does; the completion wakes p with the same event a
+// one-shot signal would.
 func (cl *Client) ioWait(p *sim.Proc, f *File, off, size int64, read bool) {
+	if cl.release == nil {
+		cl.release = cl.done.Release
+	}
 	for {
-		var done sim.Signal
-		req := cl.ioAsync(f, off, size, read, done.Fire, false)
-		p.Await(&done)
+		req := cl.ioAsync(f, off, size, read, cl.release, false)
+		cl.done.Acquire(p)
 		if req == nil || !req.failed {
 			return
 		}

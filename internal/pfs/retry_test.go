@@ -96,3 +96,60 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 		t.Fatalf("retries counted = %d, want 3 (the budget)", av.Retries)
 	}
 }
+
+// TestCompletionRunsOnce pins that a request's completion runs exactly
+// once, for blocking and asynchronous callers alike, under a retry policy
+// whose deadline the loaded HDD servers miss: attempts time out and are
+// resent, some requests run out of retries and stall, and the late replies
+// of the abandoned attempts still arrive. A second completion of a
+// blocking request would leave a token in its client's wait, so its next
+// request would return before landing.
+func TestCompletionRunsOnce(t *testing.T) {
+	r := buildRig(2, 2, "hdd", SyncOn)
+	r.fs.EnableRetry(fault.RetryPolicy{
+		Deadline: 50 * sim.Millisecond, Backoff: sim.Millisecond, BackoffMax: 2 * sim.Millisecond,
+		MaxRetries: 1, Budget: -1, Resume: 5 * sim.Millisecond,
+	})
+	f := r.fs.CreateFile("f", nil, 64<<10)
+	const procs, reqs, size = 4, 6, 1 << 20
+	var clients []*Client
+	landed := 0
+	for i := 0; i < procs; i++ {
+		cl := r.fs.NewClient(r.cliHost[i%2], 0)
+		clients = append(clients, cl)
+		r.e.Spawn("rank", func(p *sim.Proc) {
+			for k := 0; k < reqs; k++ {
+				off := int64(i*reqs+k) * size
+				if i%2 == 1 {
+					cl.Read(p, f, off, size)
+				} else {
+					cl.Write(p, f, off, size)
+				}
+				landed++
+			}
+		})
+	}
+	async := r.fs.NewClient(r.cliHost[0], 1)
+	done := make([]int, reqs)
+	for k := range done {
+		async.WriteAsync(f, int64(procs*reqs+k)*size, size, func() { done[k]++ })
+	}
+	r.e.RunUntil(60 * sim.Second)
+
+	if landed != procs*reqs {
+		t.Fatalf("%d of %d blocking requests returned", landed, procs*reqs)
+	}
+	for i, cl := range clients {
+		if n := cl.done.Available(); n != 0 || cl.inflight != 0 {
+			t.Fatalf("client %d: %d surplus completions, %d requests in flight", i, n, cl.inflight)
+		}
+	}
+	for k, n := range done {
+		if n != 1 {
+			t.Fatalf("async request %d completed %d times", k, n)
+		}
+	}
+	if blk, asy := r.fs.ClientAvailFor(0), r.fs.ClientAvailFor(1); blk.Failures == 0 || asy.Retries == 0 {
+		t.Fatalf("no blocking request stalled (%+v) or no async attempt was abandoned (%+v)", blk, asy)
+	}
+}

@@ -2,21 +2,33 @@ package whatif
 
 import (
 	"container/list"
-	"fmt"
+	"errors"
 	"sync"
 )
 
-// Cache is the content-addressed baseline cache: key = sha256 over the
-// workload identity (trace bytes or canonical spec JSON) and the built
-// cluster.Config (see cacheKey), value = the fully computed baseline arm.
-// Eviction is LRU under a byte budget — entry sizes are the JSON encoding
-// of the stored baseline, a faithful proxy for the retained heap since the
-// stored structs are plain data.
+// Cache is the service's content-addressed cache. It holds two kinds of
+// entry under one byte budget:
+//
+//   - a session's whole rendered Report, keyed by what the session asked
+//     for: the canonical spec JSON, its built cluster.Config, the backend
+//     and the arm list, or an upload's digest, its display label and the
+//     arm list;
+//   - one simulation a session ran: a core.Runner job (keyed by the job's
+//     content, see core.Memo) or one trace replay (keyed by the upload's
+//     digest and the replayed platform's config).
+//
+// Names enter only report keys: a scenario's name and a trace's label
+// appear in rendered titles and nowhere in a simulation, so two sessions
+// that differ only in them share every simulation. A repeated query runs
+// nothing, and an overlapping one runs only the simulations new to it.
+// Eviction is LRU under the byte budget; an entry's size is its JSON
+// encoding, a faithful proxy for the retained heap since every entry is
+// plain data.
 //
 // Concurrent requests for the same key coalesce: the first caller computes
-// while the rest wait for its result, so N simultaneous identical sessions
-// pay for one baseline and count N-1 cache hits. An entry larger than the
-// whole budget is returned but not retained (caching it would evict
+// while the rest wait for its result, so N simultaneous identical requests
+// pay for one computation and count N-1 cache hits. An entry larger than
+// the whole budget is returned but not retained (caching it would evict
 // everything else for a single entry).
 type Cache struct {
 	mu       sync.Mutex
@@ -29,7 +41,7 @@ type Cache struct {
 	hits, misses, evictions uint64
 }
 
-// flight is one in-progress baseline computation; followers wait on done.
+// flight is one in-progress computation; followers wait on done.
 type flight struct {
 	done chan struct{}
 	val  any
@@ -43,6 +55,10 @@ type centry struct {
 	val  any
 	size int64
 }
+
+// errPanicked is the error coalesced waiters get when the computation they
+// waited on panicked.
+var errPanicked = errors.New("whatif: the computation panicked")
 
 // NewCache creates a cache with the given byte budget. A budget <= 0
 // disables caching entirely: every Do computes, nothing is retained.
@@ -121,7 +137,7 @@ func (c *Cache) Do(key string, compute func() (any, int64, error)) (any, bool, e
 			c.mu.Lock()
 			delete(c.inflight, key)
 			c.mu.Unlock()
-			f.err = fmt.Errorf("whatif: baseline computation panicked")
+			f.err = errPanicked
 			close(f.done)
 		}
 	}()

@@ -7,12 +7,14 @@
 //
 // Determinism is the product: a session's numbers — and the rendered
 // tables embedded in its JSON — are byte-identical to the equivalent
-// `cmd/scenarios -qos/-replay -tsv` CLI runs, whether the baseline was
-// computed cold or served from the cache. The service therefore reuses
-// the exact composition the CLI prints (this file), a content-addressed
-// baseline cache (Cache) so repeated what-ifs over the same recording
-// only pay for the mitigation arms, and a bounded session queue with
-// explicit backpressure (HTTP 429) so load cannot exhaust memory.
+// `cmd/scenarios -qos/-replay -tsv` CLI runs, whether the report or any
+// simulation under it was computed cold or served from the cache. The
+// service therefore reuses the exact composition the CLI prints (this
+// file), a content-addressed cache (Cache) of whole reports and of every
+// simulation a session runs, so a repeated what-if runs nothing and an
+// overlapping one runs only the simulations new to it, and a bounded
+// session queue with explicit backpressure (HTTP 429) so load cannot
+// exhaust memory.
 package whatif
 
 import (

@@ -84,17 +84,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.family("whatifd_rejected_total", "counter", "Sessions rejected with 429 because the queue was full.")
 	p.sample("whatifd_rejected_total", nil, float64(h.Rejected))
 
-	p.family("whatifd_cache_hits_total", "counter", "Baseline cache hits (resident or coalesced in-flight).")
+	p.family("whatifd_cache_hits_total", "counter", "Cache hits, reports and simulations alike (resident or coalesced in-flight).")
 	p.sample("whatifd_cache_hits_total", nil, float64(h.Cache.Hits))
-	p.family("whatifd_cache_misses_total", "counter", "Baseline cache misses (baseline computed).")
+	p.family("whatifd_cache_misses_total", "counter", "Cache misses, reports and simulations alike (computed).")
 	p.sample("whatifd_cache_misses_total", nil, float64(h.Cache.Misses))
-	p.family("whatifd_cache_evictions_total", "counter", "Baseline cache LRU evictions.")
+	p.family("whatifd_cache_evictions_total", "counter", "Cache LRU evictions.")
 	p.sample("whatifd_cache_evictions_total", nil, float64(h.Cache.Evictions))
-	p.family("whatifd_cache_entries", "gauge", "Resident baseline cache entries.")
+	p.family("whatifd_cache_entries", "gauge", "Resident cache entries, reports and simulations alike.")
 	p.sample("whatifd_cache_entries", nil, float64(h.Cache.Entries))
-	p.family("whatifd_cache_used_bytes", "gauge", "Bytes retained by the baseline cache.")
+	p.family("whatifd_cache_used_bytes", "gauge", "Bytes retained by the cache.")
 	p.sample("whatifd_cache_used_bytes", nil, float64(h.Cache.UsedBytes))
-	p.family("whatifd_cache_budget_bytes", "gauge", "Baseline cache byte budget.")
+	p.family("whatifd_cache_budget_bytes", "gauge", "Cache byte budget, shared by reports and simulations.")
 	p.sample("whatifd_cache_budget_bytes", nil, float64(h.Cache.BudgetBytes))
 
 	if rep := s.last.Load(); rep != nil {

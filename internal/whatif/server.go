@@ -18,8 +18,9 @@ import (
 
 // Config sizes one what-if server. Zero values select serving defaults.
 type Config struct {
-	// CacheBytes is the baseline cache budget (default 256 MiB; <= -1
-	// disables caching; 0 selects the default).
+	// CacheBytes is the cache budget, shared by whole reports and the
+	// simulations under them (default 256 MiB; <= -1 disables caching; 0
+	// selects the default).
 	CacheBytes int64
 	// QueueLen bounds the session queue; a full queue answers HTTP 429
 	// with Retry-After instead of buffering without limit (default 64).
@@ -39,7 +40,8 @@ type Config struct {
 }
 
 // Server is the what-if service: HTTP handlers in front of a bounded
-// session queue, a worker pool executing sessions, and the baseline cache.
+// session queue, a worker pool executing sessions, and the
+// content-addressed cache of reports and simulations (see Cache).
 // Create with New, expose via Handler, stop with Close (which drains every
 // queued session before returning — the graceful-shutdown half of
 // cmd/whatifd's SIGTERM handling).
@@ -122,7 +124,7 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Cache exposes the baseline cache (stats for health checks and tests).
+// Cache exposes the cache (stats for health checks and tests).
 func (s *Server) Cache() *Cache { return s.cache }
 
 // Close drains the server: no new sessions are accepted (submit answers

@@ -77,7 +77,7 @@ func getHealth(t *testing.T, base string) Health {
 }
 
 // TestServerConcurrentIdentical pins the headline contract: N concurrent
-// identical sessions return byte-identical JSON and share one baseline
+// identical sessions return byte-identical JSON and share one report
 // (≥ N−1 cache hits, via coalescing or residency).
 func TestServerConcurrentIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4})

@@ -17,7 +17,6 @@ import (
 	qosreport "repro/internal/qos/report"
 	basereport "repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -163,11 +162,9 @@ func ParseArms(names []string) ([]qos.Kind, error) {
 	return out, nil
 }
 
-// cacheKey derives the content address of a baseline: a sha256 over the
-// query kind and the length-prefixed identity parts (trace bytes or
-// canonical spec JSON, the built cluster.Config, the display label).
-// Length prefixes keep distinct part lists from colliding by
-// concatenation.
+// cacheKey derives a report's or a replay's content address: a sha256
+// over the entry kind and the length-prefixed identity parts. Length
+// prefixes keep distinct part lists from colliding by concatenation.
 func cacheKey(kind string, parts ...[]byte) string {
 	h := sha256.New()
 	io.WriteString(h, kind)
@@ -198,7 +195,8 @@ func renderText(tables ...*basereport.Table) (string, error) {
 
 // Compute executes one validated query synchronously, outside the session
 // queue — the path the HTTP workers, benchmarks and embedding callers all
-// share. The bool result reports whether the baseline came from the cache.
+// share. The bool result reports whether the whole report came from the
+// cache.
 func (s *Server) Compute(q *Query) (*Report, bool, error) {
 	if (q.Spec == nil) == (len(q.Trace) == 0) {
 		return nil, false, badRequest(fmt.Errorf("whatif: a query needs exactly one of an inline scenario or an uploaded trace"))
@@ -209,118 +207,113 @@ func (s *Server) Compute(q *Query) (*Report, bool, error) {
 	return s.computeTrace(q)
 }
 
-// scenarioBaseline is the cached unit of a scenario query: the fully
-// rendered baseline arm plus the δ-graph the Pareto rows measure against.
-type scenarioBaseline struct {
-	arm   Arm
-	graph *core.DeltaGraph
-	names []string
-	size  int64
+// cached resolves one entry through c, computing it with build on a miss.
+// An entry's size is its JSON encoding, a faithful proxy for the heap it
+// retains, since every entry is plain data.
+func cached[T any](c *Cache, key string, build func() (T, error)) (T, bool, error) {
+	v, hit, err := c.Do(key, func() (any, int64, error) {
+		v, err := build()
+		if err != nil {
+			return nil, 0, err
+		}
+		return v, int64(len(mustJSON(v))), nil
+	})
+	if err != nil {
+		var zero T
+		return zero, false, err
+	}
+	return v.(T), hit, nil
 }
 
-// computeScenario runs baseline + arms for an inline scenario. The
-// baseline resolves through the cache (slot 0) while the mitigation arms
-// run as full scenario sweeps; all slots share one Runner pool.
+// simMemo resolves the simulations a session's core.Runner executes through
+// the server's cache, one entry per job.
+type simMemo struct{ c *Cache }
+
+// Resolve implements core.Memo. Its only error is errPanicked, the panic of
+// the run a coalesced caller waited on, and it re-raises that as a panic so
+// the caller's Runner carries it to the session.
+func (m simMemo) Resolve(key string, run func() core.RunResult) core.RunResult {
+	r, _, err := cached(m.c, key, func() (core.RunResult, error) { return run(), nil })
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// armKinds lists a session's arms: the un-mitigated baseline, then the
+// query's mitigations in order.
+func armKinds(q *Query) []qos.Kind { return append([]qos.Kind{qos.Off}, q.Arms...) }
+
+// armNames spells a query's arm list for its report key.
+func armNames(q *Query) []byte {
+	var b []byte
+	for _, k := range q.Arms {
+		b = append(append(b, k.String()...), ',')
+	}
+	return b
+}
+
+// computeScenario serves an inline scenario. The report is one cache entry,
+// keyed by the spec, the platform it builds and the arm list; on a miss
+// every arm, the baseline included, runs as a full scenario sweep on one
+// pool whose simulations resolve through the cache too.
 func (s *Server) computeScenario(q *Query) (*Report, bool, error) {
 	spec := *q.Spec
 	if q.Smoke {
 		spec = spec.Smoke()
 	}
-	base := spec
-	base.QoS = &scenario.QoS{Scheduler: qos.Off.String()}
-	cfg, _, err := base.Build(q.Backend)
+	spec.QoS = nil // the arms define every scheme
+	cfg, _, err := spec.Build(q.Backend)
 	if err != nil {
 		return nil, false, badRequest(err)
 	}
-	key := cacheKey("scenario", mustJSON(base), mustJSON(cfg))
-	pool := core.Runner{Parallelism: s.cfg.Jobs}
+	key := cacheKey("scenario", mustJSON(spec), mustJSON(cfg), []byte(q.Backend.String()), armNames(q))
+	return cached(s.cache, key, func() (*Report, error) { return s.runScenario(spec, q) })
+}
 
-	armSpecs := make([]scenario.Spec, len(q.Arms))
-	for i, k := range q.Arms {
+// runScenario runs and renders every arm of a scenario session. Each arm
+// writes its own slot, so the report is byte-identical at any parallelism
+// and whichever simulations came from the cache.
+func (s *Server) runScenario(spec scenario.Spec, q *Query) (*Report, error) {
+	kinds := armKinds(q)
+	results := make([]*scenario.Result, len(kinds))
+	errs := make([]error, len(kinds))
+	pool := core.Runner{Parallelism: s.cfg.Jobs, Memo: simMemo{s.cache}}
+	pool.ForEach(len(kinds), func(i int) {
 		as := spec
-		as.QoS = &scenario.QoS{Scheduler: k.String()}
-		armSpecs[i] = as
-	}
-	results := make([]*scenario.Result, len(q.Arms))
-	errs := make([]error, len(q.Arms)+1)
-	var bl *scenarioBaseline
-	var hit bool
-	// Slot 0 resolves the baseline (cache or compute); slots 1.. run the
-	// mitigation arms. Each slot writes its own index, so results are
-	// byte-identical at any parallelism.
-	outer := core.Runner{Parallelism: s.cfg.Jobs}
-	outer.ForEach(len(q.Arms)+1, func(i int) {
-		if i == 0 {
-			v, h, err := s.cache.Do(key, func() (any, int64, error) {
-				res, err := scenario.Run(base, q.Backend, pool)
-				if err != nil {
-					return nil, 0, badRequest(err)
-				}
-				b, err := newScenarioBaseline(res)
-				if err != nil {
-					return nil, 0, err
-				}
-				return b, b.size, nil
-			})
-			if err == nil {
-				bl, hit = v.(*scenarioBaseline), h
-			}
-			errs[0] = err
-			return
-		}
-		results[i-1], errs[i] = scenario.Run(armSpecs[i-1], q.Backend, pool)
+		as.QoS = &scenario.QoS{Scheduler: kinds[i].String()}
+		results[i], errs[i] = scenario.Run(as, q.Backend, pool)
 	})
-	for _, e := range errs {
-		if e != nil {
-			return nil, false, e
+	for _, err := range errs {
+		if err != nil {
+			return nil, badRequest(err)
 		}
 	}
 
-	schemes := []core.Scheme{{Name: qos.Off.String(), QoS: qos.Params{Kind: qos.Off}}}
-	graphs := []*core.DeltaGraph{bl.graph}
-	arms := []Arm{bl.arm}
-	for i, k := range q.Arms {
+	rep := &Report{
+		Kind: "scenario", Name: spec.Name, Backend: q.Backend.String(),
+		Apps: results[0].Matrix.Names,
+	}
+	sweep := &core.Sweep{}
+	for i, k := range kinds {
 		a, err := scenarioArm(k.String(), results[i])
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		arms = append(arms, a)
-		schemes = append(schemes, core.Scheme{Name: k.String(), QoS: qos.Params{Kind: k}})
-		graphs = append(graphs, results[i].Graph)
+		rep.Arms = append(rep.Arms, a)
+		sweep.Schemes = append(sweep.Schemes, core.Scheme{Name: k.String(), QoS: qos.Params{Kind: k}})
+		sweep.Graphs = append(sweep.Graphs, results[i].Graph)
 	}
-	sweep := &core.Sweep{Schemes: schemes, Graphs: graphs}
-	rows := make([]ParetoRow, 0, len(schemes))
 	for _, r := range sweep.Pareto() {
-		rows = append(rows, ParetoRow{
+		rep.Pareto = append(rep.Pareto, ParetoRow{
 			Scheme: r.Name, PeakIF: r.PeakIF, DIFPct: r.IFReductionPct,
 			Unfairness: r.Unfairness, AggMBps: r.AggBps / 1e6, TPCostPct: r.TPCostPct,
 		})
 	}
-	ptext, err := renderText(qosreport.RenderPareto(
+	var err error
+	rep.ParetoText, err = renderText(qosreport.RenderPareto(
 		fmt.Sprintf("what-if Pareto: %s on %s", spec.Name, q.Backend), sweep))
-	if err != nil {
-		return nil, false, err
-	}
-	return &Report{
-		Kind: "scenario", Name: spec.Name, Backend: q.Backend.String(),
-		Apps: bl.names, Arms: arms, Pareto: rows, ParetoText: ptext,
-	}, hit, nil
-}
-
-// newScenarioBaseline renders the baseline arm and sizes the cached unit
-// (JSON encoding length — a faithful proxy for retained heap, since both
-// the arm and the graph are plain data).
-func newScenarioBaseline(res *scenario.Result) (*scenarioBaseline, error) {
-	arm, err := scenarioArm(qos.Off.String(), res)
-	if err != nil {
-		return nil, err
-	}
-	return &scenarioBaseline{
-		arm:   arm,
-		graph: res.Graph,
-		names: append([]string(nil), res.Matrix.Names...),
-		size:  int64(len(mustJSON(arm)) + len(mustJSON(res.Graph))),
-	}, nil
+	return rep, err
 }
 
 // scenarioArm builds one scenario arm: the CLI byte stream (per-run tables
@@ -360,156 +353,136 @@ func scenarioArm(scheme string, res *scenario.Result) (Arm, error) {
 	return a, nil
 }
 
-// traceBaseline is the cached unit of a trace query: the rendered baseline
-// arm plus the replayed elapsed vector and aggregate throughput the
-// counterfactual arms measure against.
-type traceBaseline struct {
-	arm     Arm
-	elapsed []sim.Time
-	agg     float64
-	names   []string
-	size    int64
-}
-
-// computeTrace runs baseline + counterfactual arms for an uploaded
-// recording: the baseline replays the recorded platform (and must
-// round-trip bit-for-bit, per the trace package's determinism contract);
-// each arm replays under one QoS scheduler.
+// computeTrace serves an uploaded recording. The report is one cache
+// entry, keyed by the upload's digest, the display label and the arm list:
+// the label lands only in rendered titles, so it is part of the report's
+// identity but not of a replay's.
 func (s *Server) computeTrace(q *Query) (*Report, bool, error) {
-	t, err := trace.Read(bytes.NewReader(q.Trace))
-	if err != nil {
-		return nil, false, badRequest(err)
-	}
 	label := q.Label
 	if label == "" {
 		label = "uploaded.trace"
 	}
-	cfg := t.Header.Cfg
-	if cfg.Faults != nil {
+	digest := sha256.Sum256(q.Trace)
+	key := cacheKey("trace", digest[:], []byte(label), armNames(q))
+	return cached(s.cache, key, func() (*Report, error) { return s.runTrace(q, label, digest[:]) })
+}
+
+// runTrace replays the recording once per arm and renders the report. Arm
+// 0 replays the recorded platform and must round-trip bit for bit, per the
+// trace package's determinism contract, whether its replay came from the
+// cache or not; each other arm replays under one QoS scheduler.
+func (s *Server) runTrace(q *Query, label string, digest []byte) (*Report, error) {
+	t, err := trace.Read(bytes.NewReader(q.Trace))
+	if err != nil {
+		return nil, badRequest(err)
+	}
+	if t.Header.Cfg.Faults != nil {
 		// Like fault scenarios: a replay under a fault plan stalls and
 		// re-issues a request until it lands, and nothing bounds that
 		// loop, so a crafted plan could pin a worker for good.
-		return nil, false, badRequest(fmt.Errorf("whatif: %s: fault recordings are not served yet", label))
+		return nil, badRequest(fmt.Errorf("whatif: %s: fault recordings are not served yet", label))
 	}
-	// The label lands in rendered table titles, so it is part of the
-	// baseline's identity: same bytes under a different name recompute.
-	key := cacheKey("trace", []byte(label), q.Trace, mustJSON(cfg))
-
-	reps := make([]*trace.ReplayResult, len(q.Arms))
-	errs := make([]error, len(q.Arms)+1)
-	var bl *traceBaseline
-	var hit bool
-	outer := core.Runner{Parallelism: s.cfg.Jobs}
-	outer.ForEach(len(q.Arms)+1, func(i int) {
-		if i == 0 {
-			v, h, err := s.cache.Do(key, func() (any, int64, error) {
-				rep, err := trace.ReplayOn(t, cfg)
-				if err != nil {
-					return nil, 0, badRequest(err)
-				}
-				if !rep.Identical() {
-					// A faithful recording replays its own platform bit for
-					// bit, so the upload is at fault, not the service.
-					return nil, 0, badRequest(fmt.Errorf("whatif: baseline replay of %s diverged from the recording", label))
-				}
-				return newTraceBaseline(label, rep, t)
-			})
-			if err == nil {
-				bl, hit = v.(*traceBaseline), h
-			}
-			errs[0] = err
-			return
+	kinds := armKinds(q)
+	reps := make([]*trace.ReplayResult, len(kinds))
+	errs := make([]error, len(kinds))
+	core.Runner{Parallelism: s.cfg.Jobs}.ForEach(len(kinds), func(i int) {
+		cfg := t.Header.Cfg
+		if i > 0 {
+			cfg.Srv.QoS = qos.Params{Kind: kinds[i]}
 		}
-		c := cfg
-		c.Srv.QoS = qos.Params{Kind: q.Arms[i-1]}
-		reps[i-1], errs[i] = trace.ReplayOn(t, c)
+		reps[i], errs[i] = s.replay(t, digest, cfg)
 	})
-	for _, e := range errs {
-		if e != nil {
-			return nil, false, e
+	if errs[0] != nil {
+		return nil, badRequest(errs[0])
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
+	base := reps[0]
+	if !base.Identical() {
+		// A faithful recording replays its own platform bit for bit, so
+		// the upload is at fault, not the service.
+		return nil, badRequest(fmt.Errorf("whatif: baseline replay of %s diverged from the recording", label))
+	}
 
-	arms := []Arm{bl.arm}
-	rows := []ParetoRow{{Scheme: qos.Off.String(), PeakIF: 1, AggMBps: bl.agg / 1e6}}
-	for i, k := range q.Arms {
-		a, peak, agg, err := traceArm(label, k.String(), reps[i], t, bl)
-		if err != nil {
-			return nil, false, err
-		}
-		arms = append(arms, a)
-		row := ParetoRow{Scheme: k.String(), PeakIF: peak, DIFPct: (1 - peak) * 100, AggMBps: agg / 1e6}
-		if bl.agg > 0 {
-			row.TPCostPct = (bl.agg - agg) / bl.agg * 100
-		}
-		rows = append(rows, row)
+	rep := &Report{Kind: "trace", Name: label, Apps: make([]string, len(base.Apps))}
+	for i, a := range base.Apps {
+		rep.Apps[i] = a.Name
 	}
 	pt := basereport.New(fmt.Sprintf("what-if Pareto: %s (counterfactual replay)", label),
 		"scheduler", "peak_IF", "dIF_pct", "agg_MBps", "tp_cost_pct")
-	for _, r := range rows {
-		pt.Add(r.Scheme, r.PeakIF, r.DIFPct, r.AggMBps, r.TPCostPct)
+	for i, k := range kinds {
+		a, row, err := traceArm(label, k.String(), i == 0, reps[i], base, t)
+		if err != nil {
+			return nil, err
+		}
+		rep.Arms = append(rep.Arms, a)
+		rep.Pareto = append(rep.Pareto, row)
+		pt.Add(row.Scheme, row.PeakIF, row.DIFPct, row.AggMBps, row.TPCostPct)
 	}
-	ptext, err := renderText(pt)
-	if err != nil {
-		return nil, false, err
-	}
-	return &Report{
-		Kind: "trace", Name: label,
-		Apps: bl.names, Arms: arms, Pareto: rows, ParetoText: ptext,
-	}, hit, nil
+	rep.ParetoText, err = renderText(pt)
+	return rep, err
 }
 
-// newTraceBaseline renders the verification-replay arm and captures the
-// per-app elapsed vector the counterfactual arms divide by.
-func newTraceBaseline(label string, rep *trace.ReplayResult, t *trace.Trace) (*traceBaseline, int64, error) {
-	text, err := ReplayText(label, "", rep, t, true)
-	if err != nil {
-		return nil, 0, err
+// replay resolves one replay of t on cfg through the cache, keyed by the
+// upload's digest and cfg. The entry keeps only what rendering reads: the
+// replayed and the recorded windows, not the replay's own recording.
+func (s *Server) replay(t *trace.Trace, digest []byte, cfg cluster.Config) (*trace.ReplayResult, error) {
+	rep, _, err := cached(s.cache, cacheKey("replay", digest, mustJSON(cfg)), func() (*trace.ReplayResult, error) {
+		r, err := trace.ReplayOn(t, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &trace.ReplayResult{Apps: r.Apps, Recorded: r.Recorded}, nil
+	})
+	if errors.Is(err, errPanicked) {
+		panic(err) // as the run that panicked does, for the session to fail alike
 	}
-	identical := true
-	bl := &traceBaseline{
-		arm:     Arm{Scheme: qos.Off.String(), Text: text, Identical: &identical},
-		elapsed: make([]sim.Time, len(rep.Apps)),
-		names:   make([]string, len(rep.Apps)),
-	}
-	for i, a := range rep.Apps {
-		bl.elapsed[i] = a.Elapsed
-		bl.agg += a.Throughput
-		bl.names[i] = a.Name
-		bl.arm.TraceApps = append(bl.arm.TraceApps, TraceApp{
-			Name:      a.Name,
-			RecordedS: rep.Recorded[i].Elapsed().Seconds(),
-			ReplayedS: a.Elapsed.Seconds(),
-			IF:        1,
-		})
-	}
-	bl.size = int64(len(mustJSON(bl.arm))) + int64(16*len(bl.elapsed)) + 64
-	return bl, bl.size, nil
+	return rep, err
 }
 
-// traceArm builds one counterfactual arm and its Pareto inputs (peak IF
-// against the baseline replay, summed throughput).
-func traceArm(label, scheme string, rep *trace.ReplayResult, t *trace.Trace, bl *traceBaseline) (Arm, float64, float64, error) {
-	text, err := ReplayText(label, scheme, rep, t, true)
+// traceArm builds one trace arm and its Pareto row: per-app recorded
+// against replayed windows and the interference factor against the
+// baseline replay base. The baseline arm (verify) is the verification
+// replay: its IF is 1 by definition and it carries the round-trip verdict.
+func traceArm(label, scheme string, verify bool, rep, base *trace.ReplayResult, t *trace.Trace) (Arm, ParetoRow, error) {
+	cf := scheme
+	if verify {
+		cf = ""
+	}
+	text, err := ReplayText(label, cf, rep, t, true)
 	if err != nil {
-		return Arm{}, 0, 0, err
+		return Arm{}, ParetoRow{}, err
 	}
 	a := Arm{Scheme: scheme, Text: text}
-	var peak, agg float64
+	var peak, agg, baseAgg float64
 	for i, app := range rep.Apps {
 		ta := TraceApp{
 			Name:      app.Name,
 			RecordedS: rep.Recorded[i].Elapsed().Seconds(),
 			ReplayedS: app.Elapsed.Seconds(),
 		}
-		if bl.elapsed[i] > 0 {
-			ta.IF = float64(app.Elapsed) / float64(bl.elapsed[i])
+		switch be := base.Apps[i].Elapsed; {
+		case verify:
+			ta.IF = 1
+		case be > 0:
+			ta.IF = float64(app.Elapsed) / float64(be)
 		}
-		if ta.IF > peak {
-			peak = ta.IF
-		}
+		peak = max(peak, ta.IF)
 		agg += app.Throughput
+		baseAgg += base.Apps[i].Throughput
 		a.TraceApps = append(a.TraceApps, ta)
 	}
-	return a, peak, agg, nil
+	row := ParetoRow{Scheme: scheme, PeakIF: peak, DIFPct: (1 - peak) * 100, AggMBps: agg / 1e6}
+	if verify {
+		identical := true
+		a.Identical = &identical
+		row.PeakIF, row.DIFPct = 1, 0
+	}
+	if baseAgg > 0 {
+		row.TPCostPct = (baseAgg - agg) / baseAgg * 100
+	}
+	return a, row, nil
 }

@@ -3,6 +3,8 @@ package whatif
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -79,7 +81,8 @@ func TestComputeScenario(t *testing.T) {
 		t.Fatalf("pareto incomplete: %+v", rep.Pareto)
 	}
 
-	// Second identical query: baseline from the cache, bytes unchanged.
+	// Second identical query: the whole report from the cache, bytes
+	// unchanged.
 	rep2, hit2, err := s.Compute(q)
 	if err != nil {
 		t.Fatalf("Compute (warm): %v", err)
@@ -132,14 +135,19 @@ func TestComputeTrace(t *testing.T) {
 		t.Fatal("cache-hit trace report differs from the cold one")
 	}
 
-	// A different display label renders different table titles, so it must
-	// be a different baseline identity.
+	// A different display label renders different table titles, so it is
+	// a different report, but over the same two replays.
+	before := s.Cache().Stats()
 	_, hit3, err := s.Compute(&Query{Trace: raw, Label: "other.trace", Arms: []qos.Kind{qos.FairShare}})
 	if err != nil {
 		t.Fatalf("relabeled compute: %v", err)
 	}
 	if hit3 {
 		t.Fatal("same bytes under a different label served from the cache")
+	}
+	if st := s.Cache().Stats(); st.Misses-before.Misses != 1 || st.Hits-before.Hits != 2 {
+		t.Fatalf("relabeled compute: %d misses and %d hits, want its report missed and both replays hit",
+			st.Misses-before.Misses, st.Hits-before.Hits)
 	}
 }
 
@@ -179,5 +187,109 @@ func TestParseArms(t *testing.T) {
 	one, err := ParseArms([]string{"controller"})
 	if err != nil || len(one) != 1 || one[0] != qos.Controller {
 		t.Fatalf("single arm = %v, %v", one, err)
+	}
+}
+
+// overlapSpec is tinySpec on a three-point δ grid.
+func overlapSpec() scenario.Spec {
+	s := tinySpec()
+	s.DeltaS = []float64{-0.05, 0, 0.05}
+	return s
+}
+
+// variant renames s and rescales its δ grid by 1 + k/4, the way the
+// whatifd-open benchmark catalogue builds its variants: the δ=0 point, the
+// alone baselines and the pair co-run stay the same simulations.
+func variant(s scenario.Spec, k int) scenario.Spec {
+	v := s
+	v.Name = fmt.Sprintf("%s-v%d", s.Name, k)
+	v.DeltaS = make([]float64, len(s.DeltaS))
+	for i, d := range s.DeltaS {
+		v.DeltaS[i] = d * (1 + 0.25*float64(k))
+	}
+	return v
+}
+
+// referenceJSON computes q on a cache-less server.
+func referenceJSON(t *testing.T, q *Query) []byte {
+	t.Helper()
+	ref := New(Config{Workers: 1, CacheBytes: -1})
+	defer ref.Close()
+	rep, hit, err := ref.Compute(q)
+	if err != nil || hit {
+		t.Fatalf("reference compute: hit=%v err=%v", hit, err)
+	}
+	return mustReportJSON(t, rep)
+}
+
+// TestOverlappingQueriesShareSimulations pins the content addressing: a δ
+// variant of a cached query runs only its new δ points, two per arm, and
+// its report is byte-identical to a cache-less server's.
+func TestOverlappingQueriesShareSimulations(t *testing.T) {
+	s := New(Config{Workers: 1, Jobs: 1})
+	defer s.Close()
+	base, v := overlapSpec(), variant(overlapSpec(), 1)
+	arms, _ := ParseArms(nil)
+	q1 := &Query{Spec: &base, Backend: cluster.HDD, Arms: arms}
+	q2 := &Query{Spec: &v, Backend: cluster.HDD, Arms: arms}
+
+	if _, hit, err := s.Compute(q1); err != nil || hit {
+		t.Fatalf("cold query: hit=%v err=%v", hit, err)
+	}
+	// Per arm: 2 baselines and 3 δ points; the pair co-run is the δ=0
+	// point's job. Plus the report.
+	st1 := s.Cache().Stats()
+	if want := uint64(1 + 4*5); st1.Misses != want {
+		t.Fatalf("cold query: %d misses, want %d", st1.Misses, want)
+	}
+	rep, hit, err := s.Compute(q2)
+	if err != nil || hit {
+		t.Fatalf("variant: hit=%v err=%v", hit, err)
+	}
+	st2 := s.Cache().Stats()
+	if got, want := st2.Misses-st1.Misses, uint64(1+4*2); got != want {
+		t.Fatalf("variant: %d misses, want %d (its report and 2 new δ points per arm)", got, want)
+	}
+	if got, want := st2.Hits-st1.Hits, uint64(4*4); got != want {
+		t.Fatalf("variant: %d hits, want %d (2 baselines, the δ=0 point and the pair per arm)", got, want)
+	}
+	if !bytes.Equal(mustReportJSON(t, rep), referenceJSON(t, q2)) {
+		t.Fatal("variant report served over cached simulations differs from a cache-less server's")
+	}
+}
+
+// TestConcurrentOverlapMatchesReference runs overlapping queries on two
+// workers at once, so shared simulations coalesce in flight, and holds
+// every report to a cache-less server's bytes.
+func TestConcurrentOverlapMatchesReference(t *testing.T) {
+	s := New(Config{Workers: 2, Jobs: 2})
+	defer s.Close()
+	specs := []scenario.Spec{overlapSpec(), variant(overlapSpec(), 1), variant(overlapSpec(), 2)}
+	var qs []*Query
+	for i := range specs {
+		qs = append(qs, &Query{Spec: &specs[i], Backend: cluster.HDD, Arms: []qos.Kind{qos.FairShare}})
+	}
+	got := make([][]byte, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, _, err := s.Compute(q)
+			if err != nil {
+				t.Errorf("query %d: %v", i, err)
+				return
+			}
+			got[i] = mustReportJSON(t, rep)
+		}()
+	}
+	wg.Wait()
+	for i, q := range qs {
+		if !bytes.Equal(got[i], referenceJSON(t, q)) {
+			t.Fatalf("query %d differs from a cache-less server's report", i)
+		}
+	}
+	if st := s.Cache().Stats(); st.Hits == 0 {
+		t.Fatalf("overlapping queries shared nothing: %+v", st)
 	}
 }
