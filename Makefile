@@ -35,14 +35,19 @@ scenarios:
 	$(GO) run ./cmd/scenarios -smoke -run all
 
 # mitigate runs every built-in scenario on HDD at the smoke scale once under
-# each server-side QoS scheduler ({off, fairshare, tokenbucket, controller},
-# internal/qos) — the same grid the mitigation golden test pins, so a broken
-# scheduler fails fast on every push. The side-by-side Pareto view of these
-# arms is the what-if service's pareto_text (SCENARIOS.md).
+# each named server-side QoS scheduler ({off, fairshare, tokenbucket,
+# controller}, internal/qos) — the same grid the mitigation golden test pins
+# — then paperrepro's scheduling ablation, a sweep over FIFO and the related
+# work's app-ordered and round-robin orders (the table
+# cmd/paperrepro's TestAblationPolicyTable pins). So all six scheduler kinds
+# run from a CLI on every push, and a broken one fails fast. The side-by-side
+# Pareto view of the named arms is the what-if service's pareto_text
+# (SCENARIOS.md).
 mitigate:
 	for q in off fairshare tokenbucket controller; do \
 		$(GO) run ./cmd/scenarios -smoke -backend hdd -run all -qos $$q || exit 1; \
 	done
+	$(GO) run ./cmd/paperrepro -exp ablation-policy -scale 8 -format tsv
 
 # trace smoke: record the periodic-checkpoint builtin at smoke scale,
 # summarize it (Darshan-style), replay it — the -replay step exits nonzero

@@ -242,18 +242,16 @@ func BenchmarkAblationInfinitePort(b *testing.B) {
 }
 
 // BenchmarkAblationPolicy compares server request-scheduling policies —
-// FIFO (PVFS) against the coordinated orders of the related work.
+// FIFO (PVFS) against the related work's round-robin order — as a
+// two-arm mitigation sweep.
 func BenchmarkAblationPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		run := func(pol pfs.ReadPolicy) float64 {
-			cfg := paper.Config(benchScale)
-			cfg.Srv.Policy = pol
-			apps := core.TwoAppSpecs(cfg, paper.ProcsPerApp(cfg), cfg.CoresPerNode, paper.ContigSpec())
-			g := benchPool.RunDelta(core.DeltaSpec{Cfg: cfg, Apps: apps, Deltas: core.Deltas(10)})
-			return g.Unfairness()
-		}
-		b.ReportMetric(run(pfs.ReadFIFO), "unfair_fifo")
-		b.ReportMetric(run(pfs.ReadRoundRobin), "unfair_rr")
+		cfg := paper.Config(benchScale)
+		apps := core.TwoAppSpecs(cfg, paper.ProcsPerApp(cfg), cfg.CoresPerNode, paper.ContigSpec())
+		sw := benchPool.RunMitigationSweep(core.DeltaSpec{Cfg: cfg, Apps: apps, Deltas: core.Deltas(10)},
+			[]core.Scheme{{Name: "fifo"}, {Name: "rr", QoS: qos.Params{Kind: qos.RoundRobin}}})
+		b.ReportMetric(sw.Graphs[0].Unfairness(), "unfair_fifo")
+		b.ReportMetric(sw.Graphs[1].Unfairness(), "unfair_rr")
 	}
 }
 

@@ -37,7 +37,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/paper"
-	"repro/internal/pfs"
+	"repro/internal/qos"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
@@ -140,14 +140,7 @@ func newRunner(w io.Writer, format string, scale int, kind paper.GridKind) *runn
 }
 
 func (r *runner) emit(tables ...*report.Table) {
-	for _, t := range tables {
-		if r.format == "tsv" {
-			_ = t.WriteTSV(r.w)
-		} else {
-			_ = t.WriteASCII(r.w)
-		}
-		fmt.Fprintln(r.w)
-	}
+	_ = report.Emit(r.w, r.format == "tsv", tables...)
 }
 
 func (r *runner) one(id string) error {
@@ -257,24 +250,22 @@ func (r *runner) one(id string) error {
 }
 
 // ablationPolicy compares server request-scheduling policies at δ=+10s —
-// the server-side coordination the related work proposes (Song et al.).
+// the server-side coordination the related work proposes (Song et al.) —
+// as a mitigation sweep over PVFS's FIFO and the two coordinated orders.
 func (r *runner) ablationPolicy() *report.Table {
 	t := report.New("Ablation: server scheduling policy (contig, HDD sync ON, delta=+10s)",
 		"policy", "A_s", "B_s", "unfairness")
-	policies := []struct {
-		name string
-		p    pfs.ReadPolicy
-	}{{"fifo (PVFS)", pfs.ReadFIFO}, {"app-ordered", pfs.ReadAppOrdered}, {"round-robin", pfs.ReadRoundRobin}}
-	var specs []core.DeltaSpec
-	for _, pol := range policies {
-		cfg := paper.Config(r.scale)
-		cfg.Srv.Policy = pol.p
-		apps := core.TwoAppSpecs(cfg, paper.ProcsPerApp(cfg), cfg.CoresPerNode, paper.ContigSpec())
-		specs = append(specs, core.DeltaSpec{Cfg: cfg, Apps: apps, Deltas: core.Deltas(10)})
-	}
-	for i, g := range paper.Pool.RunDeltas(specs) {
+	cfg := paper.Config(r.scale)
+	apps := core.TwoAppSpecs(cfg, paper.ProcsPerApp(cfg), cfg.CoresPerNode, paper.ContigSpec())
+	sw := paper.Pool.RunMitigationSweep(core.DeltaSpec{Cfg: cfg, Apps: apps, Deltas: core.Deltas(10)},
+		[]core.Scheme{
+			{Name: "fifo (PVFS)", QoS: qos.Params{Kind: qos.Off}},
+			{Name: "app-ordered", QoS: qos.Params{Kind: qos.AppOrdered}},
+			{Name: "round-robin", QoS: qos.Params{Kind: qos.RoundRobin}},
+		})
+	for i, g := range sw.Graphs {
 		p := g.At(core.Deltas(10)[2])
-		t.Add(policies[i].name, p.Elapsed[0].Seconds(), p.Elapsed[1].Seconds(), g.Unfairness())
+		t.Add(sw.Schemes[i].Name, p.Elapsed[0].Seconds(), p.Elapsed[1].Seconds(), g.Unfairness())
 	}
 	return t
 }

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/paper"
+)
 
 func TestValidateFlags(t *testing.T) {
 	type in struct {
@@ -31,5 +36,26 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("validateFlags(%+v) = %v, want ok=%v", i, err, tc.wantOK)
 			}
 		})
+	}
+}
+
+// TestAblationPolicyTable pins the scheduling ablation's table at -scale 8
+// in TSV: FIFO against the two coordinated orders, the only command output
+// that reaches qos.AppOrdered and qos.RoundRobin. EXPERIMENTS.md quotes
+// its unfairness column.
+func TestAblationPolicyTable(t *testing.T) {
+	const want = "# Ablation: server scheduling policy (contig, HDD sync ON, delta=+10s)\n" +
+		"policy\tA_s\tB_s\tunfairness\n" +
+		"fifo (PVFS)\t27.958\t39.255\t1.404\n" +
+		"app-ordered\t27.958\t39.255\t0.956\n" +
+		"round-robin\t42.156\t39.255\t0.931\n" +
+		"\n"
+	var b strings.Builder
+	if err := newRunner(&b, "tsv", 8, paper.GridFull).one("ablation-policy"); err != nil {
+		t.Fatal(err)
+	}
+	got, _, _ := strings.Cut(b.String(), "# ablation-policy done in") // the timing line varies
+	if got != want {
+		t.Fatalf("ablation-policy table changed:\ngot\n%s\nwant\n%s", got, want)
 	}
 }

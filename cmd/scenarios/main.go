@@ -30,8 +30,9 @@
 // -faults runs each selected fault scenario (one with a "faults" block —
 // a deterministic timeline of server crashes, degraded devices and link
 // flaps, see SCENARIOS.md) twice: once with the plan stripped and once as
-// given, and prints per-app IF-under-faults plus the availability ledger
-// (downtime, discarded bytes, RPC timeouts, retries, goodput vs offered).
+// given, each at the δ=0 point of a plain run, and prints per-app
+// IF-under-faults plus the availability ledger (downtime, discarded bytes,
+// RPC timeouts, retries, goodput vs offered).
 //
 // -qos runs every selected scenario with the named server-side QoS
 // scheduler (off, fairshare, tokenbucket, controller) at its calibrated
@@ -51,8 +52,9 @@
 // scenario file with a "trace" block (see SCENARIOS.md) is the declarative
 // spelling of -replay.
 //
-// Every alone baseline, δ point and pairwise co-run is an independent
-// simulation; -j bounds how many run concurrently (default GOMAXPROCS).
+// Every alone baseline, δ point, pairwise co-run and fault twin is an
+// independent simulation; -j bounds how many run concurrently (default
+// GOMAXPROCS).
 // Output is identical at any -j.
 package main
 
@@ -127,7 +129,7 @@ func realMain(args []string, stdout io.Writer) error {
 			}
 			t.Add(s.Name, s.Population.Count, axis, s.Description)
 		}
-		return emit(stdout, *tsv, t)
+		return report.Emit(stdout, *tsv, t)
 	}
 
 	o := overrides{smoke: *smoke, qos: *qosName}
@@ -165,8 +167,9 @@ func realMain(args []string, stdout io.Writer) error {
 		return recordTrace(stdout, s, b, *traceOut, *tsv)
 	}
 
+	pool := core.Runner{Parallelism: *jobs}
 	if *faults {
-		return runFaults(stdout, specs, o, *tsv)
+		return runFaults(stdout, specs, o, pool, *tsv)
 	}
 
 	if *timeline {
@@ -178,7 +181,6 @@ func realMain(args []string, stdout io.Writer) error {
 		return runTimelines(stdout, specs, o, ocfg, *tsv)
 	}
 
-	pool := core.Runner{Parallelism: *jobs}
 	var all []*scenario.Result
 	var fleets []*scenario.FleetResult
 	for _, s := range specs {
@@ -203,7 +205,7 @@ func realMain(args []string, stdout io.Writer) error {
 					return err
 				}
 				fleets = append(fleets, f)
-				if err := emit(stdout, *tsv,
+				if err := report.Emit(stdout, *tsv,
 					scenario.RenderFleetClasses(f),
 					scenario.RenderFleetSlowdown(f),
 					scenario.RenderFleetPairs(f, 10)); err != nil {
@@ -228,7 +230,7 @@ func realMain(args []string, stdout io.Writer) error {
 		}
 	}
 	if len(fleets) > 0 {
-		if err := emit(stdout, *tsv, scenario.RenderFleetSummary(fleets)); err != nil {
+		if err := report.Emit(stdout, *tsv, scenario.RenderFleetSummary(fleets)); err != nil {
 			return err
 		}
 	}
@@ -270,11 +272,11 @@ func (o overrides) apply(s scenario.Spec) (scenario.Spec, []cluster.BackendKind,
 }
 
 // runFaults runs every selected fault scenario's healthy-vs-faulted
-// comparison and prints the per-app IF-under-faults table plus the
+// comparison on pool and prints the per-app IF-under-faults table plus the
 // availability ledger. Selected scenarios without a faults block are an
 // error: asking for a fault comparison of a fault-free scenario is a typo,
 // not a no-op.
-func runFaults(w io.Writer, specs []scenario.Spec, o overrides, tsv bool) error {
+func runFaults(w io.Writer, specs []scenario.Spec, o overrides, pool core.Runner, tsv bool) error {
 	ran := 0
 	for _, s := range specs {
 		if s.Faults == nil {
@@ -289,11 +291,11 @@ func runFaults(w io.Writer, specs []scenario.Spec, o overrides, tsv bool) error 
 			return err
 		}
 		for _, b := range axis {
-			fc, err := scenario.CompareFaults(s, b)
+			fc, err := scenario.CompareFaults(s, b, pool)
 			if err != nil {
 				return err
 			}
-			if err := emit(w, tsv,
+			if err := report.Emit(w, tsv,
 				scenario.RenderFaults(s, b, fc),
 				scenario.RenderAvailability(s, b, fc)); err != nil {
 				return err
@@ -380,7 +382,7 @@ func recordTrace(w io.Writer, s scenario.Spec, b cluster.BackendKind, path strin
 	fmt.Fprintf(w, "recorded %s on %s: %d requests from %d apps -> %s\n\n",
 		s.Name, b, len(t.Records), len(t.Header.Apps), path)
 	sums := trace.Summarize(t)
-	return emit(w, tsv,
+	return report.Emit(w, tsv,
 		trace.RenderSummary(fmt.Sprintf("%s on %s: Darshan-style per-app summary", s.Name, b), sums),
 		trace.RenderSizeHist(fmt.Sprintf("%s on %s: request-size histogram", s.Name, b), sums))
 }
@@ -422,8 +424,4 @@ func emitReplay(w io.Writer, s scenario.Spec, tsv bool) error {
 		return fmt.Errorf("replay of %s diverged from the recording (see the round-trip table)", title)
 	}
 	return nil
-}
-
-func emit(w io.Writer, tsv bool, tables ...*report.Table) error {
-	return whatif.EmitTables(w, tsv, tables...)
 }

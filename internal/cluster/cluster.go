@@ -295,8 +295,6 @@ func build(c Config, set *sim.ShardSet) *Platform {
 		Fabric: fab,
 		Set:    set,
 	}
-	sp := c.Srv
-	sp.Sync = c.Sync
 	for i := 0; i < c.Servers; i++ {
 		se := srvEngine(i)
 		host := fab.NewHostOn(se, fmt.Sprintf("srv%d", i), c.ServerNIC, c.PerSeg)
@@ -305,7 +303,7 @@ func build(c Config, set *sim.ShardSet) *Platform {
 		if c.Sync == pfs.SyncOff {
 			cache = storage.NewWriteCache(se, c.Cache, sdev)
 		}
-		pl.Servers = append(pl.Servers, pfs.NewServer(se, i, host, sdev, cache, sp))
+		pl.Servers = append(pl.Servers, pfs.NewServer(se, i, host, sdev, cache, c.Sync, c.Srv))
 		pl.Devices = append(pl.Devices, dev)
 		pl.Caches = append(pl.Caches, cache)
 		pl.Degraded = append(pl.Degraded, deg)
@@ -374,22 +372,4 @@ func (pl *Platform) EventsExecuted() uint64 {
 		return pl.Set.Executed()
 	}
 	return pl.E.Executed()
-}
-
-// DeviceBytes sums bytes written to all devices.
-func (pl *Platform) DeviceBytes() int64 {
-	var n int64
-	for _, d := range pl.Devices {
-		n += d.Stats().Bytes
-	}
-	return n
-}
-
-// TotalTimeouts sums TCP retransmission timeouts across all connections.
-func (pl *Platform) TotalTimeouts() int64 {
-	var n int64
-	for _, c := range pl.Fabric.Conns() {
-		n += c.Stats().Timeouts
-	}
-	return n
 }

@@ -43,8 +43,8 @@ func TestBuildWiresEverything(t *testing.T) {
 		if s.ID != i {
 			t.Fatalf("server %d has ID %d", i, s.ID)
 		}
-		if s.P.Sync != cfg.Sync {
-			t.Fatalf("server sync mode not propagated")
+		if s.Cache != pl.Caches[i] {
+			t.Fatalf("server %d does not write through the platform's cache", i)
 		}
 	}
 	// Sync ON: no caches.
@@ -130,10 +130,17 @@ func TestPlatformCounters(t *testing.T) {
 	// Write directly to a device and check the aggregate counter.
 	pl.Devices[0].Submit(&storage.Request{File: 1, Offset: 0, Size: 4096})
 	pl.E.Run()
-	if pl.DeviceBytes() != 4096 {
-		t.Fatalf("DeviceBytes = %d", pl.DeviceBytes())
+	var bytes, timeouts int64
+	for _, d := range pl.Devices {
+		bytes += d.Stats().Bytes
 	}
-	if pl.TotalTimeouts() != 0 {
-		t.Fatalf("TotalTimeouts = %d with no traffic", pl.TotalTimeouts())
+	for _, c := range pl.Fabric.Conns() {
+		timeouts += c.Stats().Timeouts
+	}
+	if bytes != 4096 {
+		t.Fatalf("device bytes = %d", bytes)
+	}
+	if timeouts != 0 {
+		t.Fatalf("TCP timeouts = %d with no traffic", timeouts)
 	}
 }

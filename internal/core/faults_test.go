@@ -66,7 +66,7 @@ func TestFaultComparisonIF(t *testing.T) {
 		fault.Event{At: 200 * sim.Millisecond, Kind: fault.ServerRestart, Server: 1},
 	)
 	apps := TwoAppSpecs(cfg, 8, 4, tinyWorkload())
-	fc := RunFaultComparison(cfg, apps)
+	fc := Runner{}.RunFaultComparison(cfg, apps)
 	for i := range fc.Faulted.Apps {
 		if ifv := fc.IF(i); ifv <= 1.0 {
 			t.Fatalf("app %d IF under faults = %.3f, want > 1", i, ifv)
@@ -94,7 +94,7 @@ func TestDegradedDeviceSlowsRun(t *testing.T) {
 	apps := TwoAppSpecs(cfg, 8, 4, tinyWorkload())
 	apps[0].TargetServers = []int{0} // victim
 	apps[1].TargetServers = []int{1} // bystander
-	fc := RunFaultComparison(cfg, apps)
+	fc := Runner{}.RunFaultComparison(cfg, apps)
 	if fc.IF(0) <= 1.05 {
 		t.Fatalf("victim IF = %.3f, want > 1.05 under a factor-8 degrade", fc.IF(0))
 	}

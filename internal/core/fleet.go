@@ -37,10 +37,6 @@ type FleetOpts struct {
 	// SampleSeed seeds pair selection; the same seed always picks the same
 	// pairs.
 	SampleSeed uint64
-	// HeadApps is the size of the "volume head" half the sample is biased
-	// toward (apps 0..HeadApps-1 in spec order; generated populations are
-	// in descending volume rank). 0 picks ceil(sqrt(n)).
-	HeadApps int
 }
 
 // PairSample is one sampled pairwise co-run: applications I and J (spec
@@ -166,9 +162,10 @@ func shapeKey(a AppSpec) string {
 }
 
 // fleetPairs picks opts.SamplePairs distinct unordered pairs: even draws
-// anchor one endpoint in the volume head (spec order is rank order for
-// generated populations), odd draws are uniform — so the sample covers both
-// elephant-on-anything aggression and background mouse-on-mouse contention.
+// anchor one endpoint in the volume head, the first ceil(sqrt(n)) apps
+// (spec order is rank order for generated populations), odd draws are
+// uniform — so the sample covers both elephant-on-anything aggression and
+// background mouse-on-mouse contention.
 // Selection is deterministic in opts.SampleSeed; a bounded attempt count
 // keeps the draw loop total even when the pair space is nearly exhausted.
 func fleetPairs(n int, opts FleetOpts) []appPair {
@@ -179,13 +176,7 @@ func fleetPairs(n int, opts FleetOpts) []appPair {
 	if total := n * (n - 1) / 2; k > total {
 		k = total
 	}
-	head := opts.HeadApps
-	if head <= 0 {
-		head = int(math.Ceil(math.Sqrt(float64(n))))
-	}
-	if head > n {
-		head = n
-	}
+	head := int(math.Ceil(math.Sqrt(float64(n)))) // <= n for n >= 2
 	r := sim.NewRand(opts.SampleSeed ^ 0x5EEDFA12F9)
 	seen := make(map[appPair]bool)
 	out := make([]appPair, 0, k)

@@ -124,9 +124,6 @@ func (h *Host) Stats() HostStats { return h.stats }
 // host's own shard.
 func (h *Host) SetLinkDown(down bool) { h.down = down }
 
-// LinkDown reports whether the link is administratively down.
-func (h *Host) LinkDown() bool { return h.down }
-
 // StartLossBurst opens (or extends) a deterministic loss window: for d from
 // now, every data segment arriving at the host's port is dropped. ACKs and
 // replies still flow. Must be called from the host's own shard.

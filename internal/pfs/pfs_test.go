@@ -23,17 +23,15 @@ type rig struct {
 // nClientHosts client hosts on a 1.25 GB/s fabric with default server
 // parameters.
 func buildRig(nServers, nClientHosts int, devKind string, mode SyncMode) *rig {
-	sp := DefaultServerParams()
-	sp.Sync = mode
-	return buildRigParams(nServers, nClientHosts, devKind, sp)
+	return buildRigParams(nServers, nClientHosts, devKind, mode, DefaultServerParams())
 }
 
 // buildRigParams is buildRig with explicit server parameters — the way a
-// test serializes the flow layer (FlowBufs) or selects a scheduling
-// discipline (Policy, QoS). Parameters must be chosen here, at
-// construction: NewServer derives the scheduler and the flow-slot count
-// from them, so mutating srv.P afterwards has no effect.
-func buildRigParams(nServers, nClientHosts int, devKind string, sp ServerParams) *rig {
+// test serializes the flow layer (FlowBufs) or selects a scheduler
+// (QoS.Kind). Parameters must be chosen here, at construction: NewServer
+// derives the scheduler and the flow-slot count from them, so mutating
+// srv.P afterwards has no effect.
+func buildRigParams(nServers, nClientHosts int, devKind string, mode SyncMode, sp ServerParams) *rig {
 	e := sim.NewEngine()
 	fab := netsim.NewFabric(e, netsim.DefaultParams())
 	var servers []*Server
@@ -48,10 +46,10 @@ func buildRigParams(nServers, nClientHosts int, devKind string, sp ServerParams)
 			dev = storage.NewRAM(e, storage.DefaultRAM())
 		}
 		var cache *storage.WriteCache
-		if sp.Sync == SyncOff {
+		if mode == SyncOff {
 			cache = storage.NewWriteCache(e, storage.DefaultCache(), dev)
 		}
-		servers = append(servers, NewServer(e, i, h, dev, cache, sp))
+		servers = append(servers, NewServer(e, i, h, dev, cache, mode, sp))
 		r.devs = append(r.devs, dev)
 		r.caches = append(r.caches, cache)
 	}
@@ -200,7 +198,7 @@ func TestFlowSlotBackpressure(t *testing.T) {
 	// (the Trove bottleneck) and fully drain by the end.
 	sp := DefaultServerParams()
 	sp.FlowBufs = 2
-	r := buildRigParams(1, 4, "hdd", sp)
+	r := buildRigParams(1, 4, "hdd", SyncOn, sp)
 	f := r.fs.CreateFile("f", nil, 64<<10)
 	srv := r.fs.Servers[0]
 	writing := 4

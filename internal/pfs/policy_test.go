@@ -4,21 +4,22 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
-// policyRig builds one slow-disk server with the given scheduling policy
-// and two single-client applications, B delayed by delta. It returns each
+// policyRig builds one slow-disk server running the given scheduler and
+// two single-client applications, B delayed by delta. It returns each
 // application's completion time. The single flow slot (FlowBufs=1,
 // a construction-time ServerParams knob) serializes requests so the
 // scheduling order is visible in the completion times.
-func policyRig(t *testing.T, pol ReadPolicy, delta sim.Time) (aDone, bDone sim.Time) {
+func policyRig(t *testing.T, kind qos.Kind, delta sim.Time) (aDone, bDone sim.Time) {
 	t.Helper()
 	sp := DefaultServerParams()
-	sp.Policy = pol
+	sp.QoS = qos.Params{Kind: kind}
 	sp.FlowBufs = 1
-	r := buildRigParams(1, 2, "hdd", sp)
+	r := buildRigParams(1, 2, "hdd", SyncOn, sp)
 
 	fA := r.fs.CreateFile("a", nil, 64<<10)
 	fB := r.fs.CreateFile("b", nil, 64<<10)
@@ -42,7 +43,7 @@ func policyRig(t *testing.T, pol ReadPolicy, delta sim.Time) (aDone, bDone sim.T
 }
 
 func TestPolicyFIFOFavorsFirst(t *testing.T) {
-	aDone, bDone := policyRig(t, ReadFIFO, 10*sim.Millisecond)
+	aDone, bDone := policyRig(t, qos.Off, 10*sim.Millisecond)
 	if aDone >= bDone {
 		t.Fatalf("FIFO: first application should finish first (A=%v B=%v)", aDone, bDone)
 	}
@@ -53,9 +54,9 @@ func TestPolicyAppOrderedPrefersLowApp(t *testing.T) {
 	// (B issues its first request before A exists, so B's initial request
 	// may slip in, but A must still finish well before B.)
 	sp := DefaultServerParams()
-	sp.Policy = ReadAppOrdered
+	sp.QoS = qos.Params{Kind: qos.AppOrdered}
 	sp.FlowBufs = 1
-	r := buildRigParams(1, 2, "hdd", sp)
+	r := buildRigParams(1, 2, "hdd", SyncOn, sp)
 	fA := r.fs.CreateFile("a", nil, 64<<10)
 	fB := r.fs.CreateFile("b", nil, 64<<10)
 	clA := r.fs.NewClient(r.cliHost[0], 0)
@@ -85,7 +86,7 @@ func TestPolicyAppOrderedPrefersLowApp(t *testing.T) {
 
 func TestPolicyRoundRobinInterleaves(t *testing.T) {
 	// Round-robin should give near-equal completion under equal load.
-	aDone, bDone := policyRig(t, ReadRoundRobin, 10*sim.Millisecond)
+	aDone, bDone := policyRig(t, qos.RoundRobin, 10*sim.Millisecond)
 	ratio := float64(bDone) / float64(aDone)
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("round-robin should co-schedule apps: A=%v B=%v (ratio %.2f)", aDone, bDone, ratio)
@@ -125,7 +126,7 @@ func TestServerStallInjection(t *testing.T) {
 	srvHost := fab.NewHost("srv", 1.25e9, 0)
 	cliHost := fab.NewHost("cli", 1.25e9, 0)
 	sp := DefaultServerParams()
-	srv := NewServer(e, 0, srvHost, stall, nil, sp)
+	srv := NewServer(e, 0, srvHost, stall, nil, SyncOn, sp)
 	fs := NewFileSystem(e, fab, []*Server{srv})
 	f := fs.CreateFile("f", nil, 64<<10)
 	cl := fs.NewClient(cliHost, 0)

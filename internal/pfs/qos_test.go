@@ -25,7 +25,7 @@ func qosRig(t *testing.T, qp qos.Params) (int64, int, *rig) {
 	t.Helper()
 	sp := DefaultServerParams()
 	sp.QoS = qp
-	r := buildRigParams(1, 3, "hdd", sp)
+	r := buildRigParams(1, 3, "hdd", SyncOn, sp)
 	fA := r.fs.CreateFile("bulk", nil, 64<<10)
 	fB := r.fs.CreateFile("small", nil, 64<<10)
 	for i := 0; i < 2; i++ {
@@ -93,7 +93,7 @@ func TestQoSFairShareClampsAggressorPipeline(t *testing.T) {
 func soloWriter(devKind string, qp qos.Params) sim.Time {
 	sp := DefaultServerParams()
 	sp.QoS = qp
-	r := buildRigParams(1, 1, devKind, sp)
+	r := buildRigParams(1, 1, devKind, SyncOn, sp)
 	f := r.fs.CreateFile("f", nil, 64<<10)
 	cl := r.fs.NewClient(r.cliHost[0], 0)
 	var done sim.Time
@@ -186,7 +186,7 @@ func TestQoSFlowSlotsOverride(t *testing.T) {
 	for _, kind := range []qos.Kind{qos.FairShare, qos.Off} {
 		sp := DefaultServerParams()
 		sp.QoS = qos.Params{Kind: kind, FlowSlots: 3}
-		r := buildRigParams(1, 1, "ram", sp)
+		r := buildRigParams(1, 1, "ram", SyncOn, sp)
 		if got := r.fs.Servers[0].P.FlowBufs; got != 3 {
 			t.Fatalf("%v: FlowBufs = %d, want 3", kind, got)
 		}
@@ -206,5 +206,5 @@ func TestQoSInvalidParamsPanic(t *testing.T) {
 	}()
 	sp := DefaultServerParams()
 	sp.QoS = qos.Params{Kind: qos.FairShare, QuantumBytes: -1}
-	buildRigParams(1, 1, "ram", sp)
+	buildRigParams(1, 1, "ram", SyncOn, sp)
 }

@@ -33,27 +33,11 @@ func (m SyncMode) String() string {
 	return "unknown"
 }
 
-// ReadPolicy selects which queued request a server grants the next free
-// flow slot. FIFO models PVFS (no coordination, "no particular scheduling
-// mechanism at the server side" — §IV-B1); the alternatives are the
-// server-side coordination ablations discussed in the paper's related work.
-type ReadPolicy int
-
-// Read policies.
-const (
-	// ReadFIFO admits requests in arrival order (PVFS behavior).
-	ReadFIFO ReadPolicy = iota
-	// ReadAppOrdered always prefers the lowest application ID first, making
-	// every server process applications in the same global order (the
-	// server-side coordination of Song et al., SC'11).
-	ReadAppOrdered
-	// ReadRoundRobin alternates flow grants between applications.
-	ReadRoundRobin
-)
-
-// ServerParams configures a storage server's software stack.
+// ServerParams configures a storage server's software stack. The sync mode
+// is not one of them: it is the platform's (cluster.Config.Sync), which
+// also decides whether the server gets a write cache, so NewServer takes it
+// as an argument.
 type ServerParams struct {
-	Sync SyncMode
 	// FlowBufSize is the chunk size of the flow protocol; client requests
 	// are carved into chunks of at most this many bytes, and a flow pulls
 	// one chunk at a time from its socket.
@@ -78,13 +62,11 @@ type ServerParams struct {
 	CPUBytesPerSec float64
 	// RespBytes is the size of the reply message.
 	RespBytes int64
-	// Policy selects the legacy request scheduling policy (default FIFO).
-	// It only applies while QoS is off.
-	Policy ReadPolicy
-	// QoS selects and tunes a server-side QoS scheduler (see internal/qos).
-	// The zero value (qos.Off) keeps the legacy Policy path, which is
-	// bit-identical to the pre-QoS server. An active scheduler may
-	// override FlowBufs via its FlowSlots knob; its pipeline lever
+	// QoS selects the scheduler that grants free flow slots, and tunes it
+	// (see internal/qos). The zero value (qos.Off) is PVFS's FIFO; the
+	// related work's coordinated orders (qos.AppOrdered, qos.RoundRobin)
+	// and the mitigation schedulers are the other kinds. Its FlowSlots
+	// knob, when set, overrides FlowBufs; its pipeline lever
 	// (qos.Params.InflightChunks) acts per application through the
 	// DepthAdvisor, on top of the unchanged per-flow FlowDepth.
 	QoS qos.Params
@@ -93,7 +75,6 @@ type ServerParams struct {
 // DefaultServerParams models OrangeFS 2.8.3 on the paper's hardware.
 func DefaultServerParams() ServerParams {
 	return ServerParams{
-		Sync:           SyncOn,
 		FlowBufSize:    256 << 10,
 		FlowBufs:       16,
 		FlowDepth:      16,
@@ -107,16 +88,14 @@ func DefaultServerParams() ServerParams {
 // Server is one PVFS storage daemon: a host on the fabric, a CPU, a flow
 // layer serving at most FlowBufs requests concurrently, and a backend
 // (device, cache or null). Which queued request gets a free flow slot is
-// decided by a qos.Scheduler: the legacy ReadPolicy disciplines when QoS is
-// off, or one of the mitigation schedulers (fair-share, token-bucket,
-// feedback controller) when ServerParams.QoS selects it.
+// decided by the qos.Scheduler that ServerParams.QoS selects.
 type Server struct {
 	E    *sim.Engine
 	ID   int
 	Host *netsim.Host
 	P    ServerParams
 
-	// Dev is the backend device (used directly with SyncOn).
+	// Dev is the backend device (used directly with SyncOn, and for reads).
 	Dev storage.Device
 	// Cache is the write-back cache (used with SyncOff; nil otherwise).
 	Cache *storage.WriteCache
@@ -129,6 +108,7 @@ type Server struct {
 	// the default — keeps the completion path span-free.
 	Spans SpanSink
 
+	sync       SyncMode
 	cpu        *sim.Line
 	freeFlows  int
 	reqQueue   []*srvReqState
@@ -159,9 +139,10 @@ type Server struct {
 	wakeAt    sim.Time
 }
 
-// NewServer builds a server bound to host with the given backend. cache may
-// be nil unless p.Sync is SyncOff.
-func NewServer(e *sim.Engine, id int, host *netsim.Host, dev storage.Device, cache *storage.WriteCache, p ServerParams) *Server {
+// NewServer builds a server bound to host with the given backend, persisting
+// writes by the platform's sync mode. cache may be nil unless sync is
+// SyncOff. The scheduler is qos.New's for p.QoS, whatever its kind.
+func NewServer(e *sim.Engine, id int, host *netsim.Host, dev storage.Device, cache *storage.WriteCache, sync SyncMode, p ServerParams) *Server {
 	if p.FlowBufs <= 0 {
 		p.FlowBufs = 1
 	}
@@ -175,28 +156,17 @@ func NewServer(e *sim.Engine, id int, host *netsim.Host, dev storage.Device, cac
 	if eff := p.QoS.WithDefaults(); eff.FlowSlots > 0 {
 		p.FlowBufs = eff.FlowSlots
 	}
-	if p.Sync == SyncOff && cache == nil {
+	if sync == SyncOff && cache == nil {
 		panic("pfs: SyncOff requires a write cache")
 	}
 	s := &Server{
-		E: e, ID: id, Host: host, P: p, Dev: dev, Cache: cache,
+		E: e, ID: id, Host: host, P: p, Dev: dev, Cache: cache, sync: sync,
 		cpu:       &sim.Line{E: e, Rate: p.CPUBytesPerSec, PerOp: p.CPUPerChunk},
 		freeFlows: p.FlowBufs,
 	}
 	s.Tel = qos.NewTelemetry(dev)
-	if p.QoS.Kind != qos.Off {
-		s.sched = qos.New(e, p.QoS, s.Tel)
-		s.adv, _ = s.sched.(qos.DepthAdvisor)
-	} else {
-		switch p.Policy {
-		case ReadAppOrdered:
-			s.sched = qos.NewAppOrdered()
-		case ReadRoundRobin:
-			s.sched = qos.NewRoundRobin()
-		default:
-			s.sched = qos.NewFIFO()
-		}
-	}
+	s.sched = qos.New(e, p.QoS, s.Tel)
+	s.adv, _ = s.sched.(qos.DepthAdvisor)
 	return s
 }
 
@@ -212,9 +182,6 @@ func (s *Server) AppDepth(app int) int {
 
 // FreeFlows returns the number of idle flow slots.
 func (s *Server) FreeFlows() int { return s.freeFlows }
-
-// Down reports whether the server is currently crashed.
-func (s *Server) Down() bool { return s.down }
 
 // Crash fail-stops the server: every queued and active request dies (its
 // buffered chunks are read off the wire and discarded, so receive-buffer
@@ -429,11 +396,11 @@ func (s *Server) consume(st *srvReqState) {
 func (s *Server) store(c *netsim.Conn, ck *chunkMsg) {
 	r := s.devReq(c, ck)
 	switch {
-	case s.P.Sync == NullAIO:
+	case s.sync == NullAIO:
 		s.E.Schedule(0, r.Done)
-	case ck.read || s.P.Sync == SyncOn:
+	case ck.read || s.sync == SyncOn:
 		s.Dev.Submit(&r.Request)
-	case s.P.Sync == SyncOff:
+	case s.sync == SyncOff:
 		s.Cache.Write(&r.Request)
 	}
 }

@@ -2,11 +2,12 @@ package qos
 
 import "repro/internal/sim"
 
-// The legacy pfs.ReadPolicy scheduling disciplines, re-expressed as
-// Schedulers so the server has exactly one grant path. Their selection
-// logic is a line-for-line port of the original pfs.Server.pickRequest —
-// the paper and scenario golden checksums pin that the FIFO scheduler (the
-// QoS-off default) reproduces the old behavior bit-for-bit.
+// The schedulers that predate the mitigation ones: PVFS's FIFO (Off) and
+// the related work's coordinated orders (AppOrdered, RoundRobin). They
+// have no knobs; New builds them like every other kind. Their selection
+// logic is a line-for-line port of the server's original request pick —
+// the paper and scenario golden checksums pin that FIFO, the zero Kind,
+// reproduces it bit-for-bit.
 
 // fifo admits requests in issue order (PVFS: "no particular scheduling
 // mechanism at the server side", §IV-B1). FIFO orders by request *issue*
@@ -14,9 +15,6 @@ import "repro/internal/sim"
 // descriptor message, which reaches the server long before the bulk data
 // fights its way through a congested fabric. Ties keep queue order.
 type fifo struct{}
-
-// NewFIFO returns the PVFS baseline scheduler.
-func NewFIFO() Scheduler { return fifo{} }
 
 func (fifo) Pick(now sim.Time, q []Request) (int, sim.Time) {
 	return oldest(q), 0
@@ -69,9 +67,6 @@ func appHeads(q []Request, scratch []int32) []int32 {
 // coordination of Song et al., SC'11).
 type appOrdered struct{}
 
-// NewAppOrdered returns the global-application-order scheduler.
-func NewAppOrdered() Scheduler { return appOrdered{} }
-
 func (appOrdered) Pick(now sim.Time, q []Request) (int, sim.Time) {
 	best := 0
 	for i := 1; i < len(q); i++ {
@@ -88,9 +83,6 @@ func (appOrdered) Pick(now sim.Time, q []Request) (int, sim.Time) {
 type roundRobin struct {
 	last int // application granted most recently
 }
-
-// NewRoundRobin returns the per-grant application-alternation scheduler.
-func NewRoundRobin() Scheduler { return &roundRobin{} }
 
 func (r *roundRobin) Pick(now sim.Time, q []Request) (int, sim.Time) {
 	best := -1

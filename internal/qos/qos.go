@@ -6,8 +6,13 @@
 // the cross-application interference it measures, and the related work
 // (Song et al.'s server-side coordination, Collignon et al.'s
 // control-theoretic congestion mitigation, LASSi's risk/load metrics)
-// sketches the remedies this package implements:
+// sketches the remedies this package implements. Every server runs exactly
+// one Scheduler, which New builds from a Kind:
 //
+//   - Off: PVFS's FIFO in issue order, the un-mitigated baseline.
+//   - AppOrdered and RoundRobin: the server-side coordination orders of
+//     the related work (Song et al.), which the paper's scheduling
+//     ablation compares with FIFO.
 //   - FairShare: deficit round-robin over application IDs, byte-fair
 //     admission to the flow slots regardless of request size.
 //   - TokenBucket: a per-application rate cap with configurable refill,
@@ -16,11 +21,6 @@
 //     (queued bytes, device utilization, throughput EWMA) on a simulated
 //     tick and throttles the current aggressor's token rate while victims
 //     have backlog — congestion control in the spirit of Collignon et al.
-//
-// The legacy pfs.ReadPolicy values (FIFO, app-ordered, round-robin) are
-// implemented as Schedulers too, so the server has exactly one scheduling
-// path; with QoS off the FIFO scheduler reproduces PVFS behavior
-// bit-for-bit (the paper/scenario golden checksums pin this).
 //
 // Determinism: schedulers are purely event-driven state machines on the
 // simulation clock — no wall clock, no randomness — and their steady state
@@ -76,14 +76,22 @@ type DepthAdvisor interface {
 // Kind selects a scheduler implementation.
 type Kind int
 
-// Scheduler kinds. Off is the zero value: the server keeps its legacy
-// ReadPolicy path (FIFO unless pfs.ServerParams.Policy overrides), which is
-// the un-mitigated baseline of every sweep.
+// Scheduler kinds. Off is the zero value: PVFS's FIFO, the un-mitigated
+// baseline of every sweep. The numbers are stable (a Kind marshals as its
+// number), so new kinds are appended. AppOrdered and RoundRobin have no
+// knobs and no names in ParseKind: specs, the CLIs and the what-if service
+// choose among the four mitigation-axis names, and the scheduling
+// ablation selects the coordinated orders by Kind.
 const (
 	Off Kind = iota
 	FairShare
 	TokenBucket
 	Controller
+	// AppOrdered always grants the lowest application ID first, so every
+	// server processes applications in the same global order.
+	AppOrdered
+	// RoundRobin alternates grants between applications.
+	RoundRobin
 )
 
 func (k Kind) String() string {
@@ -96,6 +104,10 @@ func (k Kind) String() string {
 		return "tokenbucket"
 	case Controller:
 		return "controller"
+	case AppOrdered:
+		return "app-ordered"
+	case RoundRobin:
+		return "round-robin"
 	}
 	return "unknown"
 }
@@ -235,7 +247,7 @@ func (p Params) WithDefaults() Params {
 // Validate checks the parameter set for structural errors (negative knobs).
 // Zero values are legal everywhere — they select defaults.
 func (p Params) Validate() error {
-	if p.Kind < Off || p.Kind > Controller {
+	if p.Kind < Off || p.Kind > RoundRobin {
 		return fmt.Errorf("qos: unknown scheduler kind %d", int(p.Kind))
 	}
 	switch {
@@ -261,10 +273,10 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// New builds a scheduler. Off yields the FIFO scheduler (PVFS behavior).
-// The engine is only required by Controller (its feedback tick); telemetry
-// is required by the kinds that read the probe layer (FairShare's demand
-// test, Controller's sampling). TokenBucket accepts nil for both.
+// New builds the scheduler of p.Kind; it is the only constructor. The
+// engine is only required by Controller (its feedback tick); telemetry is
+// required by the kinds that read the probe layer (FairShare's demand
+// test, Controller's sampling). The other kinds accept nil for both.
 func New(e *sim.Engine, p Params, tel *Telemetry) Scheduler {
 	p = p.WithDefaults()
 	switch p.Kind {
@@ -280,7 +292,11 @@ func New(e *sim.Engine, p Params, tel *Telemetry) Scheduler {
 			panic("qos: Controller needs an engine and a telemetry probe")
 		}
 		return &controller{e: e, p: p, tel: tel, b: buckets{burst: float64(p.BurstBytes)}}
+	case AppOrdered:
+		return appOrdered{}
+	case RoundRobin:
+		return &roundRobin{}
 	default:
-		return NewFIFO()
+		return fifo{}
 	}
 }

@@ -34,10 +34,20 @@ func TestParseKind(t *testing.T) {
 			t.Fatalf("round-trip of %v failed", k)
 		}
 	}
+	// The coordinated orders are reached by Kind only: specs, -qos and the
+	// what-if service accept the four mitigation-axis names.
+	for _, k := range []Kind{AppOrdered, RoundRobin} {
+		if _, err := ParseKind(k.String()); err == nil {
+			t.Fatalf("ParseKind(%q) accepted a kind without a name", k)
+		}
+	}
+	if got := strings.Join(KindNames(), ","); got != "off,fairshare,tokenbucket,controller" {
+		t.Fatalf("KindNames() = %s", got)
+	}
 }
 
 func TestParamsValidateAndDefaults(t *testing.T) {
-	for _, k := range []Kind{Off, FairShare, TokenBucket, Controller} {
+	for _, k := range []Kind{Off, FairShare, TokenBucket, Controller, AppOrdered, RoundRobin} {
 		p := Defaults(k)
 		if err := p.Validate(); err != nil {
 			t.Fatalf("Defaults(%v) invalid: %v", k, err)
@@ -48,6 +58,7 @@ func TestParamsValidateAndDefaults(t *testing.T) {
 	}
 	bad := []Params{
 		{Kind: Kind(99)},
+		{Kind: RoundRobin + 1},
 		{FlowSlots: -1},
 		{InflightChunks: -1},
 		{QuantumBytes: -1},
@@ -72,7 +83,7 @@ func TestParamsValidateAndDefaults(t *testing.T) {
 
 // TestLegacyFIFO: oldest issued wins; queue order breaks ties.
 func TestLegacyFIFO(t *testing.T) {
-	s := NewFIFO()
+	s := New(nil, Params{}, nil)
 	q := []Request{req(1, 30, 1), req(0, 10, 1), req(2, 10, 1)}
 	if idx, wake := s.Pick(100, q); idx != 1 || wake != 0 {
 		t.Fatalf("Pick = %d, %v; want 1, 0", idx, wake)
@@ -81,7 +92,7 @@ func TestLegacyFIFO(t *testing.T) {
 
 // TestLegacyAppOrdered: lowest application first, issue order within it.
 func TestLegacyAppOrdered(t *testing.T) {
-	s := NewAppOrdered()
+	s := New(nil, Params{Kind: AppOrdered}, nil)
 	q := []Request{req(2, 1, 1), req(0, 50, 1), req(0, 40, 1), req(1, 2, 1)}
 	if idx, _ := s.Pick(100, q); idx != 2 {
 		t.Fatalf("Pick = %d, want 2 (app 0, earliest issue)", idx)
@@ -91,7 +102,7 @@ func TestLegacyAppOrdered(t *testing.T) {
 // TestLegacyRoundRobin: avoids the application granted last; falls back to
 // FIFO when only that application has queued work.
 func TestLegacyRoundRobin(t *testing.T) {
-	s := NewRoundRobin()
+	s := New(nil, Params{Kind: RoundRobin}, nil)
 	// Fresh scheduler: last = 0, so app 1 is preferred over app 0.
 	q := []Request{req(0, 1, 1), req(1, 5, 1)}
 	if idx, _ := s.Pick(10, q); idx != 1 {
@@ -352,9 +363,9 @@ func TestSchedulersSteadyStateZeroAlloc(t *testing.T) {
 	tel.Arrive(0, 1<<20)
 	tel.Arrive(1, 1<<20)
 	schedulers := map[string]Scheduler{
-		"fifo":        NewFIFO(),
-		"apporder":    NewAppOrdered(),
-		"roundrobin":  NewRoundRobin(),
+		"fifo":        New(nil, Params{}, nil),
+		"apporder":    New(nil, Params{Kind: AppOrdered}, nil),
+		"roundrobin":  New(nil, Params{Kind: RoundRobin}, nil),
 		"fairshare":   New(nil, Params{Kind: FairShare}, tel),
 		"tokenbucket": New(nil, Params{Kind: TokenBucket}, nil),
 	}

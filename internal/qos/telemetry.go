@@ -192,9 +192,6 @@ func (t *Telemetry) MarkUp(now sim.Time) {
 	t.avail.Downtime += now - t.downSince
 }
 
-// Down reports whether the server is currently marked down.
-func (t *Telemetry) Down() bool { return t.down }
-
 // Discard records n wire bytes the server read and threw away.
 func (t *Telemetry) Discard(n int64) {
 	t.avail.DiscardedMsgs++

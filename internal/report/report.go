@@ -114,5 +114,26 @@ func (t *Table) WriteASCII(w io.Writer) error {
 	return nil
 }
 
+// Emit writes each table, as TSV or as aligned ASCII, followed by a blank
+// line: the byte stream every command prints, and the what-if service and
+// the timeline golden embed.
+func Emit(w io.Writer, tsv bool, tables ...*Table) error {
+	for _, t := range tables {
+		var err error
+		if tsv {
+			err = t.WriteTSV(w)
+		} else {
+			err = t.WriteASCII(w)
+		}
+		if err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Seconds formats a float seconds value compactly.
 func Seconds(s float64) string { return trimFloat(s) }

@@ -163,11 +163,12 @@ func (fb *FaultBlock) validate(servers int) error {
 	return fb.plan().Validate(servers)
 }
 
-// CompareFaults runs a fault scenario's δ=0 co-run twice on one backend —
-// once with the fault plan stripped (the healthy twin) and once as given —
-// and returns the pair (see core.RunFaultComparison). The scenario must
-// carry a faults block.
-func CompareFaults(s Spec, backend cluster.BackendKind) (core.FaultComparison, error) {
+// CompareFaults runs a fault scenario's δ=0 co-run — the one Run, Record
+// and RunTimeline simulate — twice on one backend, as two jobs on pool:
+// once with the fault plan stripped (the healthy twin) and once as given
+// (see core.Runner.RunFaultComparison). The scenario must carry a faults
+// block.
+func CompareFaults(s Spec, backend cluster.BackendKind, pool core.Runner) (core.FaultComparison, error) {
 	cfg, spec, err := s.Build(backend)
 	if err != nil {
 		return core.FaultComparison{}, err
@@ -175,14 +176,7 @@ func CompareFaults(s Spec, backend cluster.BackendKind) (core.FaultComparison, e
 	if cfg.Faults == nil {
 		return core.FaultComparison{}, fmt.Errorf("scenario %q: no faults block to compare", s.Name)
 	}
-	apps := make([]core.AppSpec, len(spec.Apps))
-	copy(apps, spec.Apps)
-	for i := range apps {
-		if spec.StartOffsets != nil {
-			apps[i].Start = spec.StartOffsets[i]
-		}
-	}
-	return core.RunFaultComparison(cfg, apps), nil
+	return pool.RunFaultComparison(cfg, spec.AppsAt(0)), nil
 }
 
 // smoke returns a copy scaled for a shrunken run. The injection timeline

@@ -67,7 +67,7 @@ func TestGoldenFaults(t *testing.T) {
 	for _, s := range specs {
 		sm := s.Smoke()
 		for _, backend := range []cluster.BackendKind{cluster.HDD, cluster.SSD} {
-			fc, err := CompareFaults(sm, backend)
+			fc, err := CompareFaults(sm, backend, core.Runner{})
 			if err != nil {
 				t.Fatalf("%s@%s: %v", s.Name, backend.String(), err)
 			}
@@ -175,7 +175,7 @@ func TestFaultBuiltinLiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := CompareFaults(s, cluster.HDD)
+	fc, err := CompareFaults(s, cluster.HDD, core.Runner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,5 +191,32 @@ func TestFaultBuiltinLiveness(t *testing.T) {
 	}
 	if av.Failures > 0 && av.Retries == 0 {
 		t.Fatalf("failures without retries: %+v", av)
+	}
+}
+
+// TestCompareFaultsIsTheDeltaZeroPoint: the faulted twin is the δ=0 co-run
+// that Run, Record and RunTimeline simulate, start offsets normalized the
+// same way — also when every app starts late, which no fault builtin does.
+func TestCompareFaultsIsTheDeltaZeroPoint(t *testing.T) {
+	s, err := Lookup("degraded-ost-victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = s.Smoke()
+	s.Apps[0].StartS, s.Apps[1].StartS = 0.01, 0.02
+	fc, err := CompareFaults(s, cluster.HDD, core.Runner{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(s, cluster.HDD, core.Runner{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := res.Graph.At(0)
+	for i, a := range fc.Faulted.Apps {
+		if a.Start != p.Start[i] || a.Elapsed != p.Elapsed[i] {
+			t.Errorf("app %d: faulted twin starts %v, takes %v; the δ=0 point starts %v, takes %v",
+				i, a.Start, a.Elapsed, p.Start[i], p.Elapsed[i])
+		}
 	}
 }

@@ -45,21 +45,9 @@ func RenderTimelineRun(name string, backend cluster.BackendKind, res core.RunRes
 }
 
 // TimelineText renders an observed co-run to the byte stream the CLI
-// prints (each table followed by a blank line, TSV or aligned ASCII) —
-// the string the timeline golden pins.
+// prints (report.Emit's) — the string the timeline golden pins.
 func TimelineText(name string, backend cluster.BackendKind, res core.RunResult, tsv bool) (string, error) {
 	var b strings.Builder
-	for _, t := range RenderTimelineRun(name, backend, res) {
-		var err error
-		if tsv {
-			err = t.WriteTSV(&b)
-		} else {
-			err = t.WriteASCII(&b)
-		}
-		if err != nil {
-			return "", err
-		}
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
+	err := report.Emit(&b, tsv, RenderTimelineRun(name, backend, res)...)
+	return b.String(), err
 }

@@ -486,10 +486,6 @@ func (e *Engine) dispatch(top qent) {
 
 // ---- shard boundary ------------------------------------------------------
 
-// Shard returns the engine's shard index within its ShardSet (0 for a
-// serial engine).
-func (e *Engine) Shard() int { return int(e.shard) }
-
 // NextEventTime reports the due time of the earliest pending event; ok is
 // false when the queue is empty. It is the engine's safe-time report to the
 // ShardSet synchronizer. Like a RunUntil that stops, it leaves the floor

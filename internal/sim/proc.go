@@ -150,9 +150,6 @@ type Signal struct {
 	waiters waitq
 }
 
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
-
 // Fire releases all waiters. Waiters resume as separate events at the
 // current time, in Await order. Firing twice is a no-op.
 func (s *Signal) Fire() {

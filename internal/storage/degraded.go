@@ -32,9 +32,7 @@ type Degraded struct {
 	factor  float64  // 1 = healthy
 	latency sim.Time // extra per-op latency while degraded
 
-	busyUntil   sim.Time // virtual slow medium's serialization clock
-	slowed      int64    // completions that paid a penalty
-	slowedBytes int64
+	busyUntil sim.Time // virtual slow medium's serialization clock
 }
 
 // NewDegraded wraps inner; baseBW is the device's nominal sequential
@@ -65,16 +63,6 @@ func (d *Degraded) Restore() {
 	d.latency = 0
 }
 
-// DegradedNow reports whether a penalty is currently applied.
-func (d *Degraded) DegradedNow() bool { return d.factor > 1 || d.latency > 0 }
-
-// Slowed returns how many completions paid a degrade penalty, and their
-// bytes.
-func (d *Degraded) Slowed() (ops int64, bytes int64) { return d.slowed, d.slowedBytes }
-
-// Inner returns the wrapped device.
-func (d *Degraded) Inner() Device { return d.inner }
-
 // Name returns the inner device's name — the wrapper is an operational
 // state, not a different medium.
 func (d *Degraded) Name() string { return d.inner.Name() }
@@ -86,8 +74,6 @@ func (d *Degraded) Submit(r *Request) {
 		return
 	}
 	extra := d.latency + sim.Time(float64(sim.TransferTime(r.Size, d.baseBW))*(d.factor-1))
-	d.slowed++
-	d.slowedBytes += r.Size
 	orig := r.Done
 	r.Done = func() {
 		// Hand the request back as the caller submitted it, so a caller

@@ -27,33 +27,16 @@ import (
 	"repro/internal/trace"
 )
 
-// EmitTables writes each table (TSV or aligned ASCII) followed by a blank
-// line — the byte stream cmd/scenarios prints per run. The CLI and the
-// service both compose their output through here, so the two can never
-// drift apart.
+// EmitTables is report.Emit, kept for the benchmark module's callers.
 func EmitTables(w io.Writer, tsv bool, tables ...*report.Table) error {
-	for _, t := range tables {
-		var err error
-		if tsv {
-			err = t.WriteTSV(w)
-		} else {
-			err = t.WriteASCII(w)
-		}
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	return report.Emit(w, tsv, tables...)
 }
 
 // ScenarioRunText renders one scenario result the way cmd/scenarios prints
 // it: alone baselines, δ-graph and pairwise IF matrix.
 func ScenarioRunText(res *scenario.Result, tsv bool) (string, error) {
 	var b strings.Builder
-	err := EmitTables(&b, tsv,
+	err := report.Emit(&b, tsv,
 		scenario.RenderBaselines(res),
 		scenario.RenderGraph(res),
 		scenario.RenderMatrix(res))
@@ -64,7 +47,7 @@ func ScenarioRunText(res *scenario.Result, tsv bool) (string, error) {
 // cmd/scenarios ends every invocation with.
 func ScenarioSummaryText(all []*scenario.Result, tsv bool) (string, error) {
 	var b strings.Builder
-	err := EmitTables(&b, tsv, scenario.RenderSummary(all))
+	err := report.Emit(&b, tsv, scenario.RenderSummary(all))
 	return b.String(), err
 }
 
@@ -77,7 +60,7 @@ func ScenarioSummaryText(all []*scenario.Result, tsv bool) (string, error) {
 // — the caller reports the divergence as an error, as the CLI does.
 func ReplayText(label, counterfactualQoS string, rep *trace.ReplayResult, t *trace.Trace, tsv bool) (string, error) {
 	var b strings.Builder
-	if err := EmitTables(&b, tsv,
+	if err := report.Emit(&b, tsv,
 		trace.RenderSummary(fmt.Sprintf("%s: Darshan-style per-app summary", label), trace.Summarize(t)),
 		trace.RenderRoundTrip(fmt.Sprintf("%s: recorded vs replayed completions", label), rep)); err != nil {
 		return "", err

@@ -189,7 +189,7 @@ func mustJSON(v any) []byte {
 // renderText renders tables to the CLI's TSV byte stream.
 func renderText(tables ...*basereport.Table) (string, error) {
 	var b strings.Builder
-	err := EmitTables(&b, true, tables...)
+	err := basereport.Emit(&b, true, tables...)
 	return b.String(), err
 }
 
