@@ -3,10 +3,10 @@
 GO      ?= go
 # BENCH_OUT is the perf snapshot consumed by CI artifacts and by future
 # perf PRs; the _N suffix tracks the PR number that produced it.
-BENCH_OUT ?= BENCH_24.json
+BENCH_OUT ?= BENCH_26.json
 # BENCH_PREV is the previous PR's committed snapshot; bench-check fails when
 # a guarded benchmark allocates more than 1% above it.
-BENCH_PREV ?= BENCH_22.json
+BENCH_PREV ?= BENCH_24.json
 
 # The serial-path benchmarks bench-check and bench-ab judge: the micro
 # benchmarks, and the campaign-sized ones bench-ab runs once per side.

@@ -5,7 +5,7 @@ package repro
 // allocs/op by internal/obs tests); the ns/op here tracks their raw cost
 // so sampling stays negligible against the event kernel's own work — a
 // probe tick snapshots every per-app counter on one server, a span record
-// is one bounds check plus a struct store.
+// is one budget check plus a few counter updates.
 
 import (
 	"testing"
@@ -40,9 +40,9 @@ func BenchmarkSamplerTick(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanRecord measures one request-span record on the
-// fixed-capacity buffer (steady state: the buffer is full, so this is the
-// overflow/drop regime every long run settles into).
+// BenchmarkSpanRecord measures one request-span record (steady state: the
+// server's SpanCap budget is spent, so this is the overflow/drop regime
+// every long run settles into).
 func BenchmarkSpanRecord(b *testing.B) {
 	col := benchCollector()
 	sink := col.Sink(0)

@@ -25,7 +25,7 @@
 // depth, LASSi-style risk), per-server device/NIC series, and the
 // per-app "where did the time go" span breakdown (network vs queue-wait
 // vs service). -timeline-interval/-timeline-samples size the series,
-// -timeline-spans the span buffers.
+// -timeline-spans how many spans each server counts.
 //
 // -faults runs each selected fault scenario (one with a "faults" block —
 // a deterministic timeline of server crashes, degraded devices and link
@@ -101,7 +101,7 @@ func realMain(args []string, stdout io.Writer) error {
 		timeline = fs.Bool("timeline", false, "dump each selected scenario's delta=0 co-run as deterministic sim-time series plus span breakdown (internal/obs)")
 		tlEvery  = fs.Duration("timeline-interval", 100*time.Millisecond, "sampling `period` of -timeline on the simulated clock")
 		tlCount  = fs.Int("timeline-samples", 600, "max samples per -timeline series (observation horizon = interval * samples)")
-		tlSpans  = fs.Int("timeline-spans", 1<<16, "per-server span buffer capacity of -timeline (0 disables spans)")
+		tlSpans  = fs.Int("timeline-spans", 1<<16, "spans each server counts under -timeline; later ones are dropped (0 disables spans)")
 		tsv      = fs.Bool("tsv", false, "TSV output instead of aligned tables")
 		jobs     = fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial)")
 	)

@@ -173,7 +173,10 @@ func (c Config) Scale(f int) Config {
 	return c
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration: positive node, core and server
+// counts, NIC rates, stripe size, flow buffer size and segment size, a
+// known backend and sync mode, a valid scheduler (qos.Params.Validate)
+// and a valid fault plan. Build panics on a config Validate rejects.
 func (c Config) Validate() error {
 	switch {
 	case c.ComputeNodes <= 0:
@@ -186,6 +189,17 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cluster: NIC rates must be positive")
 	case c.StripeSize <= 0:
 		return fmt.Errorf("cluster: StripeSize must be positive")
+	case c.Backend < HDD || c.Backend > Null:
+		return fmt.Errorf("cluster: unknown backend %d", int(c.Backend))
+	case c.Sync < pfs.SyncOn || c.Sync > pfs.NullAIO:
+		return fmt.Errorf("cluster: unknown sync mode %d", int(c.Sync))
+	case c.Srv.FlowBufSize <= 0:
+		return fmt.Errorf("cluster: Srv.FlowBufSize must be positive")
+	case c.Net.MSS <= 0:
+		return fmt.Errorf("cluster: Net.MSS must be positive")
+	}
+	if err := c.Srv.QoS.Validate(); err != nil {
+		return fmt.Errorf("cluster: Srv.QoS: %w", err)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(c.Servers); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/pfs"
+	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -21,6 +22,13 @@ func TestValidateRejectsBrokenConfigs(t *testing.T) {
 		func(c *Config) { c.Servers = 0 },
 		func(c *Config) { c.ClientNIC = 0 },
 		func(c *Config) { c.StripeSize = 0 },
+		func(c *Config) { c.Backend = Null + 1 },
+		func(c *Config) { c.Backend = -1 },
+		func(c *Config) { c.Sync = pfs.NullAIO + 1 },
+		func(c *Config) { c.Srv.FlowBufSize = 0 },
+		func(c *Config) { c.Net.MSS = 0 },
+		func(c *Config) { c.Srv.QoS.Kind = qos.RoundRobin + 1 },
+		func(c *Config) { c.Srv.QoS.FlowSlots = -1 },
 	}
 	for i, m := range mods {
 		c := Default()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/cluster"
@@ -21,6 +22,13 @@ import (
 // the trailing applications — e.g. a 4-app staggered-arrival scenario — on
 // top of which δ still sweeps the whole trailing set against app 0. Each δ
 // is an independent run on a fresh platform.
+//
+// A spec runs each of its distinct simulations once. Applications equal
+// but for name, placement and start share one alone baseline. With two
+// such applications on disjoint nodes at equal offsets, no fault plan and
+// an app-blind scheduler (qos.Kind.AppBlind), the point at −δ (δ ≠ 0) is
+// the point at +δ with the per-app values swapped and the same Diag, and
+// runs once for both. Results equal those of running every simulation.
 type DeltaSpec struct {
 	Cfg  cluster.Config
 	Apps []AppSpec // Start fields are overwritten per point
@@ -69,8 +77,9 @@ type DeltaGraph struct {
 	Points []DeltaPoint
 }
 
-// RunDelta executes the alone baselines and every δ point serially, in
-// submission order: it is Runner{Parallelism: 1}.RunDelta(spec).
+// RunDelta executes the spec's distinct simulations — its alone baselines
+// and δ points — serially, in submission order: it is
+// Runner{Parallelism: 1}.RunDelta(spec).
 func RunDelta(spec DeltaSpec) *DeltaGraph {
 	return Runner{Parallelism: 1}.RunDelta(spec)
 }
@@ -101,36 +110,160 @@ func (s DeltaSpec) AppsAt(d sim.Time) []AppSpec {
 	return apps
 }
 
-// jobs lists the spec's simulations: the alone baseline of each application
-// (start 0 and no offset: a baseline is the application by itself on an idle
-// platform), then the co-run of each δ point.
-func (s DeltaSpec) jobs() []job {
-	s.validate()
-	out := make([]job, 0, len(s.Apps)+len(s.Deltas))
-	for _, a := range s.Apps {
-		a.Start = 0
-		out = append(out, job{s.Cfg, []AppSpec{a}})
-	}
-	for _, d := range s.Deltas {
-		out = append(out, job{s.Cfg, s.AppsAt(d)})
-	}
-	return out
+// deltaPlan is a spec's job list with each distinct simulation once, and
+// the job every baseline and δ point reads.
+type deltaPlan struct {
+	jobs   []job
+	alone  []int // alone[i] is the job of application i's baseline
+	points []ref // points[k] is the job of the co-run at Deltas[k]
+
+	cfg    cluster.Config
+	shape  []int          // shape[i] is the first application sameShape as application i
+	index  map[string]int // simKey of every job in jobs → its index
+	mirror bool           // the platform lets a two-app job stand for its mirror
+	key    []byte         // scratch for simKey
 }
 
-// graph reduces the results of s.jobs() to the δ-graph. Each point records
-// the start times its co-run used, and its interference factors divide by
-// the alone baselines.
-func (s DeltaSpec) graph(jobs []job, res []RunResult) *DeltaGraph {
+// ref names the job whose result a baseline, δ point or matrix cell reads.
+// swap reads a two-app job with its applications exchanged: the job is the
+// mirror of the simulation the reader wants.
+type ref struct {
+	job  int
+	swap bool
+}
+
+// app returns the index, among the job's n applications, of the one that
+// plays application i of the reader.
+func (r ref) app(i, n int) int {
+	if r.swap {
+		return n - 1 - i
+	}
+	return i
+}
+
+// plan lists the spec's simulations, each distinct one once (see add): the
+// alone baseline of each application (start 0 and no offset: a baseline is
+// the application by itself on an idle platform), then the co-run of each
+// δ point.
+func (s DeltaSpec) plan() *deltaPlan {
+	s.validate()
+	n := len(s.Apps)
+	p := &deltaPlan{
+		alone:  make([]int, n),
+		points: make([]ref, len(s.Deltas)),
+		cfg:    s.Cfg,
+		shape:  make([]int, n),
+		index:  make(map[string]int),
+		mirror: s.Cfg.Faults == nil && s.Cfg.Srv.QoS.Kind.AppBlind(),
+	}
+	all := make([]int, n)
+	for i, a := range s.Apps {
+		all[i] = i
+		p.shape[i] = i
+		for j := range i {
+			if sameShape(s.Apps[j], a) {
+				p.shape[i] = j
+				break
+			}
+		}
+	}
+	for i, a := range s.Apps {
+		a.Start = 0
+		p.alone[i] = p.add([]AppSpec{a}, all[i:i+1]).job
+		if p.shape[i] != i {
+			// Its baseline is an earlier app's; Prepare would have
+			// rejected it, so reject it here.
+			if err := a.Validate(s.Cfg); err != nil {
+				panic(err)
+			}
+		}
+	}
+	for k, d := range s.Deltas {
+		p.points[k] = p.add(s.AppsAt(d), all)
+	}
+	return p
+}
+
+// add returns the job of apps co-running on the plan's platform, apps[k]
+// being the spec's application idx[k] at its start, and appends the job
+// unless the plan already holds the same simulation (equal simKeys).
+// A two-app co-run may also read the job of its mirror, swapped: the same
+// two applications with their starts exchanged. That needs the plan's
+// mirror (an app-blind scheduler, no fault plan) and the two on disjoint
+// nodes at different starts. Swapping the apps of such a run changes only
+// labels — names, host IDs, node blocks and application IDs, which FIFO
+// never reads — and the order in which the kernel spawned the two apps'
+// processes. That order decides only ties between events the two apps
+// scheduled at time 0. The later app schedules nothing then but its own
+// start, and what the first app scheduled at time 0 for that instant acts
+// on its own hosts and processes and draws no issue jitter, so the tie
+// changes nothing (DESIGN.md, "The concurrency model").
+func (p *deltaPlan) add(apps []AppSpec, idx []int) ref {
+	disjoint := onDisjointNodes(apps)
+	key := p.simKey(p.key[:0], apps, idx, disjoint)
+	p.key = key
+	if j, ok := p.index[string(key)]; ok {
+		return ref{job: j}
+	}
+	if p.mirror && disjoint && len(apps) == 2 && apps[0].Start != apps[1].Start {
+		mirror := p.simKey(key[len(key):], []AppSpec{apps[1], apps[0]}, []int{idx[1], idx[0]}, true)
+		if j, ok := p.index[string(mirror)]; ok {
+			return ref{job: j, swap: true}
+		}
+	}
+	p.index[string(key)] = len(p.jobs)
+	p.jobs = append(p.jobs, job{p.cfg, apps})
+	return ref{job: len(p.jobs) - 1}
+}
+
+// simKey appends to b the name of the simulation of apps on one platform,
+// apps[k] being the spec's application idx[k], blind to what only labels
+// it: each application's shape and start, in order. Names never enter.
+// Node blocks enter only when two of the apps share a node (disjoint
+// false): apps on disjoint nodes keep which processes share a NIC wherever
+// their node blocks sit, and host IDs only label hosts (see packed).
+func (p *deltaPlan) simKey(b []byte, apps []AppSpec, idx []int, disjoint bool) []byte {
+	for k, a := range apps {
+		b = strconv.AppendInt(b, int64(p.shape[idx[k]]), 10)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(a.Start), 10)
+		if !disjoint {
+			b = append(b, 'n')
+			b = strconv.AppendInt(b, int64(a.FirstNode), 10)
+		}
+		b = append(b, ';')
+	}
+	return b
+}
+
+// onDisjointNodes reports whether no two of apps share a compute node.
+func onDisjointNodes(apps []AppSpec) bool {
+	for i, a := range apps {
+		for _, b := range apps[i+1:] {
+			if a.ProcsPerNode <= 0 || b.ProcsPerNode <= 0 ||
+				a.FirstNode <= b.lastNode() && b.FirstNode <= a.lastNode() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// graph reduces the results of the plan's jobs to the δ-graph. Each point
+// records the start times its co-run used, and its interference factors
+// divide by the alone baselines.
+func (s DeltaSpec) graph(p *deltaPlan, res []RunResult) *DeltaGraph {
 	n := len(s.Apps)
 	g := &DeltaGraph{
 		Alone:  make([]sim.Time, n),
 		Points: make([]DeltaPoint, len(s.Deltas)),
 	}
-	for i := range g.Alone {
-		g.Alone[i] = res[i].Apps[0].Elapsed
+	for i, j := range p.alone {
+		g.Alone[i] = res[j].Apps[0].Elapsed
 	}
 	for k, d := range s.Deltas {
-		apps, r := jobs[n+k].apps, res[n+k]
+		ref := p.points[k]
+		apps, r := p.jobs[ref.job].apps, res[ref.job]
 		pt := DeltaPoint{
 			Delta:      d,
 			Start:      make([]sim.Time, n),
@@ -140,9 +273,10 @@ func (s DeltaSpec) graph(jobs []job, res []RunResult) *DeltaGraph {
 			Diag:       r.Diag,
 		}
 		for i := range apps {
-			pt.Start[i] = apps[i].Start
-			pt.Elapsed[i] = r.Apps[i].Elapsed
-			pt.Throughput[i] = r.Apps[i].Throughput
+			a := ref.app(i, n)
+			pt.Start[i] = apps[a].Start
+			pt.Elapsed[i] = r.Apps[a].Elapsed
+			pt.Throughput[i] = r.Apps[a].Throughput
 			pt.IF[i] = interference(pt.Elapsed[i], g.Alone[i])
 		}
 		g.Points[k] = pt

@@ -73,13 +73,15 @@ func (a AppSpec) Validate(cfg cluster.Config) error {
 	if a.ProcsPerNode <= 0 {
 		return fmt.Errorf("core: app %q needs ProcsPerNode > 0", a.Name)
 	}
-	lastNode := a.FirstNode + (a.Procs-1)/a.ProcsPerNode
-	if a.FirstNode < 0 || lastNode >= cfg.ComputeNodes {
+	if a.FirstNode < 0 || a.lastNode() >= cfg.ComputeNodes {
 		return fmt.Errorf("core: app %q spans nodes %d..%d beyond the %d-node platform",
-			a.Name, a.FirstNode, lastNode, cfg.ComputeNodes)
+			a.Name, a.FirstNode, a.lastNode(), cfg.ComputeNodes)
 	}
 	return a.program().Validate()
 }
+
+// lastNode returns the last compute node the application's processes use.
+func (a AppSpec) lastNode() int { return a.FirstNode + (a.Procs-1)/a.ProcsPerNode }
 
 // program resolves the spec to the program its processes run: Program, or
 // else Workload as a one-phase program.

@@ -154,11 +154,30 @@ func packed(cfg cluster.Config, apps ...AppSpec) job {
 // placement, start time and the program's jitter seed are excluded, every
 // knob that changes an alone run's workload is included. It reads the
 // resolved program, so a single-burst app and the same burst written as a
-// one-phase program share a shape.
+// one-phase program share a shape. A δ-graph compares applications by
+// sameShape instead, which keeps the seed.
 func shapeKey(a AppSpec) string {
 	p := *a.program()
 	p.Seed = 0
 	return fmt.Sprintf("p%d/%d|%+v|%v|%d", a.Procs, a.ProcsPerNode, p, a.TargetServers, a.Stripe)
+}
+
+// sameShape reports whether applications a and b run the same processes,
+// so that alone on an idle platform they are the same simulation
+// (TestAloneIgnoresPlacement): equal in everything shapeKey reads, the
+// resolved program compared whole, seed included. Name, node block and
+// start may differ. It builds no key, and no program unless exactly one of
+// the two is a single-burst app.
+func sameShape(a, b AppSpec) bool {
+	if a.Procs != b.Procs || a.ProcsPerNode != b.ProcsPerNode || a.Stripe != b.Stripe ||
+		!slices.Equal(a.TargetServers, b.TargetServers) {
+		return false
+	}
+	if a.Program == nil && b.Program == nil {
+		return a.Workload == b.Workload
+	}
+	pa, pb := a.program(), b.program()
+	return pa.Iterations == pb.Iterations && pa.Seed == pb.Seed && slices.Equal(pa.Phases, pb.Phases)
 }
 
 // fleetPairs picks opts.SamplePairs distinct unordered pairs: even draws

@@ -166,7 +166,7 @@ func TestJobKeysReuseConfig(t *testing.T) {
 	spec := deltaSpecForTest()
 	other := spec
 	other.Cfg.Backend = cluster.HDD
-	jobs := append(append(spec.jobs(), other.jobs()...), spec.jobs()...)
+	jobs := append(append(spec.plan().jobs, other.plan().jobs...), spec.plan().jobs...)
 	keys := jobKeys(jobs)
 	for i, j := range jobs {
 		b, err := json.Marshal(struct {
@@ -205,9 +205,12 @@ func (m *countingMemo) Resolve(key string, run func() RunResult) RunResult {
 // TestRunnerMemo pins the memoized path: a δ-graph and pairwise matrix
 // resolved through a memo equal the plain runner's, a second sweep over
 // the same jobs runs nothing, and the results a memo shares cannot be
-// written through: each caller gets its own per-app slice.
+// written through: each caller gets its own per-app slice. The two apps
+// differ in size, so the job list itself shares nothing but the pair
+// (TestReducedDeltaGraphs covers what equal apps share).
 func TestRunnerMemo(t *testing.T) {
 	spec := deltaSpecForTest()
+	spec.Apps[1].Workload.BlockBytes *= 2
 	wantG, wantM := Runner{Parallelism: 1}.RunDeltaPairwise(spec)
 	memo := &countingMemo{res: make(map[string]RunResult)}
 	r := Runner{Parallelism: 4, Memo: memo}
@@ -224,7 +227,7 @@ func TestRunnerMemo(t *testing.T) {
 	if memo.runs != 9 || !reflect.DeepEqual(wantG, g2) {
 		t.Fatalf("repeat sweep ran %d jobs in all, want 9, or diverged", memo.runs)
 	}
-	jobs := spec.jobs()
+	jobs := spec.plan().jobs
 	a, b := r.runJobs(jobs[:1]), r.runJobs(jobs[:1])
 	a[0].Apps[0].Elapsed = -1
 	if b[0].Apps[0].Elapsed == -1 || memo.res[jobKeys(jobs[:1])[0]].Apps[0].Elapsed == -1 {

@@ -176,6 +176,13 @@ func TestDeltaSpecValidatePanics(t *testing.T) {
 		RunDelta(DeltaSpec{Cfg: cfg, Apps: apps,
 			StartOffsets: []sim.Time{0}, Deltas: []sim.Time{0}})
 	})
+	// B equals A but lies beyond the platform: it shares A's baseline and,
+	// with no δ point, is in no co-run, yet it is still rejected.
+	expectPanic("shared baseline off the platform", func() {
+		bad := append([]AppSpec(nil), apps...)
+		bad[1].FirstNode = cfg.ComputeNodes
+		RunDelta(DeltaSpec{Cfg: cfg, Apps: bad})
+	})
 }
 
 // TestRunPairwiseMatrix holds RunDeltaPairwise to direct runs on three apps

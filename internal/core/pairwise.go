@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
@@ -61,35 +60,35 @@ func (m *IFMatrix) Asymmetry() float64 {
 }
 
 // RunDeltaPairwise executes a δ-graph and the pairwise interference-factor
-// matrix of the same application set as one job list: the δ-graph's alone
-// baselines and points, then one co-run at δ=0 per unordered application
-// pair. The matrix shares the δ-graph's baselines, and one pair run fills
-// both Cell[i][j] and Cell[j][i], so an n-app matrix adds n*(n-1)/2
-// simulations to the δ-graph's.
+// matrix of the same application set as one job list: the δ-graph's jobs,
+// then the co-run at δ=0 of each unordered application pair. The matrix
+// shares the δ-graph's baselines, and one pair run fills both Cell[i][j]
+// and Cell[j][i], so an n-app matrix adds at most n*(n-1)/2 simulations to
+// the δ-graph's. A pair reads an earlier job when that job is the same
+// simulation: the δ=0 point of two apps at equal offsets is their pair,
+// and pairs of the same two application shapes in the same order, each
+// pair on disjoint nodes, differ only in labels (see DeltaSpec).
 func (r Runner) RunDeltaPairwise(spec DeltaSpec) (*DeltaGraph, *IFMatrix) {
-	jobs := spec.jobs()
-	n := len(jobs)
+	p := spec.plan()
 	pairs := appPairs(len(spec.Apps))
-	for _, p := range pairs {
-		jobs = append(jobs, p.job(spec.Cfg, spec.Apps))
+	cells := make([]ref, len(pairs))
+	for k, pr := range pairs {
+		a, b := spec.Apps[pr.i], spec.Apps[pr.j]
+		a.Start, b.Start = 0, 0
+		cells[k] = p.add([]AppSpec{a, b}, []int{pr.i, pr.j})
 	}
-	res := r.runJobs(jobs)
-	g := spec.graph(jobs[:n], res[:n])
+	res := r.runJobs(p.jobs)
+	g := spec.graph(p, res)
 	m := newIFMatrix(spec.Apps)
 	copy(m.Alone, g.Alone)
-	m.fill(pairs, res[n:])
+	for k, pr := range pairs {
+		m.fill(pr, cells[k], res[cells[k].job])
+	}
 	return g, m
 }
 
 // appPair indexes one unordered application pair.
 type appPair struct{ i, j int }
-
-// job co-runs the pair's two applications of apps at δ=0.
-func (p appPair) job(cfg cluster.Config, apps []AppSpec) job {
-	a, b := apps[p.i], apps[p.j]
-	a.Start, b.Start = 0, 0
-	return job{cfg, []AppSpec{a, b}}
-}
 
 // appPairs enumerates the n*(n-1)/2 unordered pairs in row order.
 func appPairs(n int) []appPair {
@@ -121,13 +120,11 @@ func newIFMatrix(apps []AppSpec) *IFMatrix {
 	return m
 }
 
-// fill derives the off-diagonal cells from the baselines and the pair
-// co-runs' results, res[k] being the run of pairs[k].
-func (m *IFMatrix) fill(pairs []appPair, res []RunResult) {
-	for k, p := range pairs {
-		m.Cell[p.i][p.j] = interference(res[k].Apps[0].Elapsed, m.Alone[p.i])
-		m.Cell[p.j][p.i] = interference(res[k].Apps[1].Elapsed, m.Alone[p.j])
-	}
+// fill derives the two off-diagonal cells of pair p from the baselines and
+// res, the result of the job r names for the pair's co-run.
+func (m *IFMatrix) fill(p appPair, r ref, res RunResult) {
+	m.Cell[p.i][p.j] = interference(res.Apps[r.app(0, 2)].Elapsed, m.Alone[p.i])
+	m.Cell[p.j][p.i] = interference(res.Apps[r.app(1, 2)].Elapsed, m.Alone[p.j])
 }
 
 // String renders the matrix compactly for logs and tests.

@@ -199,27 +199,31 @@ func (r Runner) resolve(key string, j job) RunResult {
 	return res
 }
 
-// RunDelta executes every alone baseline (one per application) and every δ
-// point of spec concurrently on the pool. The result is the same at every
-// Parallelism; see the Runner type comment for why.
+// RunDelta executes the alone baselines and δ points of spec concurrently
+// on the pool, each distinct simulation once (see DeltaSpec). The result is
+// the same at every Parallelism; see the Runner type comment for why.
 func (r Runner) RunDelta(spec DeltaSpec) *DeltaGraph {
 	return r.RunDeltas([]DeltaSpec{spec})[0]
 }
 
 // RunDeltas runs many independent δ-graph specs on one pool, joining every
 // spec's job list into one so a figure with few series still fills all
-// workers. Results preserve spec order.
+// workers. Each spec's list holds each of its distinct simulations once
+// (DeltaSpec), so a spec of two equal applications under FIFO runs one
+// baseline and mirrors its ±δ points. Results preserve spec order.
 func (r Runner) RunDeltas(specs []DeltaSpec) []*DeltaGraph {
+	plans := make([]*deltaPlan, len(specs))
 	var jobs []job
-	for _, sp := range specs {
-		jobs = append(jobs, sp.jobs()...)
+	for i, sp := range specs {
+		plans[i] = sp.plan()
+		jobs = append(jobs, plans[i].jobs...)
 	}
 	res := r.runJobs(jobs)
 	graphs := make([]*DeltaGraph, len(specs))
 	for i, sp := range specs {
-		n := len(sp.Apps) + len(sp.Deltas)
-		graphs[i] = sp.graph(jobs[:n], res[:n])
-		jobs, res = jobs[n:], res[n:]
+		n := len(plans[i].jobs)
+		graphs[i] = sp.graph(plans[i], res[:n])
+		res = res[n:]
 	}
 	return graphs
 }

@@ -13,10 +13,11 @@
 // schedules nothing and mutates no simulation state, so a run with
 // sampling attached produces byte-identical results to one without.
 //
-// Allocation contract: all series storage and span buffers are sized at
-// attach time; the per-tick probe and the per-span record path are zero
-// allocations in steady state (pinned by AllocsPerRun tests and by
-// BenchmarkSamplerTick / BenchmarkSpanRecord).
+// Allocation contract: all series storage and the per-application span
+// totals are sized at attach time; the per-tick probe and the per-span
+// record path are zero allocations (pinned by AllocsPerRun tests and by
+// BenchmarkSamplerTick / BenchmarkSpanRecord). No span is stored: each is
+// added to its application's totals as it arrives.
 package obs
 
 import (
@@ -37,14 +38,14 @@ type Config struct {
 	// Samples × Interval; activity beyond it is simply not sampled (the
 	// simulation itself is unaffected). Export trims trailing idle ticks.
 	Samples int
-	// SpanCap is the per-server span buffer capacity; once full, further
-	// spans are counted as dropped, never reallocated. 0 disables span
+	// SpanCap is how many spans each server adds to its per-application
+	// totals; further spans are counted as dropped. 0 disables span
 	// collection entirely.
 	SpanCap int
 }
 
 // DefaultConfig samples every 100 ms for up to a minute of simulated time
-// with room for 64 Ki spans per server.
+// and counts up to 64 Ki spans per server.
 func DefaultConfig() Config {
 	return Config{Interval: 100 * sim.Millisecond, Samples: 600, SpanCap: 1 << 16}
 }
@@ -151,24 +152,31 @@ func (cm *clientSampler) OnEvent(op uint32, a, b int64) {
 	}
 }
 
-// spanBuf is a fixed-capacity per-server span sink: appends reuse the
-// backing array sized at attach time; overflow increments dropped.
-type spanBuf struct {
-	spans   []pfs.Span
+// spanSink is one server's span sink: it adds each of the server's first
+// limit spans to its application's totals as it arrives, holding no span,
+// and counts the rest as dropped. A span of an application beyond the
+// totals counts toward limit without entering them.
+type spanSink struct {
+	stats   []SpanStats // per application
+	n       int         // spans counted toward limit
+	limit   int
 	dropped int64
 }
 
 // RecordSpan implements pfs.SpanSink.
-func (b *spanBuf) RecordSpan(sp pfs.Span) {
-	if len(b.spans) < cap(b.spans) {
-		b.spans = append(b.spans, sp)
+func (b *spanSink) RecordSpan(sp pfs.Span) {
+	if b.n == b.limit {
+		b.dropped++
 		return
 	}
-	b.dropped++
+	b.n++
+	if a := uint(sp.App); a < uint(len(b.stats)) {
+		b.stats[a].add(&sp)
+	}
 }
 
 // Collector is one attached observability layer: per-server samplers and
-// span buffers plus the client-side sampler. Read its Timeline after the
+// span sinks plus the client-side sampler. Read its Timeline after the
 // run completes.
 type Collector struct {
 	cfg    Config
@@ -177,7 +185,7 @@ type Collector struct {
 
 	samplers []*serverSampler
 	client   *clientSampler
-	spans    []*spanBuf // indexed like samplers; nil slice when SpanCap == 0
+	spans    []*spanSink // indexed like samplers; nil slice when SpanCap == 0
 }
 
 // Attach wires an observability layer into a freshly prepared platform:
@@ -206,7 +214,7 @@ func Attach(pl *cluster.Platform, nApps int, cfg Config) *Collector {
 			srv.E.AtCall(sim.Time(k+1)*cfg.Interval, sm, 0, int64(k), 0)
 		}
 		if cfg.SpanCap > 0 {
-			b := &spanBuf{spans: make([]pfs.Span, 0, cfg.SpanCap)}
+			b := &spanSink{stats: make([]SpanStats, nApps), limit: cfg.SpanCap}
 			srv.Spans = b
 			c.spans = append(c.spans, b)
 		}

@@ -7,7 +7,9 @@ package obs_test
 // shard conformance) is pinned by the scenario-level timeline golden.
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -54,7 +56,7 @@ func TestSamplerTickZeroAlloc(t *testing.T) {
 }
 
 // TestSpanRecordZeroAlloc pins the span record path at 0 allocs/op (both
-// the append-within-capacity and the overflow/drop regime).
+// the within-budget and the overflow/drop regime).
 func TestSpanRecordZeroAlloc(t *testing.T) {
 	col := obs.Attach(tinyPlatform(), 2, testConfig())
 	sink := col.Sink(0)
@@ -65,7 +67,7 @@ func TestSpanRecordZeroAlloc(t *testing.T) {
 }
 
 // TestSpanAggregation drives known spans through a sink and checks the
-// exported per-app stats, including drop accounting at the fixed capacity.
+// exported per-app stats, including drop accounting past SpanCap.
 func TestSpanAggregation(t *testing.T) {
 	pl := tinyPlatform()
 	cfg := testConfig()
@@ -93,12 +95,29 @@ func TestSpanAggregation(t *testing.T) {
 		t.Fatalf("app B span counts: %+v", b)
 	}
 
-	// Overflow past the fixed capacity is counted, never grown.
+	// Overflow past SpanCap is counted, not aggregated.
 	for i := 0; i < cfg.SpanCap+3; i++ {
 		sink.RecordSpan(pfs.Span{Reply: ms, App: 0})
 	}
 	if got := col.Timeline([]string{"A", "B"}).SpansDropped; got != int64(3+3) {
 		t.Fatalf("SpansDropped = %d, want 6", got)
+	}
+}
+
+// TestAttachHoldsNoSpans pins that Attach reserves no per-span storage:
+// DefaultConfig's 64 Ki-span budget once cost every server a 3.5 MiB
+// buffer before it recorded a span, where an observed co-run records a few
+// hundred per server.
+func TestAttachHoldsNoSpans(t *testing.T) {
+	pl := tinyPlatform()
+	cfg := obs.DefaultConfig()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	obs.Attach(pl, 2, cfg)
+	runtime.ReadMemStats(&m1)
+	oneBuffer := uint64(cfg.SpanCap) * uint64(unsafe.Sizeof(pfs.Span{}))
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > oneBuffer/2 {
+		t.Fatalf("Attach on 2 servers allocated %d bytes, want under half of one server's old span buffer (%d)", got, oneBuffer)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"strconv"
 
+	"repro/internal/pfs"
 	"repro/internal/sim"
 )
 
@@ -119,27 +120,41 @@ func (c *Collector) Timeline(apps []string) *Timeline {
 		tl.Spans = make([]SpanStats, c.nApps)
 		for _, b := range c.spans {
 			tl.SpansDropped += b.dropped
-			for _, sp := range b.spans {
-				if int(sp.App) >= c.nApps {
-					continue
-				}
-				st := &tl.Spans[sp.App]
-				st.Count++
-				if sp.Read {
-					st.Reads++
-				}
-				st.Bytes += sp.Bytes
-				st.SumNet += sp.Net()
-				st.SumQueue += sp.Queue()
-				st.SumService += sp.Service()
-				st.SumTotal += sp.Total()
-				if sp.Total() > st.MaxTotal {
-					st.MaxTotal = sp.Total()
-				}
+			for a := range tl.Spans {
+				tl.Spans[a].merge(b.stats[a])
 			}
 		}
 	}
 	return tl
+}
+
+// add counts one span in the totals. The stages are pfs.Span's Net, Queue,
+// Service and Total spelled out: calling those value-receiver methods
+// through a pointer copies the span each time, and the copies give
+// RecordSpan a stack frame on every call, dropped spans included.
+func (st *SpanStats) add(sp *pfs.Span) {
+	st.Count++
+	if sp.Read {
+		st.Reads++
+	}
+	st.Bytes += sp.Bytes
+	st.SumNet += sp.Arrive - sp.Issue
+	st.SumQueue += sp.Grant - sp.Arrive
+	st.SumService += sp.Reply - sp.Grant
+	st.SumTotal += sp.Reply - sp.Issue
+	st.MaxTotal = max(st.MaxTotal, sp.Reply-sp.Issue)
+}
+
+// merge adds another server's totals of the same application.
+func (st *SpanStats) merge(o SpanStats) {
+	st.Count += o.Count
+	st.Reads += o.Reads
+	st.Bytes += o.Bytes
+	st.SumNet += o.SumNet
+	st.SumQueue += o.SumQueue
+	st.SumService += o.SumService
+	st.SumTotal += o.SumTotal
+	st.MaxTotal = max(st.MaxTotal, o.MaxTotal)
 }
 
 // changed reports whether tick k differs from tick k-1 (k 0: from zero).

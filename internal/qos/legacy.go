@@ -13,7 +13,8 @@ import "repro/internal/sim"
 // mechanism at the server side", §IV-B1). FIFO orders by request *issue*
 // time, not data arrival: PVFS learns about a request from its small
 // descriptor message, which reaches the server long before the bulk data
-// fights its way through a congested fabric. Ties keep queue order.
+// fights its way through a congested fabric. Ties keep queue order. It
+// never reads Request.App, which makes Off the one app-blind kind.
 type fifo struct{}
 
 func (fifo) Pick(now sim.Time, q []Request) (int, sim.Time) {
@@ -79,7 +80,9 @@ func (appOrdered) Pick(now sim.Time, q []Request) (int, sim.Time) {
 
 // roundRobin alternates flow grants between applications: the next grant
 // avoids the application granted last, falling back to plain FIFO when no
-// other application has queued work.
+// other application has queued work. last starts at 0, so the first
+// contested grant goes to another application even when application 0
+// issued first: the order is not app-blind (Kind.AppBlind).
 type roundRobin struct {
 	last int // application granted most recently
 }

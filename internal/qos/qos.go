@@ -112,6 +112,18 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
+// AppBlind reports whether the kind's grants never depend on which
+// application issued a request, so that renumbering the applications of a
+// run renumbers its results and changes nothing else. Only Off qualifies:
+// FIFO picks by issue time and queue order and never reads Request.App.
+// RoundRobin does not, because its first contested grant avoids
+// application 0 (last starts at 0), whoever issued first; AppOrdered
+// grants by application ID; and FairShare, TokenBucket and Controller
+// arbitrate over appHeads' per-application view, scanned in
+// application-index order, so DRR's first visit and a tie between equally
+// old heads both go to the lower index.
+func (k Kind) AppBlind() bool { return k == Off }
+
 // KindNames lists the canonical scheduler names ParseKind accepts, in
 // declaration order — the valid set shown by CLI and spec error messages.
 func KindNames() []string {

@@ -352,6 +352,14 @@ func TestValidateErrors(t *testing.T) {
 		{Header: header(func(h *trace.Header) { h.Apps[0].TargetServers = []int{-1} })},
 		{Header: header(func(h *trace.Header) { h.Apps[0].FirstNode = 4 })},
 		{Header: header(func(h *trace.Header) { h.Apps[0].FirstNode = -1 })},
+		// Every platform knob the build trusts must be in range.
+		{Header: header(func(h *trace.Header) { h.Cfg.Srv.QoS.Kind = 9 })},
+		{Header: header(func(h *trace.Header) { h.Cfg.Srv.QoS.FlowSlots = -1 })},
+		{Header: header(func(h *trace.Header) { h.Cfg.Srv.FlowBufSize = 0 })},
+		{Header: header(func(h *trace.Header) { h.Cfg.Srv.FlowBufSize = -1 })},
+		{Header: header(func(h *trace.Header) { h.Cfg.Net.MSS = 0 })},
+		{Header: header(func(h *trace.Header) { h.Cfg.Backend = 9 })},
+		{Header: header(func(h *trace.Header) { h.Cfg.Sync = 9 })},
 	}
 	// Every record field the replay trusts must be in range.
 	maxT := sim.Seconds(sim.MaxSeconds)

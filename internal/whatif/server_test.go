@@ -380,9 +380,10 @@ func TestServerTraceEndpoint(t *testing.T) {
 
 // TestServerBadTraceHeader pins the upload boundary: a trace whose header
 // places an app on a server or node its own platform lacks, or whose
-// platform does not validate, or a record with an unknown op, a negative
-// or overflowing extent or a time out of range, is a 400 rather than a
-// panic inside the replay (which ran on a pool worker or proc goroutine,
+// platform does not validate (an unknown backend, sync mode or scheduler,
+// a negative scheduler knob, a non-positive flow buffer or segment size),
+// or a record with an unknown op, a negative or overflowing extent or a
+// time out of range, is a 400 rather than a panic inside the replay (which ran on a pool worker or proc goroutine,
 // beyond runJob's recover) or a report of a run that cannot have happened,
 // and the service keeps serving valid uploads afterwards. Jobs 4 keeps the
 // per-session pool parallel on any host.
@@ -412,6 +413,15 @@ func TestServerBadTraceHeader(t *testing.T) {
 		{"zero servers", corrupt(func(h *trace.Header) { h.Cfg.Servers = 0 })},
 		{"app beyond the nodes", corrupt(func(h *trace.Header) { h.Apps[1].FirstNode = h.Cfg.ComputeNodes })},
 		{"fault plan", corrupt(func(h *trace.Header) { h.Cfg.Faults = &fault.Plan{} })},
+		// Platform knobs the build would panic on, or, for the sync mode,
+		// never store a write under and so never finish.
+		{"unknown scheduler", corrupt(func(h *trace.Header) { h.Cfg.Srv.QoS.Kind = 9 })},
+		{"negative flow slots", corrupt(func(h *trace.Header) { h.Cfg.Srv.QoS.FlowSlots = -1 })},
+		{"zero flow buffer", corrupt(func(h *trace.Header) { h.Cfg.Srv.FlowBufSize = 0 })},
+		{"negative flow buffer", corrupt(func(h *trace.Header) { h.Cfg.Srv.FlowBufSize = -1 })},
+		{"zero MSS", corrupt(func(h *trace.Header) { h.Cfg.Net.MSS = 0 })},
+		{"unknown backend", corrupt(func(h *trace.Header) { h.Cfg.Backend = 9 })},
+		{"unknown sync mode", corrupt(func(h *trace.Header) { h.Cfg.Sync = 9 })},
 		{"negative offset", record(func(r *trace.Record) { r.Off = -4096 })},
 		{"negative bytes", record(func(r *trace.Record) { r.Bytes = -4096 })},
 		{"extent overflows", record(func(r *trace.Record) { r.Off = math.MaxInt64 - 100 })},
