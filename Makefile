@@ -77,7 +77,7 @@ trace:
 #	jq -r 'select(.Action=="output") | .Output' BENCH_4.json > new.txt
 #	benchstat old.txt new.txt
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineStandingQueue|BenchmarkProcHandoff|BenchmarkTransportThroughput|BenchmarkHDDElevator|BenchmarkHDDManyFiles|BenchmarkFairShareScheduler|BenchmarkTraceRecord' \
+	$(GO) test -run '^$$' -bench '^Benchmark($(GUARDED_MICRO))$$' \
 		-benchmem -benchtime 0.5s -count 5 -json . > $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure2SyncOn$$' \
 		-benchmem -benchtime 1x -count 3 -json . >> $(BENCH_OUT)
@@ -85,10 +85,6 @@ bench:
 		-benchtime 1x -count 3 -json . >> $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetScenario$$' \
 		-benchmem -benchtime 1x -count 3 -json . >> $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkWhatIfCache(Hit|Miss)' \
-		-benchmem -benchtime 0.5s -count 5 -json . >> $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkSamplerTick|BenchmarkSpanRecord' \
-		-benchmem -benchtime 0.5s -count 5 -json . >> $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
 
 # bench-check guards the serial-path allocation trajectory: the previous

@@ -31,7 +31,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/storage"
-	iotrace "repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -508,24 +507,23 @@ func TestHDDManyFilesZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceRecord measures the request-level trace recorder's
-// steady-state record path (one BeginRequest + EndRequest pair, the hook
-// the pfs client runs per request when tracing is on). With capacity
-// reserved the path must not allocate — b.ReportAllocs makes a regression
-// loud, and CI's bench job pins the snapshot.
+// BenchmarkTraceRecord measures the file system's steady-state record
+// path (one BeginRecord + EndRecord pair, what the pfs client runs per
+// request while recording is on). With capacity reserved the path must not
+// allocate — b.ReportAllocs makes a regression loud, and CI's bench job
+// pins the snapshot.
 func BenchmarkTraceRecord(b *testing.B) {
-	e := sim.NewEngine()
-	rec := iotrace.NewRecorder(e)
-	rec.Reserve(b.N)
+	fs := pfs.NewFileSystem(sim.NewEngine(), nil, nil)
+	fs.Record(b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx := rec.BeginRequest(pfs.IORecord{
+		idx := fs.BeginRecord(pfs.IORecord{
 			Time: sim.Time(i), Off: int64(i) << 18, Bytes: 256 << 10,
 			App: int32(i & 3), Rank: int32(i & 15), Server: -1, QD: 1,
 			Op: pfs.OpWrite,
 		})
-		rec.EndRequest(idx)
+		fs.EndRecord(idx)
 	}
 }
 

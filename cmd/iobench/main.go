@@ -52,30 +52,18 @@ func main() {
 	cfg.CoresPerNode = *ppn
 	cfg.ClientNIC = *clientGb * 1e9 / 8
 	cfg.StripeSize = parseSize(*stripe)
+	var pat workload.Pattern
 	var err error
-	if cfg.Backend, err = cluster.ParseBackend(*backend); err != nil {
-		fatal(err)
-	}
-	switch strings.ToLower(*syncMode) {
-	case "on":
-		cfg.Sync = pfs.SyncOn
-	case "off":
-		cfg.Sync = pfs.SyncOff
-	case "null-aio", "null":
-		cfg.Sync = pfs.NullAIO
-	default:
-		fatal(fmt.Errorf("unknown sync mode %q", *syncMode))
+	if cfg.Backend, cfg.Sync, pat, err = parseNames(*backend, *syncMode, *pattern); err != nil {
+		usageErr(err.Error())
 	}
 
 	wl := workload.Spec{
-		Pattern:      workload.Contiguous,
+		Pattern:      pat,
 		BlockBytes:   parseSize(*block),
 		TransferSize: parseSize(*xfer),
 		QD:           *qd,
 		Read:         *read,
-	}
-	if strings.HasPrefix(strings.ToLower(*pattern), "strid") {
-		wl.Pattern = workload.Strided
 	}
 	if err := wl.Validate(); err != nil {
 		fatal(err)
@@ -128,6 +116,24 @@ func validateFlags(nApps, procs, ppn, nodes, servers, qd int, delta, clientGb fl
 		return fmt.Errorf("-clientgbps must be > 0")
 	}
 	return sim.CheckSeconds("-delta", delta, 0)
+}
+
+// parseNames parses the named flag values, each by its package's own
+// parser, so iobench accepts exactly the spellings a scenario spec does.
+func parseNames(backend, syncMode, pattern string) (cluster.BackendKind, pfs.SyncMode, workload.Pattern, error) {
+	b, err := cluster.ParseBackend(backend)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("-backend: %w", err)
+	}
+	m, err := pfs.ParseSyncMode(syncMode)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("-sync: %w", err)
+	}
+	p, err := workload.ParsePattern(pattern)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("-pattern: %w", err)
+	}
+	return b, m, p, nil
 }
 
 // parseSize parses "64K", "4M", "2G" or plain bytes; sizes must be

@@ -4,6 +4,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/pfs"
+	"repro/internal/workload"
 )
 
 func TestParseSizeErr(t *testing.T) {
@@ -66,6 +70,33 @@ func TestValidateFlags(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestParseNames pins that -backend, -sync and -pattern accept exactly the
+// scenario layer's spellings: a misspelled pattern is an error, not a
+// silent contiguous run, and "null" is a backend, not a sync mode.
+func TestParseNames(t *testing.T) {
+	b, m, p, err := parseNames("SSD", "null-aio", "strided")
+	if err != nil || b != cluster.SSD || m != pfs.NullAIO || p != workload.Strided {
+		t.Fatalf("parseNames(SSD, null-aio, strided) = %v, %v, %v, %v", b, m, p, err)
+	}
+	if _, m, p, err = parseNames("hdd", "off", "contiguous"); err != nil || m != pfs.SyncOff || p != workload.Contiguous {
+		t.Fatalf("parseNames(hdd, off, contiguous) = %v, %v, %v", m, p, err)
+	}
+	bad := []struct{ backend, sync, pattern, want string }{
+		{"floppy", "on", "contiguous", "-backend"},
+		{"hdd", "null", "contiguous", "-sync"},
+		{"hdd", "maybe", "contiguous", "valid: on, off, null-aio"},
+		{"hdd", "on", "bogus", "-pattern"},
+		{"hdd", "on", "stride", "valid: contiguous, strided"},
+	}
+	for _, tc := range bad {
+		_, _, _, err := parseNames(tc.backend, tc.sync, tc.pattern)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("parseNames(%q, %q, %q) = %v, want an error naming %q",
+				tc.backend, tc.sync, tc.pattern, err, tc.want)
 		}
 	}
 }

@@ -241,22 +241,16 @@ func Burst(p *sim.Proc, cl *pfs.Client, f *pfs.File, qd, n int, step func(i int)
 	gate.Wait(p)
 }
 
-// BarrierWait enters the application barrier bar on p and, when fs has a
-// trace sink, records the wait as a barrier record of cl's rank: issued at
+// BarrierWait enters the application barrier bar on p and, while fs
+// records, records the wait as a barrier record of cl's rank: issued at
 // entry, completed at release.
 func BarrierWait(p *sim.Proc, fs *pfs.FileSystem, cl *pfs.Client, bar *mpisim.Barrier) {
-	idx := -1
-	sink := fs.Sink
-	if sink != nil {
-		idx = sink.BeginRequest(pfs.IORecord{
-			Time: p.Now(), App: int32(cl.App), Rank: int32(cl.Rank),
-			Server: -1, Op: pfs.OpBarrier,
-		})
-	}
+	idx := fs.BeginRecord(pfs.IORecord{
+		Time: p.Now(), App: int32(cl.App), Rank: int32(cl.Rank),
+		Server: -1, Op: pfs.OpBarrier,
+	})
 	bar.Wait(p)
-	if sink != nil {
-		sink.EndRequest(idx)
-	}
+	fs.EndRecord(idx)
 }
 
 // AppResult is the outcome of one application's I/O phase.

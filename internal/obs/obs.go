@@ -1,9 +1,11 @@
 // Package obs is the deterministic sim-time observability layer: a
 // periodic sampler that snapshots the always-on probe counters
 // (qos.Telemetry, qos.Availability, storage.Stats, netsim host stats)
-// into fixed-capacity per-application × per-server time series, plus a
-// span collector that decomposes each request's latency into its network /
-// queue-wait / service stages (pfs.Span).
+// into fixed-capacity per-application × per-server time series, plus the
+// span breakdown that splits each request share's latency at one server
+// into its network / queue-wait / service stages, totalled per
+// application by each server's qos.Telemetry once Attach turns span
+// counting on.
 //
 // Determinism contract: every sample is an ordinary engine event
 // pre-scheduled at attach time on the engine that owns the sampled state —
@@ -15,9 +17,9 @@
 //
 // Allocation contract: all series storage and the per-application span
 // totals are sized at attach time; the per-tick probe and the per-span
-// record path are zero allocations (pinned by AllocsPerRun tests and by
+// count are zero allocations (pinned by AllocsPerRun tests and by
 // BenchmarkSamplerTick / BenchmarkSpanRecord). No span is stored: each is
-// added to its application's totals as it arrives.
+// added to its application's totals as its share replies.
 package obs
 
 import (
@@ -152,32 +154,8 @@ func (cm *clientSampler) OnEvent(op uint32, a, b int64) {
 	}
 }
 
-// spanSink is one server's span sink: it adds each of the server's first
-// limit spans to its application's totals as it arrives, holding no span,
-// and counts the rest as dropped. A span of an application beyond the
-// totals counts toward limit without entering them.
-type spanSink struct {
-	stats   []SpanStats // per application
-	n       int         // spans counted toward limit
-	limit   int
-	dropped int64
-}
-
-// RecordSpan implements pfs.SpanSink.
-func (b *spanSink) RecordSpan(sp pfs.Span) {
-	if b.n == b.limit {
-		b.dropped++
-		return
-	}
-	b.n++
-	if a := uint(sp.App); a < uint(len(b.stats)) {
-		b.stats[a].add(&sp)
-	}
-}
-
-// Collector is one attached observability layer: per-server samplers and
-// span sinks plus the client-side sampler. Read its Timeline after the
-// run completes.
+// Collector is one attached observability layer: per-server samplers plus
+// the client-side sampler. Read its Timeline after the run completes.
 type Collector struct {
 	cfg    Config
 	nApps  int
@@ -185,14 +163,14 @@ type Collector struct {
 
 	samplers []*serverSampler
 	client   *clientSampler
-	spans    []*spanSink // indexed like samplers; nil slice when SpanCap == 0
 }
 
 // Attach wires an observability layer into a freshly prepared platform:
-// it allocates all series storage, installs span sinks on every server,
-// and pre-schedules Samples probe ticks per engine — tick k fires at
-// (k+1)×Interval on the engine owning the probed state, which is what
-// makes sharded runs sample bit-for-bit what the serial oracle samples.
+// it allocates all series storage, turns span counting on in every
+// server's telemetry (unless SpanCap is 0), and pre-schedules Samples
+// probe ticks per engine — tick k fires at (k+1)×Interval on the engine
+// owning the probed state, which is what makes sharded runs sample
+// bit-for-bit what the serial oracle samples.
 // Call between Prepare and Run; panics on an invalid config.
 func Attach(pl *cluster.Platform, nApps int, cfg Config) *Collector {
 	if err := cfg.Validate(); err != nil {
@@ -214,9 +192,7 @@ func Attach(pl *cluster.Platform, nApps int, cfg Config) *Collector {
 			srv.E.AtCall(sim.Time(k+1)*cfg.Interval, sm, 0, int64(k), 0)
 		}
 		if cfg.SpanCap > 0 {
-			b := &spanSink{stats: make([]SpanStats, nApps), limit: cfg.SpanCap}
-			srv.Spans = b
-			c.spans = append(c.spans, b)
+			srv.Tel.CountSpans(nApps, cfg.SpanCap)
 		}
 	}
 	c.client = &clientSampler{
@@ -234,12 +210,3 @@ func Attach(pl *cluster.Platform, nApps int, cfg Config) *Collector {
 // code path the scheduled probe events run (exposed for benchmarks and
 // allocation tests).
 func (c *Collector) ServerTick(i, k int) { c.samplers[i].OnEvent(0, int64(k), 0) }
-
-// Sink returns server i's span sink (nil when spans are disabled) — the
-// exact sink the server's completion path feeds.
-func (c *Collector) Sink(i int) pfs.SpanSink {
-	if len(c.spans) == 0 {
-		return nil
-	}
-	return c.spans[i]
-}

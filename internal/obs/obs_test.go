@@ -1,7 +1,7 @@
 package obs_test
 
 // Unit tests for the observability layer. The allocation pins are the
-// load-bearing ones: the per-tick probe and the per-span record path must
+// load-bearing ones: the per-tick probe and the per-span count must
 // stay at zero allocations, or sampling would perturb the very hot paths
 // it is meant to watch. End-to-end sampling correctness (series content,
 // shard conformance) is pinned by the scenario-level timeline golden.
@@ -9,11 +9,9 @@ package obs_test
 import (
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/pfs"
 	"repro/internal/sim"
 )
 
@@ -55,28 +53,30 @@ func TestSamplerTickZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSpanRecordZeroAlloc pins the span record path at 0 allocs/op (both
-// the within-budget and the overflow/drop regime).
+// TestSpanRecordZeroAlloc pins the span count at 0 allocs/op: a server's
+// telemetry totalling a finished request share with span counting on, in
+// both the within-budget and the overflow/drop regime.
 func TestSpanRecordZeroAlloc(t *testing.T) {
-	col := obs.Attach(tinyPlatform(), 2, testConfig())
-	sink := col.Sink(0)
-	sp := pfs.Span{Issue: 1, Arrive: 2, Grant: 3, Reply: 4, Bytes: 64, App: 1}
-	if n := testing.AllocsPerRun(200, func() { sink.RecordSpan(sp) }); n != 0 {
+	pl := tinyPlatform()
+	obs.Attach(pl, 2, testConfig())
+	tel := pl.Servers[0].Tel
+	if n := testing.AllocsPerRun(200, func() { tel.Span(1, 64, false, 1, 2, 3, 4) }); n != 0 {
 		t.Fatalf("span record allocates %v per run, want 0", n)
 	}
 }
 
-// TestSpanAggregation drives known spans through a sink and checks the
-// exported per-app stats, including drop accounting past SpanCap.
+// TestSpanAggregation hands known request shares to a server's telemetry
+// and checks the exported per-app stats, including drop accounting past
+// SpanCap.
 func TestSpanAggregation(t *testing.T) {
 	pl := tinyPlatform()
 	cfg := testConfig()
 	col := obs.Attach(pl, 2, cfg)
-	sink := col.Sink(1)
+	tel := pl.Servers[1].Tel
 	ms := sim.Millisecond
-	sink.RecordSpan(pfs.Span{Issue: 0, Arrive: 2 * ms, Grant: 5 * ms, Reply: 11 * ms, Bytes: 100, App: 0})
-	sink.RecordSpan(pfs.Span{Issue: 10 * ms, Arrive: 11 * ms, Grant: 11 * ms, Reply: 14 * ms, Bytes: 50, App: 0, Read: true})
-	sink.RecordSpan(pfs.Span{Issue: 0, Arrive: ms, Grant: ms, Reply: 2 * ms, Bytes: 7, App: 1})
+	tel.Span(0, 100, false, 0, 2*ms, 5*ms, 11*ms)
+	tel.Span(0, 50, true, 10*ms, 11*ms, 11*ms, 14*ms)
+	tel.Span(1, 7, false, 0, ms, ms, 2*ms)
 	tl := col.Timeline([]string{"A", "B"})
 	a := tl.Spans[0]
 	if a.Count != 2 || a.Reads != 1 || a.Bytes != 150 {
@@ -97,7 +97,7 @@ func TestSpanAggregation(t *testing.T) {
 
 	// Overflow past SpanCap is counted, not aggregated.
 	for i := 0; i < cfg.SpanCap+3; i++ {
-		sink.RecordSpan(pfs.Span{Reply: ms, App: 0})
+		tel.Span(0, 0, false, 0, 0, 0, ms)
 	}
 	if got := col.Timeline([]string{"A", "B"}).SpansDropped; got != int64(3+3) {
 		t.Fatalf("SpansDropped = %d, want 6", got)
@@ -105,9 +105,9 @@ func TestSpanAggregation(t *testing.T) {
 }
 
 // TestAttachHoldsNoSpans pins that Attach reserves no per-span storage:
-// DefaultConfig's 64 Ki-span budget once cost every server a 3.5 MiB
-// buffer before it recorded a span, where an observed co-run records a few
-// hundred per server.
+// DefaultConfig's 64 Ki-span budget once cost every server a buffer of
+// 56-byte spans (3.5 MiB) before it recorded a span, where an observed
+// co-run records a few hundred per server.
 func TestAttachHoldsNoSpans(t *testing.T) {
 	pl := tinyPlatform()
 	cfg := obs.DefaultConfig()
@@ -115,7 +115,8 @@ func TestAttachHoldsNoSpans(t *testing.T) {
 	runtime.ReadMemStats(&m0)
 	obs.Attach(pl, 2, cfg)
 	runtime.ReadMemStats(&m1)
-	oneBuffer := uint64(cfg.SpanCap) * uint64(unsafe.Sizeof(pfs.Span{}))
+	const spanBytes = 56 // issue, arrival, grant and reply times, bytes, app, server, read
+	oneBuffer := uint64(cfg.SpanCap) * spanBytes
 	if got := m1.TotalAlloc - m0.TotalAlloc; got > oneBuffer/2 {
 		t.Fatalf("Attach on 2 servers allocated %d bytes, want under half of one server's old span buffer (%d)", got, oneBuffer)
 	}
@@ -142,19 +143,17 @@ func TestTimelineTrim(t *testing.T) {
 	}
 }
 
-// TestSpansDisabled pins the off switch: SpanCap 0 installs no sinks and
-// exports no span stats.
+// TestSpansDisabled pins the off switch: SpanCap 0 leaves span counting
+// off in every server's telemetry and exports no span stats.
 func TestSpansDisabled(t *testing.T) {
 	cfg := testConfig()
 	cfg.SpanCap = 0
 	pl := tinyPlatform()
 	col := obs.Attach(pl, 1, cfg)
-	if col.Sink(0) != nil {
-		t.Fatal("SpanCap=0 still installed a sink")
-	}
 	for _, srv := range pl.Servers {
-		if srv.Spans != nil {
-			t.Fatal("SpanCap=0 still set Server.Spans")
+		srv.Tel.Span(0, 64, false, 1, 2, 3, 4)
+		if stats, dropped := srv.Tel.Spans(); stats != nil || dropped != 0 {
+			t.Fatal("SpanCap=0 still counted spans")
 		}
 	}
 	if tl := col.Timeline([]string{"A"}); tl.Spans != nil {

@@ -3,24 +3,13 @@ package obs
 import (
 	"strconv"
 
-	"repro/internal/pfs"
+	"repro/internal/qos"
 	"repro/internal/sim"
 )
 
-// SpanStats aggregates one application's request spans over a whole run —
-// the "where did the time go" decomposition. Sums are over every
-// completed request share on every server; order-independent, so the
-// aggregate is shard-invariant by construction.
-type SpanStats struct {
-	Count      int64    `json:"count"`
-	Reads      int64    `json:"reads"`
-	Bytes      int64    `json:"bytes"`
-	SumNet     sim.Time `json:"sum_net"`
-	SumQueue   sim.Time `json:"sum_queue"`
-	SumService sim.Time `json:"sum_service"`
-	SumTotal   sim.Time `json:"sum_total"`
-	MaxTotal   sim.Time `json:"max_total"`
-}
+// SpanStats totals one application's request spans over a whole run (see
+// qos.SpanStats): Timeline.Spans merges every server's totals.
+type SpanStats = qos.SpanStats
 
 // Timeline is the exported result of one observed run: plain data, safe to
 // marshal, carried on core.RunResult. Ticks counts the retained samples
@@ -42,7 +31,7 @@ type Timeline struct {
 	Client    []ClientPoint `json:"client"`
 
 	// Spans is indexed by application (empty when span collection was
-	// disabled); SpansDropped counts spans lost to full buffers.
+	// disabled); SpansDropped counts the spans past each server's SpanCap.
 	Spans        []SpanStats `json:"spans,omitempty"`
 	SpansDropped int64       `json:"spans_dropped,omitempty"`
 }
@@ -116,45 +105,17 @@ func (c *Collector) Timeline(apps []string) *Timeline {
 	}
 	copy(tl.Client, c.client.pts[:ticks*c.nApps])
 
-	if len(c.spans) > 0 {
+	if c.cfg.SpanCap > 0 {
 		tl.Spans = make([]SpanStats, c.nApps)
-		for _, b := range c.spans {
-			tl.SpansDropped += b.dropped
+		for _, sm := range c.samplers {
+			stats, dropped := sm.srv.Tel.Spans()
+			tl.SpansDropped += dropped
 			for a := range tl.Spans {
-				tl.Spans[a].merge(b.stats[a])
+				tl.Spans[a].Merge(stats[a])
 			}
 		}
 	}
 	return tl
-}
-
-// add counts one span in the totals. The stages are pfs.Span's Net, Queue,
-// Service and Total spelled out: calling those value-receiver methods
-// through a pointer copies the span each time, and the copies give
-// RecordSpan a stack frame on every call, dropped spans included.
-func (st *SpanStats) add(sp *pfs.Span) {
-	st.Count++
-	if sp.Read {
-		st.Reads++
-	}
-	st.Bytes += sp.Bytes
-	st.SumNet += sp.Arrive - sp.Issue
-	st.SumQueue += sp.Grant - sp.Arrive
-	st.SumService += sp.Reply - sp.Grant
-	st.SumTotal += sp.Reply - sp.Issue
-	st.MaxTotal = max(st.MaxTotal, sp.Reply-sp.Issue)
-}
-
-// merge adds another server's totals of the same application.
-func (st *SpanStats) merge(o SpanStats) {
-	st.Count += o.Count
-	st.Reads += o.Reads
-	st.Bytes += o.Bytes
-	st.SumNet += o.SumNet
-	st.SumQueue += o.SumQueue
-	st.SumService += o.SumService
-	st.SumTotal += o.SumTotal
-	st.MaxTotal = max(st.MaxTotal, o.MaxTotal)
 }
 
 // changed reports whether tick k differs from tick k-1 (k 0: from zero).

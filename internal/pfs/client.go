@@ -103,12 +103,11 @@ func (f *File) plan(off, size int64) []srvPlan {
 }
 
 // begin opens a request that reaches at least one server: it counts the
-// request in flight and, when a trace sink is attached, opens its trace
-// record.
+// request in flight and, while the file system records, opens its record.
 func (cl *Client) begin(f *File, plans []srvPlan, off, size int64, read bool) *clientReq {
 	req := &clientReq{cl: cl, recIdx: -1}
 	cl.inflight++
-	if s := cl.fs.Sink; s != nil {
+	if cl.fs.recs != nil {
 		srv := int32(-1)
 		if len(plans) == 1 {
 			srv = int32(f.servers[plans[0].pos].ID)
@@ -117,7 +116,7 @@ func (cl *Client) begin(f *File, plans []srvPlan, off, size int64, read bool) *c
 		if read {
 			op = OpRead
 		}
-		req.recIdx = s.BeginRequest(IORecord{
+		req.recIdx = cl.fs.BeginRecord(IORecord{
 			Time: cl.fs.E.Now(), Off: off, Bytes: size,
 			App: int32(cl.App), Rank: int32(cl.Rank), Server: srv,
 			QD: cl.inflight, Op: op,

@@ -24,17 +24,16 @@ type FileSystem struct {
 	Rand        *sim.Rand
 	IssueJitter sim.Time
 
-	// Sink, when non-nil, receives one request-level trace record per
-	// client request (see IORecord). nil — the default — keeps the request
-	// path record-free; internal/trace attaches its Recorder here.
-	Sink IOSink
-
 	// Retry, when non-nil, is the deployment's client RPC retry policy
 	// (installed by EnableRetry): every client request then arms per-share
 	// reply deadlines and stalls and resumes when it runs out of retries.
 	// nil arms nothing, keeping the request path bit-identical to a
 	// pre-fault deployment.
 	Retry *fault.RetryPolicy
+
+	// recs are the request records while recording is on (Record); nil —
+	// the default — keeps the request path record-free.
+	recs []IORecord
 
 	nextClient int
 	avail      []ClientAvail // per-application client-side availability

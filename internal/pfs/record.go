@@ -31,10 +31,9 @@ func (o Op) String() string {
 
 // IORecord is one request-level trace record: the telemetry Darshan keeps
 // per file region, at per-request granularity. The client path fills every
-// field except Latency at issue time; Latency is filled at completion
-// through the sink's EndRequest (so an in-memory recorder stores exactly
-// one record per request, appended once and patched once — no allocation
-// beyond the backing slice).
+// field except Latency at issue time; EndRecord fills Latency at
+// completion, so the file system stores exactly one record per request,
+// appended once and patched once — no allocation beyond the backing slice.
 type IORecord struct {
 	// Time is the issue time (barrier records: the entry time).
 	Time sim.Time
@@ -57,17 +56,31 @@ type IORecord struct {
 	Op Op
 }
 
-// IOSink receives request-level records from the client path. BeginRequest
-// is called at issue with every field but Latency set and returns a handle;
-// EndRequest is called at completion with that handle so the sink can fill
-// the latency in place. Implementations must not retain pointers into the
-// record (it is passed by value) and must be cheap: the hook sits on the
-// per-request hot path and internal/trace's Recorder implements it with a
-// zero-allocation slice append.
-//
-// A nil FileSystem.Sink (the default) keeps the client path record-free;
-// recording is opt-in per run.
-type IOSink interface {
-	BeginRequest(r IORecord) int
-	EndRequest(idx int)
+// Record turns request recording on with room for n records: from then
+// on every client request, and every barrier core.BarrierWait runs, keeps
+// one IORecord, appended at issue and completed in place. A run whose
+// request count is known up front records without a single allocation.
+func (fs *FileSystem) Record(n int) { fs.recs = make([]IORecord, 0, n) }
+
+// Records returns the records kept so far, in issue order (nil while
+// recording is off).
+func (fs *FileSystem) Records() []IORecord { return fs.recs }
+
+// BeginRecord appends rec, every field but Latency set at issue, and
+// returns its index for EndRecord; while recording is off it keeps
+// nothing and returns -1.
+func (fs *FileSystem) BeginRecord(rec IORecord) int {
+	if fs.recs == nil {
+		return -1
+	}
+	fs.recs = append(fs.recs, rec)
+	return len(fs.recs) - 1
+}
+
+// EndRecord fills in record idx's latency at completion; -1 does nothing.
+func (fs *FileSystem) EndRecord(idx int) {
+	if idx >= 0 {
+		r := &fs.recs[idx]
+		r.Latency = fs.E.Now() - r.Time
+	}
 }

@@ -1,6 +1,9 @@
 package pfs
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/netsim"
 	"repro/internal/qos"
 	"repro/internal/sim"
@@ -31,6 +34,21 @@ func (m SyncMode) String() string {
 		return "null-aio"
 	}
 	return "unknown"
+}
+
+// ParseSyncMode converts a sync mode name ("on", "off" or "null-aio"; the
+// empty string means on and "nullaio" is accepted too) to a SyncMode.
+// Unknown names yield an error listing the valid set.
+func ParseSyncMode(s string) (SyncMode, error) {
+	switch strings.ToLower(s) {
+	case "", "on":
+		return SyncOn, nil
+	case "off":
+		return SyncOff, nil
+	case "null-aio", "nullaio":
+		return NullAIO, nil
+	}
+	return 0, fmt.Errorf("unknown sync mode %q (valid: on, off, null-aio)", s)
 }
 
 // ServerParams configures a storage server's software stack. The sync mode
@@ -101,12 +119,11 @@ type Server struct {
 	Cache *storage.WriteCache
 	// Tel is the server's telemetry probe layer: per-application request,
 	// queue and byte counters plus the device view. Always on (the
-	// counters are cheap); QoS schedulers and tests read it.
+	// counters are cheap); QoS schedulers and tests read it. Each finished
+	// request share hands it the share's issue, arrival, grant and reply
+	// times, which it totals per application once span counting is on
+	// (qos.Telemetry.CountSpans).
 	Tel *qos.Telemetry
-	// Spans, when non-nil, receives one Span per completed request share,
-	// emitted at reply time on this server's shard (see SpanSink). nil —
-	// the default — keeps the completion path span-free.
-	Spans SpanSink
 
 	sync       SyncMode
 	cpu        *sim.Line
@@ -519,13 +536,7 @@ func (s *Server) finishFlow(st *srvReqState) {
 	st.active = false
 	s.freeFlows++
 	s.Tel.Finish(st.conn.App)
-	if s.Spans != nil {
-		s.Spans.RecordSpan(Span{
-			Issue: st.issueAt, Arrive: st.arriveAt, Grant: st.grantAt,
-			Reply: s.E.Now(), Bytes: st.bytes,
-			App: int32(st.conn.App), Server: int32(s.ID), Read: st.read,
-		})
-	}
+	s.Tel.Span(st.conn.App, st.bytes, st.read, st.issueAt, st.arriveAt, st.grantAt, s.E.Now())
 	for i, a := range s.activeReqs {
 		if a == st {
 			copy(s.activeReqs[i:], s.activeReqs[i+1:])

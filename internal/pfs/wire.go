@@ -75,8 +75,8 @@ type srvReqState struct {
 	remaining int      // chunks not yet stored (write) or returned (read)
 	bytes     int64    // total data bytes of this request's share here
 	issued    sim.Time // when the client issued the request
-	issueAt   sim.Time // client clock at issue (unjittered; Span.Issue)
-	read      bool     // read request (client-written; Span.Read)
+	issueAt   sim.Time // client clock at issue (unjittered; the span's start)
+	read      bool     // read request (client-written)
 
 	// Server-side flow scheduling state.
 	srv      *Server
@@ -85,8 +85,8 @@ type srvReqState struct {
 	active   bool
 	dead     bool     // killed by a server crash; chunks are discarded
 	inflight int      // chunks being processed/stored right now
-	arriveAt sim.Time // server clock at arrival (Span.Arrive)
-	grantAt  sim.Time // server clock at flow-slot grant (Span.Grant)
+	arriveAt sim.Time // server clock at arrival (net stage ends)
+	grantAt  sim.Time // server clock at flow-slot grant (queue stage ends)
 	// pending holds the readable chunks not yet pulled from the socket.
 	pending netsim.MsgQueue
 
@@ -102,8 +102,8 @@ type srvReqState struct {
 
 // clientReq is the client-side handle of an in-flight request. cl and
 // recIdx tie the completion back to the issuing client's outstanding count
-// and, when a trace sink is attached, to the request's trace record (recIdx
-// is -1 when recording is off). Zero-extent requests never reach a server
+// and, while the file system records, to the request's record (recIdx is
+// -1 when recording is off). Zero-extent requests never reach a server
 // and get no clientReq.
 //
 // remaining counts the replies still expected or, under a retry policy,
@@ -130,9 +130,7 @@ func (r *clientReq) replied() {
 	}
 	cl := r.cl
 	cl.inflight--
-	if s := cl.fs.Sink; s != nil && r.recIdx >= 0 {
-		s.EndRequest(r.recIdx)
-	}
+	cl.fs.EndRecord(r.recIdx)
 	if r.failed && r.reissue != nil {
 		cl.fs.E.Schedule(cl.fs.Retry.Resume, r.reissue)
 		return

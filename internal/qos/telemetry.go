@@ -60,10 +60,46 @@ type Availability struct {
 	DiscardedBytes int64
 }
 
+// SpanStats totals one application's request spans — the life of a
+// request's share on one server, from client issue to reply, split at the
+// share's arrival (its first chunk buffered at the server) and its
+// flow-slot grant — over a whole run: the "where did the time go"
+// decomposition. SumNet is issue to arrival (wire transmission, NIC
+// sharing, incast backoff), SumQueue arrival to grant (the flow-slot wait
+// a scheduler shapes), SumService grant to reply (CPU, device and the
+// self-clocked rest of the transfer); the three add up to SumTotal. Sums
+// are order-independent, so totals merged over servers are
+// shard-invariant by construction.
+type SpanStats struct {
+	Count      int64    `json:"count"`
+	Reads      int64    `json:"reads"`
+	Bytes      int64    `json:"bytes"`
+	SumNet     sim.Time `json:"sum_net"`
+	SumQueue   sim.Time `json:"sum_queue"`
+	SumService sim.Time `json:"sum_service"`
+	SumTotal   sim.Time `json:"sum_total"`
+	MaxTotal   sim.Time `json:"max_total"`
+}
+
+// Merge adds another server's totals of the same application.
+func (st *SpanStats) Merge(o SpanStats) {
+	st.Count += o.Count
+	st.Reads += o.Reads
+	st.Bytes += o.Bytes
+	st.SumNet += o.SumNet
+	st.SumQueue += o.SumQueue
+	st.SumService += o.SumService
+	st.SumTotal += o.SumTotal
+	st.MaxTotal = max(st.MaxTotal, o.MaxTotal)
+}
+
 // Telemetry is one server's probe layer: per-application counters plus a
 // view of the backend device. The pfs server updates it on every request
 // arrival, grant, chunk consumption and completion; schedulers and tests
-// read it. All methods are O(1); the per-application slice grows once per
+// read it. Once span counting is on (CountSpans; obs.Attach turns it on),
+// it also totals every finished request share's net, queue and service
+// stages per application (Span), and obs's timeline merges the servers'
+// totals. All methods are O(1); the per-application slice grows once per
 // application and is then reused (zero allocations in steady state).
 type Telemetry struct {
 	dev    DeviceProbe
@@ -74,6 +110,13 @@ type Telemetry struct {
 	avail     Availability
 	down      bool
 	downSince sim.Time
+
+	// spans are the per-application span totals while span counting is
+	// on (CountSpans), nil otherwise; spanRoom is how many more spans may
+	// enter them, and spansDropped counts those that came after.
+	spans        []SpanStats
+	spanRoom     int
+	spansDropped int64
 }
 
 // NewTelemetry builds a probe layer over one backend device (nil is legal:
@@ -133,6 +176,48 @@ func (t *Telemetry) Finish(app int) {
 	t.apps[app].Active--
 	t.active--
 }
+
+// Span totals one finished request share of app while span counting is on
+// (CountSpans): its bytes (read marks a read), issued by the client at
+// issue, arrived at arrive, granted a flow slot at grant and replied at
+// reply. While it is off, Span does nothing.
+func (t *Telemetry) Span(app int, bytes int64, read bool, issue, arrive, grant, reply sim.Time) {
+	if t.spans == nil {
+		return
+	}
+	if t.spanRoom == 0 {
+		t.spansDropped++
+		return
+	}
+	t.spanRoom--
+	if uint(app) >= uint(len(t.spans)) {
+		return
+	}
+	st := &t.spans[app]
+	st.Count++
+	if read {
+		st.Reads++
+	}
+	st.Bytes += bytes
+	st.SumNet += arrive - issue
+	st.SumQueue += grant - arrive
+	st.SumService += reply - grant
+	st.SumTotal += reply - issue
+	st.MaxTotal = max(st.MaxTotal, reply-issue)
+}
+
+// CountSpans turns span counting on, with totals for applications 0 to
+// nApps−1: the first limit request shares that finish from then on use up
+// the room (a share of a later application enters no total), and every
+// share after them is counted as dropped.
+func (t *Telemetry) CountSpans(nApps, limit int) {
+	t.spans = make([]SpanStats, nApps)
+	t.spanRoom = limit
+}
+
+// Spans returns the per-application span totals and the count of spans
+// dropped past the limit; nil totals while span counting is off.
+func (t *Telemetry) Spans() ([]SpanStats, int64) { return t.spans, t.spansDropped }
 
 // DemandApps counts the applications that currently have work at the
 // server — the contention test a DepthAdvisor uses to leave solo

@@ -109,7 +109,7 @@ func (io IO) validate() error {
 	if io.BlockMB > maxBlockMB || io.TransferKB > maxTransferKB {
 		return fmt.Errorf("block_mb/transfer_kb exceed the %d MiB / %d KiB caps", maxBlockMB, maxTransferKB)
 	}
-	pat, err := parsePattern(io.Pattern)
+	pat, err := workload.ParsePattern(io.Pattern)
 	if err != nil {
 		return err
 	}
@@ -129,7 +129,7 @@ func (io IO) validate() error {
 
 // spec compiles a validated burst into its workload form.
 func (io IO) spec() workload.Spec {
-	pat, _ := parsePattern(io.Pattern) // validated
+	pat, _ := workload.ParsePattern(io.Pattern) // validated
 	return workload.Spec{
 		Pattern:      pat,
 		BlockBytes:   io.BlockMB << 20,
@@ -148,7 +148,7 @@ func (io IO) smoke() IO {
 		return io
 	}
 	io.BlockMB = max(1, io.BlockMB/16)
-	if pat, err := parsePattern(io.Pattern); err == nil && pat == workload.Strided &&
+	if pat, err := workload.ParsePattern(io.Pattern); err == nil && pat == workload.Strided &&
 		io.TransferKB > 0 && (io.BlockMB<<20)%(io.TransferKB<<10) != 0 {
 		io.TransferKB = io.BlockMB << 10
 	}
@@ -323,36 +323,6 @@ const (
 	maxStripeKB   = 1 << 21 // 2 GiB stripe
 )
 
-// patternNames are the valid App.Pattern values.
-var patternNames = []string{"contiguous", "strided"}
-
-// syncNames are the valid Spec.Sync values.
-var syncNames = []string{"on", "off", "null-aio"}
-
-// parsePattern maps an App.Pattern string to the workload kind.
-func parsePattern(s string) (workload.Pattern, error) {
-	switch strings.ToLower(s) {
-	case "", "contiguous", "contig":
-		return workload.Contiguous, nil
-	case "strided":
-		return workload.Strided, nil
-	}
-	return 0, fmt.Errorf("unknown pattern %q (valid: %s)", s, strings.Join(patternNames, ", "))
-}
-
-// parseSync maps a Spec.Sync string to the pfs mode.
-func parseSync(s string) (pfs.SyncMode, error) {
-	switch strings.ToLower(s) {
-	case "", "on":
-		return pfs.SyncOn, nil
-	case "off":
-		return pfs.SyncOff, nil
-	case "null-aio", "nullaio":
-		return pfs.NullAIO, nil
-	}
-	return 0, fmt.Errorf("unknown sync mode %q (valid: %s)", s, strings.Join(syncNames, ", "))
-}
-
 // Validate checks the scenario for structural errors. Every error names the
 // scenario and, where relevant, the offending application, so a bad file in
 // a batch points straight at its line.
@@ -396,7 +366,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 	}
-	if _, err := parseSync(s.Sync); err != nil {
+	if _, err := pfs.ParseSyncMode(s.Sync); err != nil {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	if s.Nodes < 0 || s.CoresPerNode < 0 || s.Servers < 0 || s.StripeKB < 0 || s.SSDChannels < 0 {
@@ -590,7 +560,7 @@ func (s Spec) Build(backend cluster.BackendKind) (cluster.Config, core.DeltaSpec
 	if s.SSDChannels > 0 {
 		cfg.SSD.Channels = s.SSDChannels
 	}
-	mode, err := parseSync(s.Sync)
+	mode, err := pfs.ParseSyncMode(s.Sync)
 	if err != nil {
 		return cluster.Config{}, core.DeltaSpec{}, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // Record executes the scenario's δ=0 co-run — the canonical point every
-// δ-graph contains — on one backend with the request-level trace recorder
-// attached, and returns the trace alongside the run's results.
+// δ-graph contains — on one backend with request recording on, and
+// returns the trace alongside the run's results.
 func Record(s Spec, backend cluster.BackendKind) (*trace.Trace, core.RunResult, error) {
 	_, spec, err := s.Build(backend)
 	if err != nil {

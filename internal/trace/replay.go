@@ -23,8 +23,6 @@ type ReplayResult struct {
 	// Trace is the replay's own recording — on an unmodified platform it
 	// must equal the input trace record for record.
 	Trace *Trace
-	// Events is the replay simulation's executed event count.
-	Events uint64
 }
 
 // Identical reports whether every application's replayed phase window
@@ -74,9 +72,7 @@ func ReplayOn(t *Trace, cfg cluster.Config) (*ReplayResult, error) {
 		return nil, err
 	}
 	pl := cluster.Build(cfg)
-	rec := NewRecorder(pl.E)
-	rec.Reserve(len(t.Records))
-	pl.FS.Sink = rec
+	pl.FS.Record(len(t.Records))
 
 	apps := make([]*replayApp, len(t.Header.Apps))
 	for ai, info := range t.Header.Apps {
@@ -130,8 +126,7 @@ func ReplayOn(t *Trace, cfg cluster.Config) (*ReplayResult, error) {
 
 	res := &ReplayResult{
 		Recorded: t.Header.Apps,
-		Trace:    &Trace{Header: Header{Cfg: cfg}, Records: rec.Records()},
-		Events:   pl.E.Executed(),
+		Trace:    &Trace{Header: Header{Cfg: cfg}, Records: pl.FS.Records()},
 	}
 	for _, a := range apps {
 		if !a.timer.Finished() {

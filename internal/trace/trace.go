@@ -1,10 +1,11 @@
-// Package trace is the request-level trace subsystem: a zero-allocation
-// recorder that hooks the pfs client path (one record per request — issue
-// time, app, rank, server, offset, bytes, observed queue depth, latency,
-// plus barrier entries from the workload-program layer), a compact sorted
-// on-disk format, a Darshan-style per-application summarizer, and a
-// replayer that drives a freshly built cluster from a recorded trace as a
-// first-class workload source.
+// Package trace is the request-level trace subsystem: recorded runs (the
+// pfs file system keeps one record per request while recording is on —
+// issue time, app, rank, server, offset, bytes, observed queue depth,
+// latency, plus barrier entries from the workload-program layer — with no
+// allocation beyond the reserved slice), a compact sorted on-disk format, a
+// Darshan-style per-application summarizer, and a replayer that drives a
+// freshly built cluster from a recorded trace as a first-class workload
+// source.
 //
 // # Replay determinism contract
 //
@@ -52,7 +53,7 @@ import (
 )
 
 // Record is one request-level trace record (see pfs.IORecord for the field
-// contract). Records in a Trace are sorted by issue time — the recorder
+// contract). Records in a Trace are sorted by issue time — the file system
 // appends them in simulation order, which is already chronological.
 type Record = pfs.IORecord
 
@@ -103,62 +104,21 @@ func (t *Trace) AppNames() []string {
 	return names
 }
 
-// Recorder is the in-memory pfs.IOSink: it appends one record per request
-// at issue and patches the latency in place at completion. The steady-state
-// record path performs no allocation once the backing slice has grown (or
-// been Reserved) to the run's request count.
-type Recorder struct {
-	e    *sim.Engine
-	recs []Record
-}
-
-// NewRecorder returns a recorder reading timestamps from e.
-func NewRecorder(e *sim.Engine) *Recorder { return &Recorder{e: e} }
-
-// Reserve grows the backing slice to hold at least n records, so a run with
-// a known request count records without any allocation at all.
-func (r *Recorder) Reserve(n int) {
-	if cap(r.recs)-len(r.recs) < n {
-		grown := make([]Record, len(r.recs), len(r.recs)+n)
-		copy(grown, r.recs)
-		r.recs = grown
-	}
-}
-
-// BeginRequest implements pfs.IOSink: append the issue-time record.
-func (r *Recorder) BeginRequest(rec Record) int {
-	r.recs = append(r.recs, rec)
-	return len(r.recs) - 1
-}
-
-// EndRequest implements pfs.IOSink: patch the record's latency in place.
-func (r *Recorder) EndRequest(idx int) {
-	r.recs[idx].Latency = r.e.Now() - r.recs[idx].Time
-}
-
-// Len returns the number of records captured so far.
-func (r *Recorder) Len() int { return len(r.recs) }
-
-// Records returns the captured records (the recorder's backing slice).
-func (r *Recorder) Records() []Record { return r.recs }
-
-// RecordRun executes one simulation of the given applications with a
-// recorder attached and returns the trace alongside the run's results. It
-// is core.Prepare + Run with the pfs sink installed; to record the δ=0
+// RecordRun executes one simulation of the given applications with
+// recording on and returns the trace alongside the run's results. It is
+// core.Prepare + Run with the file system recording; to record the δ=0
 // co-run of a δ-graph spec, pass spec.Cfg and spec.AppsAt(0).
 func RecordRun(cfg cluster.Config, apps []core.AppSpec) (*Trace, core.RunResult) {
 	x := core.Prepare(cfg, apps) // validates the specs (panics like Prepare)
-	rec := NewRecorder(x.Platform.E)
 	// The request count is known up front, so the whole run records without
 	// a single allocation on the record path.
 	n := 0
 	for _, a := range x.Apps {
 		n += a.Spec.Procs * (a.Program.Requests() + a.Program.Barriers())
 	}
-	rec.Reserve(n)
-	x.Platform.FS.Sink = rec
+	x.Platform.FS.Record(n)
 	res := x.Run()
-	t := &Trace{Header: Header{Cfg: cfg}, Records: rec.Records()}
+	t := &Trace{Header: Header{Cfg: cfg}, Records: x.Platform.FS.Records()}
 	for i, a := range apps {
 		t.Header.Apps = append(t.Header.Apps, AppInfo{
 			Name:          a.Name,
@@ -183,7 +143,7 @@ func RecordRun(cfg cluster.Config, apps []core.AppSpec) (*Trace, core.RunResult)
 // table, its op a write, read or barrier, its extent non-negative,
 // representable and at most maxBytes long, its time and latency within
 // [0, sim.MaxSeconds] seconds, and its time no earlier than the previous
-// record's (a recorder appends records in issue order).
+// record's (the file system appends records in issue order).
 func (t *Trace) Validate() error {
 	if len(t.Header.Apps) == 0 {
 		return fmt.Errorf("trace: header has no applications")

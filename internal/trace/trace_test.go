@@ -310,17 +310,22 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-// TestRecorderZeroAlloc pins the recorder's steady-state record path at
-// zero allocations once capacity is reserved.
+// TestRecorderZeroAlloc pins the file system's record path (BeginRecord +
+// EndRecord, what a client request runs) at zero allocations: while
+// recording is off, when it keeps nothing, and while it is on, once Record
+// has reserved the room.
 func TestRecorderZeroAlloc(t *testing.T) {
-	e := sim.NewEngine()
-	rec := trace.NewRecorder(e)
+	fs := pfs.NewFileSystem(sim.NewEngine(), nil, nil)
+	off := testing.AllocsPerRun(100, func() { fs.EndRecord(fs.BeginRecord(trace.Record{Op: pfs.OpWrite})) })
+	if off != 0 || fs.Records() != nil {
+		t.Fatalf("recording off: %.1f allocs/op, %d records kept", off, len(fs.Records()))
+	}
 	const n = 1000
-	rec.Reserve(n + 10)
+	fs.Record(n + 10)
 	i := 0
 	allocs := testing.AllocsPerRun(n, func() {
-		idx := rec.BeginRequest(trace.Record{Time: sim.Time(i), Bytes: 1 << 20, Op: pfs.OpWrite})
-		rec.EndRequest(idx)
+		idx := fs.BeginRecord(trace.Record{Time: sim.Time(i), Bytes: 1 << 20, Op: pfs.OpWrite})
+		fs.EndRecord(idx)
 		i++
 	})
 	if allocs != 0 {

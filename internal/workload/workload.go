@@ -5,7 +5,10 @@
 // across ranks (the "Strided" pattern, IOR's segmented layout).
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Pattern is an access pattern kind.
 type Pattern int
@@ -28,6 +31,19 @@ func (p Pattern) String() string {
 		return "strided"
 	}
 	return "unknown"
+}
+
+// ParsePattern converts a pattern name ("contiguous" or "strided"; the
+// empty string and "contig" mean contiguous) to a Pattern. Unknown names
+// yield an error listing the valid set.
+func ParsePattern(s string) (Pattern, error) {
+	switch strings.ToLower(s) {
+	case "", "contiguous", "contig":
+		return Contiguous, nil
+	case "strided":
+		return Strided, nil
+	}
+	return 0, fmt.Errorf("unknown pattern %q (valid: contiguous, strided)", s)
 }
 
 // Spec describes one application's I/O phase.
