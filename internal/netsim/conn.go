@@ -9,8 +9,9 @@ import "repro/internal/sim"
 //
 // A Message is read-only from Send on: the receiver queues the sender's
 // pointer itself rather than a copy, so under a sim.ShardSet both shards
-// read it. The sender may reuse it only after it has been acknowledged
-// and the receiver has both announced it to OnReadable and read it.
+// read it. The sender keeps no reference (retransmissions go by stream
+// position), so only the receiver holds a message: the sender may reuse
+// it once the receiver has both announced it to OnReadable and read it.
 type Message struct {
 	Size int64
 	Meta interface{}
@@ -21,7 +22,7 @@ type Message struct {
 // ConnStats are cumulative per-connection counters.
 type ConnStats struct {
 	SentSegs    int64 // segments transmitted (including retransmissions)
-	AckedBytes  int64
+	AckedBytes  int64 // cumulative ack (Conn.AckedBytes at Stats time)
 	RetransSegs int64
 	Timeouts    int64
 	RcvdSegs    int64 // segments accepted in order
@@ -46,8 +47,6 @@ type Conn struct {
 	OnReadable func(c *Conn, m *Message)
 
 	// ---- sender state ----
-	// sendQ holds the sent messages not yet fully acknowledged.
-	sendQ       MsgQueue
 	appendedSeq int64 // bytes ever queued
 	nextSeq     int64 // next byte to transmit
 	ackedSeq    int64 // cumulative ack
@@ -69,10 +68,12 @@ type Conn struct {
 	// rcvNext only advances in receive, which always runs notifyReadable —
 	// so the announced messages are always a prefix of the unread ones.
 	announced int
-
-	// notifyQ holds messages announced to OnReadable but not yet
-	// dispatched, consumed head-first by the opReadable event.
-	notifyQ MsgQueue
+	// undispatched counts the announced messages not yet handed to
+	// OnReadable: each announce schedules one opReadable event, which
+	// dispatches the oldest of them. ReadHead only pops messages already
+	// dispatched, so the dispatched ones are a prefix of the announced
+	// ones and the next to dispatch is rcvQ.At(announced - undispatched).
+	undispatched int
 
 	stats ConnStats
 	Trace *Trace // optional; set by probes
@@ -95,7 +96,7 @@ const (
 	opArrive   uint32 = iota // segment delivered to dst's switch port; a=seq, b=size
 	opIngress                // segment through dst's NIC; a=seq, b=size
 	opAck                    // cumulative ACK at the sender; a=ack, b=rwnd
-	opReadable               // head message fully arrived; pops notifyQ
+	opReadable               // a message fully arrived; dispatches the oldest undispatched one
 	opRTO                    // retransmission timer; a=deadline
 )
 
@@ -111,7 +112,9 @@ func (c *Conn) OnEvent(op uint32, a, b int64) {
 	case opAck:
 		c.handleAck(a, b)
 	case opReadable:
-		c.OnReadable(c, c.notifyQ.Pop())
+		m := c.rcvQ.At(c.announced - c.undispatched)
+		c.undispatched--
+		c.OnReadable(c, m)
 	case opRTO:
 		c.checkRTO(sim.Time(a))
 	}
@@ -135,7 +138,11 @@ func (f *Fabric) Dial(src, dst *Host, app int) *Conn {
 }
 
 // Stats returns the connection's counters.
-func (c *Conn) Stats() ConnStats { return c.stats }
+func (c *Conn) Stats() ConnStats {
+	s := c.stats
+	s.AckedBytes = c.ackedSeq
+	return s
+}
 
 // Cwnd returns the congestion window in segments.
 func (c *Conn) Cwnd() float64 { return c.cwnd }
@@ -166,7 +173,6 @@ func (c *Conn) Send(m *Message) {
 	}
 	c.appendedSeq += m.Size
 	m.endSeq = c.appendedSeq
-	c.sendQ.Push(m)
 	// The receive queue is receiver-owned state: append m on the receiver's
 	// shard. The deferred cross-shard apply is invisible to the receiver —
 	// no byte of the message can arrive before one lookahead has passed, so
@@ -180,12 +186,12 @@ func (c *Conn) Send(m *Message) {
 	c.pump()
 }
 
-// Grow makes room for n more Sends in the connection's queues, so a sender
-// about to Send n messages grows each queue at most once instead of
-// doubling it up from one. The receive queue is receiver-owned state, so it
-// is grown only when both sides share an engine.
+// Grow makes room for n more Sends in the receive queue, the one queue a
+// Send pushes to, so a sender about to Send n messages grows it at most
+// once instead of doubling it up from one. The receive queue is
+// receiver-owned state, so it is grown only when both sides share an
+// engine; otherwise Grow does nothing.
 func (c *Conn) Grow(n int) {
-	c.sendQ.Grow(n)
 	if c.srcE() == c.dstE() {
 		c.rcvQ.Grow(n)
 	}
@@ -305,24 +311,22 @@ func (c *Conn) notifyReadable() {
 			break
 		}
 		if c.OnReadable != nil {
-			c.notifyQ.Push(m)
+			c.undispatched++
 			c.dstE().ScheduleCall(0, c, opReadable, 0, 0)
 		}
 	}
 }
 
 // ReadHead consumes the head message from the receive buffer, freeing its
-// bytes and advertising the wider window to the sender.
+// bytes and advertising the wider window to the sender. The head must
+// already have been handed to OnReadable (or, on a connection without
+// one, announced): a dispatched message has fully arrived.
 func (c *Conn) ReadHead() *Message {
-	if c.rcvQ.Len() == 0 {
-		panic("netsim: ReadHead on empty receive queue")
+	if c.announced == c.undispatched {
+		panic("netsim: ReadHead before OnReadable was handed the head message")
 	}
-	m := c.rcvQ.At(0)
-	if m.endSeq > c.rcvNext {
-		panic("netsim: ReadHead before message fully arrived")
-	}
-	c.rcvQ.Pop()
-	c.announced-- // m has fully arrived, so it was announced
+	m := c.rcvQ.Pop()
+	c.announced--
 	c.readSeq = m.endSeq
 	// Window update travels on the reverse path.
 	c.sendAck()
@@ -350,7 +354,6 @@ func (c *Conn) handleAck(ack, rwnd int64) {
 	if ack > c.ackedSeq {
 		advanced := ack - c.ackedSeq
 		c.ackedSeq = ack
-		c.stats.AckedBytes = c.ackedSeq
 		c.lastProg = c.srcE().Now()
 		c.rto = c.F.P.RTOBase // progress resets backoff
 		// Window growth per ACKed segment-equivalent.
@@ -363,19 +366,11 @@ func (c *Conn) handleAck(ack, rwnd int64) {
 		if c.cwnd > c.F.P.MaxCwnd {
 			c.cwnd = c.F.P.MaxCwnd
 		}
-		c.dropHeadMessages()
 	}
 	if c.Trace != nil {
 		c.Trace.sampleAck(c)
 	}
 	c.pump()
-}
-
-// dropHeadMessages releases fully-acknowledged messages from the send queue.
-func (c *Conn) dropHeadMessages() {
-	for c.sendQ.Len() > 0 && c.sendQ.At(0).endSeq <= c.ackedSeq {
-		c.sendQ.Pop()
-	}
 }
 
 // armRTO starts the retransmission timer if it is not running.

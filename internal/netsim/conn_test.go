@@ -142,8 +142,8 @@ func TestReadReopensWindow(t *testing.T) {
 	if drained != total {
 		t.Fatalf("drained %d, want %d", drained, total)
 	}
-	if c.AckedBytes() != total {
-		t.Fatalf("acked %d, want %d", c.AckedBytes(), total)
+	if c.AckedBytes() != total || c.Stats().AckedBytes != total {
+		t.Fatalf("acked %d (stats %d), want %d", c.AckedBytes(), c.Stats().AckedBytes, total)
 	}
 }
 

@@ -49,9 +49,10 @@ func TestTransportZeroAlloc(t *testing.T) {
 // never empty and never reset: random message sizes, and loss bursts that
 // force go-back-N retransmissions. Every message must be announced exactly
 // once, ReadHead must return the very message OnReadable announced, reads
-// must come back in Send order, and the queues' backing arrays must stay
-// within a small multiple of the peak outstanding count — head indexing
-// must not leak.
+// must come back in Send order, no announced message may be left
+// undispatched, and the receive queue's backing array must stay within a
+// small multiple of the peak outstanding count — head indexing must not
+// leak.
 func TestQueuesUnderStandingPipeline(t *testing.T) {
 	const (
 		total    = 10000
@@ -121,14 +122,13 @@ func TestQueuesUnderStandingPipeline(t *testing.T) {
 	if st.Timeouts == 0 || st.RetransSegs == 0 {
 		t.Fatalf("loss bursts forced no go-back-N recovery: %+v", st)
 	}
-	for name, q := range map[string]*MsgQueue{"sendQ": &c.sendQ, "rcvQ": &c.rcvQ, "notifyQ": &c.notifyQ} {
-		if q.Len() != 0 {
-			t.Errorf("%s holds %d messages after the run", name, q.Len())
-		}
-		if bound := 4*peak + 8; cap(q.buf) > bound {
-			t.Errorf("%s backing array holds %d slots for a peak of %d outstanding messages (bound %d)",
-				name, cap(q.buf), peak, bound)
-		}
+	if c.rcvQ.Len() != 0 || c.announced != 0 || c.undispatched != 0 {
+		t.Errorf("after the run: %d unread, %d announced, %d undispatched messages",
+			c.rcvQ.Len(), c.announced, c.undispatched)
+	}
+	if bound := 4*peak + 8; cap(c.rcvQ.buf) > bound {
+		t.Errorf("rcvQ backing array holds %d slots for a peak of %d outstanding messages (bound %d)",
+			cap(c.rcvQ.buf), peak, bound)
 	}
 }
 
@@ -171,25 +171,65 @@ func TestMsgQueueCompacts(t *testing.T) {
 }
 
 // TestConnGrowFitsSends pins Conn.Grow: on a serial fabric, after Grow(n)
-// the next n Sends fit the send and the receive queue without growing
-// either.
+// the next n Sends fit the receive queue without growing it, and once
+// they are delivered no announced message is left undispatched.
 func TestConnGrowFitsSends(t *testing.T) {
 	e := sim.NewEngine()
 	f := NewFabric(e, DefaultParams())
 	c := f.Dial(f.NewHost("c", 1.25e9, 0), f.NewHost("s", 1.25e9, 0), 0)
+	c.OnReadable = func(cc *Conn, m *Message) { cc.ReadHead() }
 	const n = 6
 	c.Grow(n)
-	sendCap, rcvCap := cap(c.sendQ.buf), cap(c.rcvQ.buf)
-	if sendCap < n || rcvCap < n {
-		t.Fatalf("Grow(%d) left capacities send %d, receive %d", n, sendCap, rcvCap)
+	rcvCap := cap(c.rcvQ.buf)
+	if rcvCap < n {
+		t.Fatalf("Grow(%d) left receive capacity %d", n, rcvCap)
 	}
 	msgs := make([]Message, n)
 	for i := range msgs {
 		msgs[i].Size = 4096
 		c.Send(&msgs[i])
 	}
-	if cap(c.sendQ.buf) != sendCap || cap(c.rcvQ.buf) != rcvCap {
-		t.Fatalf("%d Sends grew the queues: send %d → %d, receive %d → %d",
-			n, sendCap, cap(c.sendQ.buf), rcvCap, cap(c.rcvQ.buf))
+	if cap(c.rcvQ.buf) != rcvCap {
+		t.Fatalf("%d Sends grew the receive queue: %d → %d", n, rcvCap, cap(c.rcvQ.buf))
+	}
+	e.Run()
+	if c.rcvQ.Len() != 0 || c.announced != 0 || c.undispatched != 0 {
+		t.Fatalf("after delivery: %d unread, %d announced, %d undispatched messages",
+			c.rcvQ.Len(), c.announced, c.undispatched)
+	}
+}
+
+// TestReadHeadNeedsDispatch pins ReadHead's rule: it pops only a message
+// OnReadable was already handed. An empty connection, and a message that
+// has fully arrived but whose announcement has not been dispatched yet,
+// both panic; once dispatched, the same message reads.
+func TestReadHeadNeedsDispatch(t *testing.T) {
+	e := sim.NewEngine()
+	f := NewFabric(e, DefaultParams())
+	c := f.Dial(f.NewHost("c", 1.25e9, 0), f.NewHost("s", 1.25e9, 0), 0)
+	var got *Message
+	c.OnReadable = func(cc *Conn, m *Message) { got = m }
+	mustPanic := func(when string) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("ReadHead %s did not panic", when)
+			}
+		}()
+		c.ReadHead()
+	}
+	mustPanic("on an empty connection")
+	m := &Message{Size: 1000}
+	c.Send(m)
+	for c.undispatched == 0 {
+		if !e.Step() {
+			t.Fatal("the message was never announced")
+		}
+	}
+	mustPanic("before dispatch")
+	for got == nil && e.Step() {
+	}
+	if got != m || c.ReadHead() != m {
+		t.Fatalf("dispatched %p, want %p", got, m)
 	}
 }

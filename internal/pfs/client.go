@@ -45,7 +45,7 @@ func (cl *Client) ConnTo(srv *Server) *netsim.Conn {
 		return c
 	}
 	c := cl.fs.Fabric.Dial(cl.Host, srv.Host, cl.App)
-	c.OnReadable = srv.onReadable
+	c.OnReadable = srv.onReadableFn
 	cl.conns[srv.ID] = c
 	return c
 }
@@ -69,35 +69,25 @@ func (cl *Client) ReadAsync(f *File, off, size int64, onDone func()) {
 }
 
 // srvPlan is one server's share of a request: the server's position in
-// the file's server list and the share's flow-sized chunks.
+// the file's server list, the share's extent in the server-local file,
+// and how many chunks of at most the server's flow buffer size carry it.
 type srvPlan struct {
 	pos    int
-	chunks []Run
+	run    Run
+	chunks int
 }
 
-// plan carves [off, off+size) of f into each involved server's chunks of
-// at most that server's flow buffer size, in server-position order. A
-// first pass counts the servers and chunks, so the plans and all their
-// chunks take one exactly sized slice each.
+// plan carves [off, off+size) of f into each involved server's share, in
+// server-position order, in one exactly sized slice.
 func (f *File) plan(off, size int64) []srvPlan {
-	servers, total := 0, int64(0)
-	for pos, r := range f.layout.shares(off, size) {
-		flow := f.servers[pos].P.FlowBufSize
-		servers++
-		total += (r.Size + flow - 1) / flow
-	}
-	if servers == 0 {
+	n := f.layout.ServersTouched(off, size)
+	if n == 0 {
 		return nil
 	}
-	plans := make([]srvPlan, 0, servers)
-	chunks := make([]Run, 0, total)
+	plans := make([]srvPlan, 0, n)
 	for pos, r := range f.layout.shares(off, size) {
 		flow := f.servers[pos].P.FlowBufSize
-		from := len(chunks)
-		for o := int64(0); o < r.Size; o += flow {
-			chunks = append(chunks, Run{Local: r.Local + o, Size: min(flow, r.Size-o)})
-		}
-		plans = append(plans, srvPlan{pos: pos, chunks: chunks[from:len(chunks):len(chunks)]})
+		plans = append(plans, srvPlan{pos: pos, run: r, chunks: int((r.Size + flow - 1) / flow)})
 	}
 	return plans
 }
@@ -154,30 +144,25 @@ func (cl *Client) ioAsync(f *File, off, size int64, read bool, onDone func(), re
 	case read:
 		// One reply per chunk (each reply carries a chunk of data).
 		for _, p := range plans {
-			req.remaining += len(p.chunks)
+			req.remaining += p.chunks
 		}
 	default:
 		// One reply per server.
 		req.remaining = len(plans)
 	}
 	for i, p := range plans {
-		conn := cl.ConnTo(f.servers[p.pos])
-		var bytes int64
-		for _, ck := range p.chunks {
-			bytes += ck.Size
-		}
+		srv, file := f.servers[p.pos], f.locals[p.pos]
 		if rp == nil {
-			req.sendShare(conn, f.locals[p.pos], p.chunks, bytes, read, nil)
+			req.sendShare(srv, file, p.run, p.chunks, read, nil)
 			continue
 		}
 		expect := 1 // writes: one reply per server share
 		if read {
-			expect = len(p.chunks) // reads: one data reply per chunk
+			expect = p.chunks // reads: one data reply per chunk
 		}
 		so := &req.subs[i]
 		*so = subOp{
-			req: req, cl: cl, conn: conn,
-			fileID: f.locals[p.pos], chunks: p.chunks, bytes: bytes,
+			req: req, cl: cl, srv: srv, file: file, run: p.run, chunks: p.chunks,
 			read: read, expect: expect, backoff: rp.Backoff,
 		}
 		so.send()
@@ -185,19 +170,30 @@ func (cl *Client) ioAsync(f *File, off, size int64, read bool, onDone func(), re
 	return req
 }
 
-// sendShare sends one attempt at the request's share on one server: a
-// fresh wire-visible request state and every chunk. sub is the share's
+// sendShare sends one attempt at the request's share run of file on srv,
+// n chunks of at most srv's flow buffer size: a fresh wire-visible request
+// state, whose slab holds every chunk, and each chunk in stream order. A
+// read chunk puts only its descriptor on the wire. sub is the share's
 // subOp under a retry policy, nil otherwise.
-func (req *clientReq) sendShare(conn *netsim.Conn, file storage.FileID, chunks []Run, bytes int64, read bool, sub *subOp) {
+func (req *clientReq) sendShare(srv *Server, file storage.FileID, run Run, n int, read bool, sub *subOp) {
 	fs := req.cl.fs
 	st := &srvReqState{
-		remaining: len(chunks), bytes: bytes,
-		issued: fs.jitteredIssue(), sub: sub,
-		issueAt: fs.E.Now(), read: read,
+		req: req, file: file, read: read, bytes: run.Size,
+		issued: fs.jitteredIssue(), issueAt: fs.E.Now(),
+		chunks: make([]chunkMsg, n), remaining: n, sub: sub,
 	}
-	conn.Grow(len(chunks))
-	for _, ck := range chunks {
-		conn.Send(&newChunk(req, st, file, ck, read).msg)
+	conn := req.cl.ConnTo(srv)
+	conn.Grow(n)
+	flow := srv.P.FlowBufSize
+	for i := range st.chunks {
+		ck := &st.chunks[i]
+		o := int64(i) * flow
+		ck.st, ck.local, ck.size = st, run.Local+o, min(flow, run.Size-o)
+		ck.msg.Size, ck.msg.Meta = ck.size, ck
+		if read {
+			ck.msg.Size = reqDescriptorBytes
+		}
+		conn.Send(&ck.msg)
 	}
 }
 

@@ -2,7 +2,6 @@ package pfs
 
 import (
 	"repro/internal/fault"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -39,10 +38,10 @@ const (
 type subOp struct {
 	req    *clientReq
 	cl     *Client
-	conn   *netsim.Conn
-	fileID storage.FileID
-	chunks []Run
-	bytes  int64
+	srv    *Server
+	file   storage.FileID
+	run    Run // the share's extent in the server-local file
+	chunks int // flow-buffer-sized chunks that carry it
 	read   bool
 	expect int // replies that complete one attempt
 
@@ -59,7 +58,7 @@ func (so *subOp) rp() *fault.RetryPolicy { return so.cl.fs.Retry }
 // deadline.
 func (so *subOp) send() {
 	fs := so.cl.fs
-	so.req.sendShare(so.conn, so.fileID, so.chunks, so.bytes, so.read, so)
+	so.req.sendShare(so.srv, so.file, so.run, so.chunks, so.read, so)
 	fs.E.AtCall(fs.E.Now()+so.rp().Deadline, so, opDeadline, so.attempt, 0)
 }
 

@@ -133,6 +133,9 @@ type Server struct {
 	sched      qos.Scheduler
 	adv        qos.DepthAdvisor // s.sched's depth lever, nil if not offered
 	qview      []qos.Request    // reusable scheduler view of reqQueue
+	// onReadableFn is s.onReadable, bound once: every connection dialing
+	// the server shares this one method value.
+	onReadableFn func(*netsim.Conn, *netsim.Message)
 	// activeReqs lists the requests currently holding flow slots, in grant
 	// order. A depth advisor uses it to resume an application's
 	// budget-blocked requests when any of its chunks completes; a crash uses
@@ -181,6 +184,7 @@ func NewServer(e *sim.Engine, id int, host *netsim.Host, dev storage.Device, cac
 		cpu:       &sim.Line{E: e, Rate: p.CPUBytesPerSec, PerOp: p.CPUPerChunk},
 		freeFlows: p.FlowBufs,
 	}
+	s.onReadableFn = s.onReadable
 	s.Tel = qos.NewTelemetry(dev)
 	s.sched = qos.New(e, p.QoS, s.Tel)
 	s.adv, _ = s.sched.(qos.DepthAdvisor)
@@ -242,9 +246,9 @@ func (s *Server) Restart() {
 func (s *Server) abortReq(st *srvReqState) {
 	st.dead = true
 	st.active = false
-	for st.pending.Len() > 0 {
+	for ; st.next < st.readable; st.next++ {
 		st.conn.ReadHead()
-		s.Tel.Discard(st.pending.Pop().Size)
+		s.Tel.Discard(st.chunks[st.next].msg.Size)
 	}
 }
 
@@ -262,8 +266,7 @@ func (s *Server) newFileID() storage.FileID {
 // buffered; until the request is granted a flow slot its chunks stay unread
 // in the socket, keeping the sender's window shut.
 func (s *Server) onReadable(c *netsim.Conn, m *netsim.Message) {
-	ck := m.Meta.(*chunkMsg)
-	st := ck.srvState
+	st := m.Meta.(*chunkMsg).st
 	if s.down || st.dead {
 		// Crashed server (or a request the crash killed): read the chunk
 		// off the wire and throw it away. Marking the request dead makes
@@ -274,7 +277,7 @@ func (s *Server) onReadable(c *netsim.Conn, m *netsim.Message) {
 		s.Tel.Discard(m.Size)
 		return
 	}
-	st.pending.Push(m)
+	st.readable++
 	if !st.arrived {
 		st.arrived = true
 		st.srv = s
@@ -396,11 +399,12 @@ func (s *Server) consume(st *srvReqState) {
 	if s.adv != nil {
 		appBudget = s.adv.AppDepth(st.conn.App)
 	}
-	for st.pending.Len() > 0 && st.inflight < depth {
+	for st.next < st.readable && st.inflight < depth {
 		if appBudget > 0 && s.Tel.App(st.conn.App).InFlight >= int64(appBudget) {
 			return
 		}
-		ck := st.pending.Pop().Meta.(*chunkMsg)
+		ck := &st.chunks[st.next]
+		st.next++
 		st.conn.ReadHead()
 		st.inflight++
 		s.Tel.Consume(st.conn.App, ck.size)
@@ -415,7 +419,7 @@ func (s *Server) store(c *netsim.Conn, ck *chunkMsg) {
 	switch {
 	case s.sync == NullAIO:
 		s.E.Schedule(0, r.Done)
-	case ck.read || s.sync == SyncOn:
+	case ck.st.read || s.sync == SyncOn:
 		s.Dev.Submit(&r.Request)
 	case s.sync == SyncOff:
 		s.Cache.Write(&r.Request)
@@ -447,8 +451,8 @@ func (s *Server) devReq(c *netsim.Conn, ck *chunkMsg) *devReq {
 		r.done = r.complete
 	}
 	r.Request = storage.Request{
-		File: ck.fileID, Offset: ck.local, Size: ck.size,
-		Stream: storage.StreamID(c.App), Read: ck.read, Done: r.done,
+		File: ck.st.file, Offset: ck.local, Size: ck.size,
+		Stream: storage.StreamID(c.App), Read: ck.st.read, Done: r.done,
 	}
 	r.conn, r.ck = c, ck
 	return r
@@ -460,7 +464,7 @@ func (r *devReq) complete() {
 	s, c, ck := r.srv, r.conn, r.ck
 	r.conn, r.ck = nil, nil
 	s.devFree = append(s.devFree, r)
-	if ck.read {
+	if ck.st.read {
 		s.readChunkServed(c, ck)
 	} else {
 		s.chunkDone(c, ck)
@@ -470,18 +474,18 @@ func (r *devReq) complete() {
 // readChunkServed accounts a fetched read chunk and ships its data back on
 // the reply path; each read chunk replies individually.
 func (s *Server) readChunkServed(c *netsim.Conn, ck *chunkMsg) {
-	if ck.srvState.dead {
+	if ck.st.dead {
 		return
 	}
 	s.Tel.Done(c.App, ck.size)
 	c.Reply(ck.size, ck, opReply, 0, 0)
-	s.readChunkDone(ck.srvState)
+	s.readChunkDone(ck.st)
 }
 
 // chunkDone accounts a stored write chunk; when the whole request's share
 // on this server is stored, it replies and frees the flow slot.
 func (s *Server) chunkDone(c *netsim.Conn, ck *chunkMsg) {
-	st := ck.srvState
+	st := ck.st
 	if st.dead {
 		return
 	}

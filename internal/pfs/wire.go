@@ -6,37 +6,20 @@ import (
 	"repro/internal/storage"
 )
 
-// chunkMsg is one flow-protocol chunk of a request: its wire message and
-// the metadata that rides along for free (headers are negligible next to
-// 64 KiB+ payloads). The message is embedded and its Meta points back at
-// the chunk, so sending a chunk is one allocation. The chunk is read-only
-// once sent — both the client and the server shard read it — and it is
-// the sim.Target of two events: its transfer over the server's CPU line
-// (server side) and the reply it carries back (client side).
+// chunkMsg is one flow-protocol chunk of a request share: its wire message
+// and its extent [local, local+size) in the server-local file (headers are
+// negligible next to 64 KiB+ payloads). A share's chunks live in one slab,
+// its srvReqState's chunks, in stream order; what they have in common —
+// the request, the file, the read flag — lives on the share. The message
+// is embedded and its Meta points back at the chunk. The chunk is
+// read-only once sent — both the client and the server shard read it —
+// and it is the sim.Target of two events: its transfer over the server's
+// CPU line (server side) and the reply it carries back (client side).
 type chunkMsg struct {
-	msg      netsim.Message
-	req      *clientReq
-	srvState *srvReqState
-	fileID   storage.FileID
-	local    int64
-	size     int64
-	read     bool // read request descriptor instead of write payload
-}
-
-// newChunk builds the chunk of a request share st covering [local,
-// local+size) of the server-local file. A read chunk puts only its
-// descriptor on the wire.
-func newChunk(req *clientReq, st *srvReqState, file storage.FileID, ck Run, read bool) *chunkMsg {
-	c := &chunkMsg{
-		req: req, srvState: st, fileID: file,
-		local: ck.Local, size: ck.Size, read: read,
-	}
-	c.msg.Size = ck.Size
-	if read {
-		c.msg.Size = reqDescriptorBytes
-	}
-	c.msg.Meta = c
-	return c
+	msg   netsim.Message
+	st    *srvReqState
+	local int64
+	size  int64
 }
 
 // reqDescriptorBytes is the wire size of a read request descriptor.
@@ -52,50 +35,62 @@ const (
 // opReply is the server's reply for the chunk's request share — sent for
 // the last stored chunk of a write and for every chunk of a read — and
 // runs on the client side. Replies are routed by attempt (the chunk's
-// srvState), so the retry layer can ignore replies to attempts it already
+// share, st), so the retry layer can ignore replies to attempts it already
 // gave up on.
 func (ck *chunkMsg) OnEvent(op uint32, a, b int64) {
-	st := ck.srvState
+	st := ck.st
 	if op == opReply {
 		if st.sub != nil {
 			st.sub.reply(st)
 			return
 		}
-		ck.req.replied()
+		st.req.replied()
 		return
 	}
 	st.srv.store(st.conn, ck)
 }
 
-// srvReqState tracks one client request's share on one server. The client
-// creates it with the chunk count; the server fills in its scheduling state
-// (the simulation is single-address-space, so the struct plays both the
-// wire-visible request descriptor and the server's flow bookkeeping).
+// srvReqState tracks one attempt at a client request's share on one
+// server (the simulation is single-address-space, so the struct plays both
+// the wire-visible request descriptor and the server's flow bookkeeping).
+// The client writes the first block of fields, the chunk slab included,
+// before it sends the share's first chunk, and each chunk before its own
+// Send; after that only the server writes the block below it. The last
+// block is the client's again. That field-level split is what keeps the
+// struct race-free under sharding.
 type srvReqState struct {
-	remaining int      // chunks not yet stored (write) or returned (read)
-	bytes     int64    // total data bytes of this request's share here
-	issued    sim.Time // when the client issued the request
-	issueAt   sim.Time // client clock at issue (unjittered; the span's start)
-	read      bool     // read request (client-written)
+	req     *clientReq
+	file    storage.FileID
+	read    bool     // read request: chunks carry descriptors, replies data
+	bytes   int64    // total data bytes of this request's share here
+	issued  sim.Time // when the client issued the request
+	issueAt sim.Time // client clock at issue (unjittered; the span's start)
+	// chunks is the share's chunk slab, in stream order: a share's chunks
+	// are sent back to back on one connection.
+	chunks []chunkMsg
 
-	// Server-side flow scheduling state.
-	srv      *Server
-	conn     *netsim.Conn
-	arrived  bool
-	active   bool
-	dead     bool     // killed by a server crash; chunks are discarded
-	inflight int      // chunks being processed/stored right now
-	arriveAt sim.Time // server clock at arrival (net stage ends)
-	grantAt  sim.Time // server clock at flow-slot grant (queue stage ends)
-	// pending holds the readable chunks not yet pulled from the socket.
-	pending netsim.MsgQueue
+	// Server-side flow scheduling state. remaining starts at the chunk
+	// count (client-written at creation) and counts the chunks not yet
+	// stored (write) or returned (read).
+	remaining int
+	srv       *Server
+	conn      *netsim.Conn
+	arrived   bool
+	active    bool
+	dead      bool     // killed by a server crash; chunks are discarded
+	inflight  int      // chunks being processed/stored right now
+	arriveAt  sim.Time // server clock at arrival (net stage ends)
+	grantAt   sim.Time // server clock at flow-slot grant (queue stage ends)
+	// next and readable are the server's cursors into chunks: chunks
+	// [0, readable) have been announced readable, and [next, readable)
+	// are still unread in the socket. The connection announces a share's
+	// chunks in stream order, the slab's order, so the readable chunks
+	// not yet pulled are always that one window.
+	next, readable int
 
 	// Client-side retry state (only set under a retry policy). sub is
 	// the sub-request this attempt belongs to; cgot counts replies received
-	// for this attempt. These fields are written exclusively by client-shard
-	// events, the fields above exclusively by server-shard events — the
-	// struct is the wire-visible descriptor both sides annotate, and the
-	// field-level split is what keeps it race-free under sharding.
+	// for this attempt.
 	sub  *subOp
 	cgot int
 }
