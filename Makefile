@@ -3,10 +3,10 @@
 GO      ?= go
 # BENCH_OUT is the perf snapshot consumed by CI artifacts and by future
 # perf PRs; the _N suffix tracks the PR number that produced it.
-BENCH_OUT ?= BENCH_28.json
+BENCH_OUT ?= BENCH_29.json
 # BENCH_PREV is the previous PR's committed snapshot; bench-check fails when
 # a guarded benchmark allocates more than 1% above it.
-BENCH_PREV ?= BENCH_26.json
+BENCH_PREV ?= BENCH_28.json
 
 # The serial-path benchmarks bench-check and bench-ab judge: the micro
 # benchmarks, and the campaign-sized ones bench-ab runs once per side.
@@ -82,7 +82,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFigure2SyncOn$$' \
 		-benchmem -benchtime 1x -count 3 -json . >> $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkSharded(Figure2|Scenario)' \
-		-benchtime 1x -count 3 -json . >> $(BENCH_OUT)
+		-benchmem -benchtime 1x -count 3 -json . >> $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetScenario$$' \
 		-benchmem -benchtime 1x -count 3 -json . >> $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT)"
@@ -91,8 +91,8 @@ bench:
 # committed snapshot against the fresh one by a fixed 1% rule on allocs/op,
 # which does not depend on the machine (see cmd/benchguard). Time is judged
 # on one host by bench-ab, not across snapshots. The sharded benches are
-# recorded but not guarded: they run without -benchmem, and the sharded
-# kernel they time is due for deletion (ROADMAP.md).
+# recorded with -benchmem but not guarded: the sharded kernel they time is
+# due for deletion (ROADMAP.md).
 bench-check:
 	$(GO) run ./cmd/benchguard -old $(BENCH_PREV) -new $(BENCH_OUT) \
 		-match '^Benchmark($(GUARDED_MICRO)|$(GUARDED_CAMPAIGN))'

@@ -270,11 +270,10 @@ func BenchmarkReadInterference(b *testing.B) {
 
 // shardCounts is the shard axis of the sharded-kernel benches. shards=1 is
 // the serial determinism oracle; the other counts split the servers over
-// worker shards. Results are bit-identical at every count (the scenario
-// conformance suite pins this), so these benches measure pure wall-clock:
-// the speedup on multi-core hosts, and the window-synchronization overhead
-// on single-core hosts, where ShardSet.Run degenerates to the sequential
-// window loop.
+// more shards. Results are bit-identical at every count (the scenario
+// conformance suite pins this), and ShardSet.Run steps every window on
+// one goroutine, so these benches measure the windowing's cost against
+// the serial engine.
 var shardCounts = []int{1, 2, 4}
 
 // BenchmarkShardedFigure2 runs the paper's Figure 2 contended co-run (two

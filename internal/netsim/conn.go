@@ -7,11 +7,12 @@ import "repro/internal/sim"
 // all of its bytes have been accepted, and occupies receive-buffer space
 // until the application consumes it with ReadHead.
 //
-// A Message is read-only from Send on: the receiver queues the sender's
-// pointer itself rather than a copy, so under a sim.ShardSet both shards
-// read it. The sender keeps no reference (retransmissions go by stream
-// position), so only the receiver holds a message: the sender may reuse
-// it once the receiver has both announced it to OnReadable and read it.
+// A Message is read-only from Send on: Send queues the sender's pointer
+// itself at the receiver rather than a copy, so under a sim.ShardSet both
+// shards read it. The sender keeps no reference (retransmissions go by
+// stream position), so only the receiver holds a message: the sender may
+// reuse it once the receiver has both announced it to OnReadable and read
+// it.
 type Message struct {
 	Size int64
 	Meta interface{}
@@ -83,8 +84,9 @@ type Conn struct {
 // serial fabric both are the fabric's engine; under a sim.ShardSet the
 // client side (sender state) lives on the client host's shard and the
 // server side (receiver state) on the server host's shard, and every event
-// crossing sides goes through Post* with the side-to-side latency as its
-// lookahead.
+// crossing sides goes through PostCall with the side-to-side latency as its
+// lookahead. The receive queue is the one receiver-side structure the
+// sender writes in place (Send, Grow).
 func (c *Conn) srcE() *sim.Engine { return c.Src.Egress.E }
 func (c *Conn) dstE() *sim.Engine { return c.Dst.Egress.E }
 
@@ -173,35 +175,18 @@ func (c *Conn) Send(m *Message) {
 	}
 	c.appendedSeq += m.Size
 	m.endSeq = c.appendedSeq
-	// The receive queue is receiver-owned state: append m on the receiver's
-	// shard. The deferred cross-shard apply is invisible to the receiver —
-	// no byte of the message can arrive before one lookahead has passed, so
-	// notifyReadable and ReadHead cannot reach the entry until long after
-	// the next drain has delivered it.
-	if se, de := c.srcE(), c.dstE(); se == de {
-		c.rcvQ.Push(m)
-	} else {
-		se.PostApply(de, c, 0, 0, m)
-	}
+	// The receive queue is receiver-side state, appended in place even when
+	// the receiver is on another shard: no byte of m can arrive before one
+	// lookahead has passed, and until its last byte has, notifyReadable
+	// stops short of it (endSeq > rcvNext) and ReadHead cannot pop it.
+	c.rcvQ.Push(m)
 	c.pump()
 }
 
 // Grow makes room for n more Sends in the receive queue, the one queue a
 // Send pushes to, so a sender about to Send n messages grows it at most
-// once instead of doubling it up from one. The receive queue is
-// receiver-owned state, so it is grown only when both sides share an
-// engine; otherwise Grow does nothing.
-func (c *Conn) Grow(n int) {
-	if c.srcE() == c.dstE() {
-		c.rcvQ.Grow(n)
-	}
-}
-
-// OnApply implements sim.Applier: the receiver-shard landing point for
-// Send's receive-queue append.
-func (c *Conn) OnApply(a, b int64, data any) {
-	c.rcvQ.Push(data.(*Message))
-}
+// once instead of doubling it up from one.
+func (c *Conn) Grow(n int) { c.rcvQ.Grow(n) }
 
 // pump transmits as many segments as the windows allow.
 func (c *Conn) pump() {

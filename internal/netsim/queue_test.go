@@ -170,13 +170,27 @@ func TestMsgQueueCompacts(t *testing.T) {
 	}
 }
 
-// TestConnGrowFitsSends pins Conn.Grow: on a serial fabric, after Grow(n)
-// the next n Sends fit the receive queue without growing it, and once
-// they are delivered no announced message is left undispatched.
+// TestConnGrowFitsSends pins Conn.Grow: after Grow(n) the next n Sends fit
+// the receive queue without growing it, and once they are delivered no
+// announced message is left undispatched. It runs on a serial fabric and
+// with the client and server hosts on two shards of one set, where the
+// sender grows and appends to the receiver-side queue in place.
 func TestConnGrowFitsSends(t *testing.T) {
-	e := sim.NewEngine()
-	f := NewFabric(e, DefaultParams())
-	c := f.Dial(f.NewHost("c", 1.25e9, 0), f.NewHost("s", 1.25e9, 0), 0)
+	t.Run("serial", func(t *testing.T) {
+		e := sim.NewEngine()
+		testGrowFitsSends(t, e, e, func() { e.Run() })
+	})
+	t.Run("two shards", func(t *testing.T) {
+		s := sim.NewShardSet(2, DefaultParams().Lookahead())
+		testGrowFitsSends(t, s.Engine(0), s.Engine(1), func() { s.Run() })
+	})
+}
+
+// testGrowFitsSends dials a connection from a client host on ce to a
+// server host on se, grows it, sends into it and runs the simulation.
+func testGrowFitsSends(t *testing.T, ce, se *sim.Engine, run func()) {
+	f := NewFabric(ce, DefaultParams())
+	c := f.Dial(f.NewHost("c", 1.25e9, 0), f.NewHostOn(se, "s", 1.25e9, 0), 0)
 	c.OnReadable = func(cc *Conn, m *Message) { cc.ReadHead() }
 	const n = 6
 	c.Grow(n)
@@ -192,7 +206,7 @@ func TestConnGrowFitsSends(t *testing.T) {
 	if cap(c.rcvQ.buf) != rcvCap {
 		t.Fatalf("%d Sends grew the receive queue: %d → %d", n, rcvCap, cap(c.rcvQ.buf))
 	}
-	e.Run()
+	run()
 	if c.rcvQ.Len() != 0 || c.announced != 0 || c.undispatched != 0 {
 		t.Fatalf("after delivery: %d unread, %d announced, %d undispatched messages",
 			c.rcvQ.Len(), c.announced, c.undispatched)

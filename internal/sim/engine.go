@@ -163,20 +163,21 @@ func (e *Engine) ProcsSpawned() int { return e.spawned }
 // makes 0.91 moves into a non-zero bucket plus 0.60 refill deliveries to
 // bucket 0 (DESIGN.md). A lone entry in that bucket is simply popped.
 //
-// The floor rises only on a pop. RunUntil stops at a deadline, and callers
-// then push events due between now and the earliest pending entry (the
-// ShardSet drain, obs, tests); a due check that raised the floor would
-// leave those below it. So the earliest due time is cached instead: a push
-// lowers the cached value, a pop invalidates it (minAt < 0), and RunUntil's
-// due check and its pop share one lookup (popDue).
+// The floor rises only on a pop. RunUntil stops at a deadline, and events
+// due between now and the earliest pending entry are then pushed from
+// outside (another shard's PostCall, obs, tests); a due check that raised
+// the floor would leave those below it. So the earliest due time is cached
+// instead: a push lowers the cached value, a pop invalidates it
+// (minAt < 0), and RunUntil's due check and its pop share one lookup
+// (popDue).
 //
 // Entries with equal due times always share a bucket and keep their
 // arrival order through every redistribution, so on a serial engine, where
 // the tie key is non-decreasing in seq (see event), bucket 0 comes out of
-// a refill already sorted. Only pushRaw injections — the ShardSet drain —
-// can arrive out of key order, so a refill insertion-sorts bucket 0, which
-// on a serial engine is one pass that moves nothing, and a push due at the
-// floor enters bucket 0 from the tail.
+// a refill already sorted. Only another shard's posts, stamped with the
+// sender's clock, can arrive out of key order, so a refill insertion-sorts
+// bucket 0, which on a serial engine is one pass that moves nothing, and a
+// push due at the floor enters bucket 0 from the tail.
 //
 // Slots are recycled LIFO through the free list and buckets keep their
 // capacity, so a steady-state queue allocates nothing; a freed slot keeps
@@ -241,14 +242,6 @@ func (e *Engine) push(slot int64) {
 	ev.psched = e.curSched
 	ev.gsched = e.curPsched
 	ev.src = e.shard
-	e.insert(slot)
-}
-
-// pushRaw inserts ev with its sched/src stamps already set (the ShardSet
-// drain path injects cross-shard events with the sender's stamps).
-func (e *Engine) pushRaw(ev event) {
-	slot := e.alloc()
-	e.slots[slot] = ev
 	e.insert(slot)
 }
 
@@ -502,60 +495,32 @@ func (e *Engine) NextEventTime() (t Time, ok bool) {
 	return e.minAt, true
 }
 
-// sameSet reports whether dst shares a shard set with e (or is e itself),
-// panicking on a cross-engine post with no common synchronizer — that would
-// mutate a foreign queue with no ordering guarantee.
-func (e *Engine) sameSet(dst *Engine) {
-	if e.set == nil || e.set != dst.set {
-		panic("sim: cross-engine post between engines that do not share a ShardSet")
-	}
-}
-
 // PostCall schedules tgt.OnEvent(op, a, b) at absolute time t on engine
 // dst, which may belong to a different shard of the same ShardSet. On the
-// local engine it is exactly AtCall; cross-shard it enqueues a timestamped
-// message in the per-pair mailbox, to be merged into dst's queue at the
-// next synchronization window. Cross-shard t must respect the set's
-// lookahead: t >= e.Now() + lookahead (the shard boundary contract).
+// local engine it is exactly AtCall. Cross-shard, t must respect the set's
+// lookahead, t >= e.Now() + lookahead (the shard boundary contract; a
+// violation panics), and the event is written into a slot of dst's slab,
+// stamped as push would stamp it on e — e's clock, the dispatching event's
+// sched and psched, e's shard — and inserted into dst's queue at once.
+// That is safe because the shards step one after another (see ShardSet):
+// dst is not running, and t lies past the current window's deadline and so
+// past every shard's floor.
 func (e *Engine) PostCall(dst *Engine, t Time, tgt Target, op uint32, a, b int64) {
 	if dst == e {
 		e.AtCall(t, tgt, op, a, b)
 		return
 	}
-	e.sameSet(dst)
-	e.set.post(e, dst, xmsg{at: t, sched: e.now, psched: e.curSched, gsched: e.curPsched, tgt: tgt, op: op, a: a, b: b})
-}
-
-// PostFunc is PostCall for a closure: fn runs at absolute time t on dst.
-func (e *Engine) PostFunc(dst *Engine, t Time, fn func()) {
-	if dst == e {
-		e.At(t, fn)
-		return
+	if e.set == nil || e.set != dst.set {
+		panic("sim: cross-engine post between engines that do not share a ShardSet")
 	}
-	e.sameSet(dst)
-	e.set.post(e, dst, xmsg{at: t, sched: e.now, psched: e.curSched, gsched: e.curPsched, fn: fn})
-}
-
-// Applier receives cross-shard state deliveries that are not simulation
-// events: OnApply runs on the destination shard's timeline at the next
-// synchronization window, before any event of that window. It models
-// zero-cost bookkeeping a sender performs on receiver-owned state (e.g. the
-// transport's receiver-side framing mirror) without counting as an executed
-// event — keeping sharded event counts identical to the serial engine's.
-type Applier interface {
-	OnApply(a, b int64, data any)
-}
-
-// PostApply delivers ap.OnApply(a, b, data) to dst's shard. On the local
-// engine it applies synchronously (exactly the serial behavior); cross-shard
-// it is applied when dst's shard next synchronizes. The deferral is safe for
-// state that the destination provably cannot observe before one lookahead
-// has passed — which is the same contract cross-shard events live under.
-func (e *Engine) PostApply(dst *Engine, ap Applier, a, b int64, data any) {
-	if dst == e {
-		ap.OnApply(a, b, data)
-		return
+	if t < e.now+e.set.lookahead {
+		panic(fmt.Sprintf("sim: cross-shard event at %v violates lookahead %v (shard %d now %v)",
+			t, e.set.lookahead, e.shard, e.now))
 	}
-	e.sameSet(dst)
-	e.set.post(e, dst, xmsg{sched: e.now, ap: ap, a: a, b: b, data: data})
+	slot := dst.alloc()
+	ev := &dst.slots[slot]
+	ev.at, ev.fn, ev.p, ev.tgt = t, nil, nil, tgt
+	ev.op, ev.a, ev.b = op, a, b
+	ev.sched, ev.psched, ev.gsched, ev.src = e.now, e.curSched, e.curPsched, e.shard
+	dst.insert(slot)
 }

@@ -250,8 +250,8 @@ func (m *orderModel) id() int64 {
 func (m *orderModel) push() { m.pushAt(m.e.now + m.delay(m.rng)) }
 
 // pushAt schedules one event due at `at` through a randomly chosen path —
-// At, AtCall, or a pushRaw injection with arbitrary ancestry and shard
-// stamps.
+// At, AtCall, or an injection with arbitrary ancestry and shard stamps
+// through insert, as a cross-shard PostCall makes it.
 func (m *orderModel) pushAt(at Time) {
 	e := m.e
 	id := m.id()
@@ -270,7 +270,12 @@ func (m *orderModel) pushAt(at Time) {
 			gsched: Time(m.rng.Intn(3)),
 			src:    uint32(m.rng.Intn(3)),
 		}
-		e.pushRaw(event{at: k.at, sched: k.sched, psched: k.psched, gsched: k.gsched, src: k.src, fn: func() { m.fire(id) }})
+		slot := e.alloc()
+		ev := &e.slots[slot]
+		ev.at, ev.fn, ev.p, ev.tgt = at, nil, nil, m
+		ev.op, ev.a, ev.b = 0, id, 0
+		ev.sched, ev.psched, ev.gsched, ev.src = k.sched, k.psched, k.gsched, k.src
+		e.insert(slot)
 		k.seq = e.seq
 		m.pending[id] = k
 	}
@@ -329,8 +334,8 @@ func (m *orderModel) minPending() int64 {
 // runUntil runs the engine to a random deadline ahead of now and checks
 // that it stopped with everything due run and nothing later touched. Then,
 // from outside any event, it pushes a few events due between now and the
-// earliest pending entry — what the ShardSet drain and obs do after a
-// window — which a queue whose due check raised its floor would misfile.
+// earliest pending entry — what another shard's PostCall and obs do after
+// a window — which a queue whose due check raised its floor would misfile.
 func (m *orderModel) runUntil(seed uint64) {
 	e := m.e
 	deadline := e.now + m.delay(m.rng)
@@ -385,8 +390,8 @@ func checkQueue(t *testing.T, e *Engine) {
 	}
 }
 
-// Property: whatever mix of pushes — At, AtCall, proc wake-ups, raw
-// injections with arbitrary (sched, psched, gsched, src) stamps — and pops,
+// Property: whatever mix of pushes — At, AtCall, proc wake-ups, injections
+// with arbitrary (sched, psched, gsched, src) stamps — and pops,
 // every executed event is the minimum of the pending set by the full
 // (at, sched, psched, gsched, src, seq) key, so the final drain equals a
 // sort by that key. Two input sets: delays of a few nanoseconds, popped one

@@ -51,9 +51,9 @@ func (l *Line) reserve(n int64) Time {
 
 // Reserve books n bytes of service on the line and returns their delivery
 // time without scheduling anything. Callers that deliver to a different
-// shard pair it with Engine.PostCall/PostFunc: Reserve runs on the line's
-// own engine (the sender side), and the returned time — at least the line's
-// Latency in the future — is the cross-shard event's timestamp.
+// shard pair it with Engine.PostCall: Reserve runs on the line's own engine
+// (the sender side), and the returned time — at least the line's Latency in
+// the future — is the cross-shard event's timestamp.
 func (l *Line) Reserve(n int64) Time { return l.reserve(n) }
 
 // Send schedules the transfer of n bytes; fn runs when the last byte has

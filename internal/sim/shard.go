@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // ShardSet is a conservative windowed discrete-event kernel (classic
 // CMB/YAWNS windowed synchronization): K independently-clocked Engines,
 // one per shard, advancing in lock-step windows derived from a global
@@ -9,57 +7,47 @@ import "fmt"
 // interaction. Run steps every window on the calling goroutine, one shard
 // after another.
 //
-// Each window Run drains the per-pair mailboxes into the destination
-// queues, computes M = min over shards of the next pending event time, and
-// lets every shard execute all events with at < M+L. Any message generated
-// inside the window is sent at a time >= M and therefore due at >= M+L,
-// strictly after the window — so no shard can receive an event in its
-// past, and the shards exchange nothing but the mailboxes drained between
-// windows.
+// Each window Run computes M = min over shards of the next pending event
+// time and lets every shard execute all events with at < M+L. Any event
+// posted to another shard inside the window is sent at a time >= M and
+// therefore due at >= M+L, strictly after the window — so no shard can
+// receive an event in its past.
 //
 // # Shard boundary contract
 //
-// Cross-shard interactions go exclusively through Engine.PostCall /
-// PostFunc (timestamped events, due at >= sender now + L; violating the
-// bound panics) and Engine.PostApply (event-free state deliveries applied
-// at the next drain). During a window a shard may touch only state owned by
-// its own shard plus its outgoing mailboxes; everything else it reaches via
-// posts. Within one (src, dst) pair messages are delivered FIFO.
+// Cross-shard interactions go exclusively through Engine.PostCall
+// (timestamped events, due at >= sender now + L; violating the bound
+// panics). A post is inserted into the destination's queue at once. That
+// is safe only because the shards step one after another: the
+// destination is never mid-window while another shard posts to it, and
+// the post lies past the window's deadline, which no shard's floor (its
+// last popped due time) exceeds. During a window a shard may touch only
+// state owned by its own shard; everything else it reaches via posts,
+// except that state the destination provably cannot observe before one
+// lookahead has passed may be written in place (the transport's receive
+// queue, appended on Send: no byte of the message arrives sooner).
 //
 // # Determinism
 //
-// The engines order events by (at, sched, psched, gsched, src, seq);
-// injected events carry the sender's send time and two levels of its
-// scheduling ancestry as their (sched, psched, gsched) stamps plus the
-// sender's shard, and the drain processes mailboxes in (dst, src, FIFO)
-// order, so the merged execution order on every shard reproduces the
+// The engines order events by (at, sched, psched, gsched, src, seq); a
+// posted event carries the sender's clock and two levels of its
+// scheduling ancestry as its (sched, psched, gsched) stamps plus the
+// sender's shard, so the execution order on every shard reproduces the
 // serial engine's (at, global seq) order: on one engine the global seq
 // order of two events with equal due times is their push-time order
 // (sched); pushes at the same instant happen in the order the pushing
-// events executed — which is *their* push-time order (psched), recursively
-// once more (gsched) — and the src key breaks exact three-level ties in
-// shard construction order. The serial-oracle conformance suite
+// events executed — which is *their* push-time order (psched),
+// recursively once more (gsched) — and the src key breaks exact
+// three-level ties in shard construction order. seq, the destination's
+// own counter, breaks ties only among events equal in (at, sched, psched,
+// gsched, src), which src confines to one sender: one shard's own pushes,
+// or one sender's posts to one destination, which get their seq in post
+// order. TestShardSetMatchesSerial holds each shard's execution order to
+// the serial engine's, and the serial-oracle conformance suite
 // (internal/scenario) asserts the resulting bit-identity end to end.
 type ShardSet struct {
 	lookahead Time
 	engines   []*Engine
-	outbox    [][]xmsg // mailbox per (src, dst) pair, indexed src*K+dst
-}
-
-// xmsg is one cross-shard mailbox entry: either a timestamped event
-// (tgt/fn, due at `at`, carrying the sender's sched stamp) or an Applier
-// delivery (ap != nil, applied at drain time).
-type xmsg struct {
-	at     Time
-	sched  Time
-	psched Time
-	gsched Time
-	a, b   int64
-	fn     func()
-	tgt    Target
-	ap     Applier
-	data   any
-	op     uint32
 }
 
 // NewShardSet builds K engines sharing one conservative synchronizer.
@@ -75,7 +63,6 @@ func NewShardSet(k int, lookahead Time) *ShardSet {
 	s := &ShardSet{
 		lookahead: lookahead,
 		engines:   make([]*Engine, k),
-		outbox:    make([][]xmsg, k*k),
 	}
 	for i := range s.engines {
 		e := NewEngine()
@@ -126,51 +113,6 @@ func (s *ShardSet) Now() Time {
 	return t
 }
 
-// post enqueues one cross-shard message, enforcing the lookahead contract
-// for timestamped events. It runs inside src's window, so it may touch only
-// src's outgoing mailboxes.
-func (s *ShardSet) post(src, dst *Engine, m xmsg) {
-	if m.ap == nil && m.at < src.now+s.lookahead {
-		panic(fmt.Sprintf("sim: cross-shard event at %v violates lookahead %v (shard %d now %v)",
-			m.at, s.lookahead, src.shard, src.now))
-	}
-	i := int(src.shard)*len(s.engines) + int(dst.shard)
-	s.outbox[i] = append(s.outbox[i], m)
-}
-
-// drain merges every mailbox into its destination: Applier deliveries apply
-// immediately, timestamped events are injected with the sender's
-// (sched, src) stamps. Deterministic order — destinations ascending, then
-// sources ascending, then FIFO — fixes the seq assignment of same-stamp
-// injections. Mailbox slices are reused; the steady-state drain allocates
-// nothing.
-func (s *ShardSet) drain() {
-	k := len(s.engines)
-	for d := 0; d < k; d++ {
-		dst := s.engines[d]
-		for src := 0; src < k; src++ {
-			box := s.outbox[src*k+d]
-			if len(box) == 0 {
-				continue
-			}
-			for i := range box {
-				m := &box[i]
-				if m.ap != nil {
-					m.ap.OnApply(m.a, m.b, m.data)
-				} else {
-					dst.pushRaw(event{
-						at: m.at, sched: m.sched, psched: m.psched, gsched: m.gsched,
-						src: uint32(src),
-						a:   m.a, b: m.b, fn: m.fn, tgt: m.tgt, op: m.op,
-					})
-				}
-				box[i] = xmsg{} // release payload references
-			}
-			s.outbox[src*k+d] = box[:0]
-		}
-	}
-}
-
 // windowDeadline returns the inclusive execution deadline of the window
 // opening at M: events with at <= M+L-1 (i.e. at < M+L) are safe.
 func (s *ShardSet) windowDeadline(m Time) Time {
@@ -193,11 +135,10 @@ func (s *ShardSet) minNext() (Time, bool) {
 	return min, found
 }
 
-// stepWindow drains the mailboxes and executes one synchronization window,
-// shard by shard. It reports false once no events remain anywhere. Run
-// loops over it, and the zero-allocation test pins it.
+// stepWindow executes one synchronization window, shard by shard. It
+// reports false once no events remain anywhere. Run loops over it, and the
+// zero-allocation test pins it.
 func (s *ShardSet) stepWindow() bool {
-	s.drain()
 	m, ok := s.minNext()
 	if !ok {
 		return false
@@ -213,9 +154,9 @@ func (s *ShardSet) stepWindow() bool {
 
 // Run executes the whole simulation on the calling goroutine and returns
 // the final time. Each window runs its shards one after another; a window's
-// events cannot reach another shard before the window ends (see ShardSet),
-// so the order in which the shards step does not change the result. A panic
-// in any shard's event reaches Run's caller.
+// posts are due after the window ends (see ShardSet), so the order in which
+// the shards step does not change the result. A panic in any shard's event
+// reaches Run's caller.
 func (s *ShardSet) Run() Time {
 	if len(s.engines) == 1 {
 		return s.engines[0].Run()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -59,41 +60,124 @@ func TestShardSetPingPong(t *testing.T) {
 	}
 }
 
-// TestShardSetMatchesSerial runs the same fan-out/fan-in workload on a
-// serial engine and on shard sets of several sizes, asserting the executed
-// event counts and end times agree — the kernel-level slice of the
+// orderRun is one run of TestShardSetMatchesSerial's workload on k shards:
+// logical node n is homed on engine n%k, and every event appends its id to
+// the log of the engine it executes on. The workload's structure, event ids
+// included, is the same at every k; only the placement changes.
+type orderRun struct {
+	s    *ShardSet
+	k    int
+	logs [][]orderEntry
+}
+
+// orderEntry is one executed event of an orderRun and the node it ran on.
+type orderEntry struct {
+	node int
+	id   int64
+}
+
+func (r *orderRun) engine(node int) *Engine { return r.s.Engine(node % r.k) }
+
+// event returns the Target of event id on node: it logs the id and then
+// runs then, if set.
+func (r *orderRun) event(node int, id int64, then func()) Target {
+	return targetFunc(func(uint32, int64, int64) {
+		r.logs[node%r.k] = append(r.logs[node%r.k], orderEntry{node, id})
+		if then != nil {
+			then()
+		}
+	})
+}
+
+// post sends event id from node `from`, which is executing or being set
+// up, to node `to` at time at: an AtCall when both share an engine, a
+// cross-shard post otherwise.
+func (r *orderRun) post(from, to int, at Time, id int64, then func()) {
+	r.engine(from).PostCall(r.engine(to), at, r.event(to, id, then), 0, 0, 0)
+}
+
+// local schedules event id on node's own engine at time at.
+func (r *orderRun) local(node int, at Time, id int64, then func()) { r.post(node, node, at, id, then) }
+
+// TestShardSetMatchesSerial runs one workload on a serial engine and on
+// shard sets of several sizes and asserts that every shard executes its
+// events in the serial engine's order of the same events, besides equal
+// end times and executed counts — the kernel-level slice of the
 // determinism oracle (the end-to-end slice lives in internal/scenario).
+//
+// The workload has two parts. Relay chains hop from node to node one
+// lookahead apart. Tie rounds make three posts to node 1 due at one time
+// and sent at one time, one from each of nodes 0, 1 and 2: node 1's own,
+// one from node 0 (which, on three or four shards, steps before node 1 in
+// a window, and sends twice) and one from node 2 (which steps after it).
+// Only their parents' scheduling times (psched) tell them apart, and they
+// put node 2's post first and node 0's last. A post stamped with the
+// destination's clock instead of the sender's reorders them.
 func TestShardSetMatchesSerial(t *testing.T) {
 	const la = Time(1000)
-	const chains = 8
-	// run maps a fixed workload — `chains` relay chains of depth 16, chain c
-	// homed on engine c%k, every hop moving one engine to the right — onto k
-	// shards. The event structure is identical for every k; only the
-	// engine placement changes.
-	run := func(k int) (Time, uint64) {
-		s := NewShardSet(k, la)
-		var relay func(i int, depth int) func()
-		relay = func(i int, depth int) func() {
+	const nodes = 5
+	run := func(k int) *orderRun {
+		r := &orderRun{s: NewShardSet(k, la), k: k, logs: make([][]orderEntry, k)}
+		var relay func(c, node, depth int) func()
+		relay = func(c, node, depth int) func() {
 			return func() {
 				if depth == 0 {
 					return
 				}
-				src := s.Engine(i)
-				dst := s.Engine((i + 1) % k)
-				src.PostFunc(dst, src.Now()+la, relay((i+1)%k, depth-1))
+				next := (node + 1) % nodes
+				r.post(node, next, r.engine(node).Now()+la, int64(c*100+depth), relay(c, next, depth-1))
 			}
 		}
-		for c := 0; c < chains; c++ {
-			s.Engine(c%k).At(Time(c)*10, relay(c%k, 16))
+		for c := 0; c < 8; c++ {
+			r.local(c%nodes, Time(c)*10, int64(c*100), relay(c, c%nodes, 16))
 		}
-		end := s.Run()
-		return end, s.Executed()
+		for round := int64(0); round < 4; round++ {
+			base := 30*la + Time(round)*10*la
+			id := 10_000 + round*100
+			arrive := base + la
+			// Each sender's trigger is due at base, scheduled at its own
+			// time before base: node 2 first, then node 1, then node 0.
+			r.local(2, base-20, id+1, func() {
+				r.local(2, base, id+2, func() { r.post(2, 1, arrive, id+3, nil) })
+			})
+			r.local(1, base-10, id+4, func() {
+				r.local(1, base, id+5, func() {
+					r.local(1, arrive, id+6, nil)
+					r.local(1, base+1, id+7, nil) // node 1's clock passes base
+				})
+			})
+			r.local(0, base-5, id+8, func() {
+				r.local(0, base, id+9, func() {
+					r.post(0, 1, arrive, id+10, nil)
+					r.post(0, 1, arrive, id+11, nil)
+				})
+			})
+		}
+		r.s.Run()
+		return r
 	}
-	wantEnd, wantN := run(1)
+	want := run(1)
+	serial := want.logs[0]
 	for _, k := range []int{2, 3, 4} {
-		end, n := run(k)
-		if end != wantEnd || n != wantN {
-			t.Fatalf("k=%d: (end, executed) = (%d, %d), want (%d, %d)", k, end, n, wantEnd, wantN)
+		got := run(k)
+		if end, n := got.s.Now(), got.s.Executed(); end != want.s.Now() || n != want.s.Executed() {
+			t.Fatalf("k=%d: (end, executed) = (%d, %d), want (%d, %d)", k, end, n, want.s.Now(), want.s.Executed())
+		}
+		for i, log := range got.logs {
+			var ref []orderEntry
+			for _, x := range serial {
+				if x.node%k == i {
+					ref = append(ref, x)
+				}
+			}
+			if !slices.Equal(log, ref) {
+				n := 0
+				for n < min(len(log), len(ref)) && log[n] == ref[n] {
+					n++
+				}
+				t.Fatalf("k=%d shard %d: from its event %d it executed %v, serial order %v",
+					k, i, n, log[n:min(n+4, len(log))], ref[n:min(n+4, len(ref))])
+			}
 		}
 	}
 }
@@ -103,7 +187,8 @@ func TestShardSetMatchesSerial(t *testing.T) {
 func TestShardSetPanicReachesCaller(t *testing.T) {
 	s := NewShardSet(2, 1000)
 	a, b := s.Engine(0), s.Engine(1)
-	a.At(0, func() { a.PostFunc(b, 1000, func() { panic("boom") }) })
+	boom := targetFunc(func(uint32, int64, int64) { panic("boom") })
+	a.At(0, func() { a.PostCall(b, 1000, boom, 0, 0, 0) })
 	defer func() {
 		if v := recover(); v != "boom" {
 			t.Fatalf("recovered %v, want boom", v)
@@ -120,7 +205,7 @@ func TestShardSetLookaheadContract(t *testing.T) {
 			t.Fatal("posting inside the lookahead window must panic")
 		}
 	}()
-	a.PostFunc(b, a.Now()+999, func() {})
+	a.PostCall(b, a.Now()+999, targetFunc(func(uint32, int64, int64) {}), 0, 0, 0)
 }
 
 func TestShardSetRejectsForeignEngines(t *testing.T) {
@@ -131,7 +216,7 @@ func TestShardSetRejectsForeignEngines(t *testing.T) {
 			t.Fatal("posting across unrelated shard sets must panic")
 		}
 	}()
-	s1.Engine(0).PostFunc(s2.Engine(1), 5000, func() {})
+	s1.Engine(0).PostCall(s2.Engine(1), 5000, targetFunc(func(uint32, int64, int64) {}), 0, 0, 0)
 }
 
 func TestNewShardSetValidation(t *testing.T) {
@@ -147,44 +232,9 @@ func TestNewShardSetValidation(t *testing.T) {
 	}
 }
 
-// applyProbe records Applier deliveries.
-type applyProbe struct{ got []int64 }
-
-func (p *applyProbe) OnApply(a, b int64, data any) { p.got = append(p.got, a) }
-
-func TestShardSetPostApply(t *testing.T) {
-	s := NewShardSet(2, 1000)
-	a, b := s.Engine(0), s.Engine(1)
-	probe := &applyProbe{}
-	// Local apply runs synchronously.
-	a.PostApply(a, probe, 1, 0, nil)
-	if len(probe.got) != 1 {
-		t.Fatalf("local PostApply must apply synchronously, got %v", probe.got)
-	}
-	// Cross-shard applies land at the next drain, before that window's
-	// events, in FIFO order.
-	a.At(0, func() {
-		a.PostApply(b, probe, 2, 0, nil)
-		a.PostApply(b, probe, 3, 0, nil)
-	})
-	done := false
-	b.At(2000, func() {
-		if len(probe.got) != 3 {
-			t.Errorf("applies not delivered before the window's events: %v", probe.got)
-		}
-		done = true
-	})
-	s.Run()
-	if !done {
-		t.Fatal("receiver event never ran")
-	}
-	if probe.got[1] != 2 || probe.got[2] != 3 {
-		t.Fatalf("applies out of FIFO order: %v", probe.got)
-	}
-}
-
-// TestShardWindowAllocs pins the steady-state drain + window path at zero
-// allocations per window once the mailboxes have warmed up.
+// TestShardWindowAllocs pins the steady-state window path, cross-shard
+// posts included, at zero allocations per window once the destination
+// engines' slabs and queue buckets have warmed up.
 func TestShardWindowAllocs(t *testing.T) {
 	const la = Time(1000)
 	s := NewShardSet(4, la)
@@ -214,7 +264,7 @@ func TestShardWindowAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Engine(i).AtCall(0, targets[i], 0, 0, 0)
 	}
-	// Warm up queue buckets and mailboxes.
+	// Warm up the slabs and queue buckets.
 	for i := 0; i < 16; i++ {
 		if !s.stepWindow() {
 			t.Fatal("traffic died during warm-up")
@@ -240,16 +290,9 @@ type targetFunc func(op uint32, a, b int64)
 func (f targetFunc) OnEvent(op uint32, a, b int64) { f(op, a, b) }
 
 func TestLineReserveMatchesSend(t *testing.T) {
+	// Reserve and Send must book identical delivery times for equal
+	// queues: compare two fresh lines.
 	e := NewEngine()
-	l := NewLine(e, 1e9)
-	l.PerOp = 10
-	l.Latency = 500
-	for _, n := range []int64{0, 1, 1000, 1 << 20} {
-		want := l.reserve(n)
-		_ = want
-		// Reserve and Send must book identical delivery times for equal
-		// queues: compare two fresh lines.
-	}
 	l1 := NewLine(e, 1e9)
 	l1.PerOp, l1.Latency = 10, 500
 	l2 := NewLine(e, 1e9)
