@@ -3,14 +3,14 @@
 GO      ?= go
 # BENCH_OUT is the perf snapshot consumed by CI artifacts and by future
 # perf PRs; the _N suffix tracks the PR number that produced it.
-BENCH_OUT ?= BENCH_29.json
+BENCH_OUT ?= BENCH_30.json
 # BENCH_PREV is the previous PR's committed snapshot; bench-check fails when
 # a guarded benchmark allocates more than 1% above it.
-BENCH_PREV ?= BENCH_28.json
+BENCH_PREV ?= BENCH_29.json
 
 # The serial-path benchmarks bench-check and bench-ab judge: the micro
 # benchmarks, and the campaign-sized ones bench-ab runs once per side.
-GUARDED_MICRO    = EngineEventThroughput|EngineStandingQueue|ProcHandoff|TransportThroughput|HDDElevator|HDDManyFiles|FairShareScheduler|TraceRecord|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord
+GUARDED_MICRO    = EngineEventThroughput|EngineStandingQueue|ProcHandoff|SemaphoreWake|TransportThroughput|HDDElevator|HDDManyFiles|FairShareScheduler|TraceRecord|WhatIfCacheHit|WhatIfCacheMiss|SamplerTick|SpanRecord
 GUARDED_CAMPAIGN = Figure2SyncOn|FleetScenario
 
 # bench-ab compares BASE against the working tree on this host.

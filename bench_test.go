@@ -423,6 +423,28 @@ func BenchmarkProcHandoff(b *testing.B) {
 	}
 }
 
+// BenchmarkSemaphoreWake times the completion-token path every blocking
+// pfs request takes (pfs.Client.ioWait): each op schedules an event that
+// releases a Semaphore, parks a proc on it, and runs the release, which
+// pops the proc from the waiter queue and hands control back to it.
+func BenchmarkSemaphoreWake(b *testing.B) {
+	e := sim.NewEngine()
+	s := sim.NewSemaphore(0)
+	release := s.Release
+	e.Spawn("waiter", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			e.Schedule(sim.Microsecond, release)
+			s.Acquire(p)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	if e.ProcsFinished() != 1 || s.Waiting() != 0 {
+		b.Fatalf("waiter did not finish: %d procs finished, %d waiting", e.ProcsFinished(), s.Waiting())
+	}
+}
+
 func BenchmarkTransportThroughput(b *testing.B) {
 	// One connection moving b.N segments of 64 KiB.
 	e := sim.NewEngine()

@@ -60,9 +60,9 @@ type Conn struct {
 	highSent    int64    // highest byte ever transmitted
 
 	// ---- receiver state ----
-	rcvNext int64    // next in-order byte expected
-	readSeq int64    // bytes consumed by the server application
-	rcvQ    MsgQueue // unread messages, in stream order
+	rcvNext int64              // next in-order byte expected
+	readSeq int64              // bytes consumed by the server application
+	rcvQ    sim.Queue[Message] // unread messages, in stream order
 	// announced counts the messages at the head of rcvQ already announced
 	// to OnReadable: rcvQ.At(announced) is the first one not yet announced.
 	// A message is announced exactly when its last byte is accepted, and

@@ -126,47 +126,9 @@ func TestQueuesUnderStandingPipeline(t *testing.T) {
 		t.Errorf("after the run: %d unread, %d announced, %d undispatched messages",
 			c.rcvQ.Len(), c.announced, c.undispatched)
 	}
-	if bound := 4*peak + 8; cap(c.rcvQ.buf) > bound {
+	if bound := 4*peak + 8; c.rcvQ.Cap() > bound {
 		t.Errorf("rcvQ backing array holds %d slots for a peak of %d outstanding messages (bound %d)",
-			cap(c.rcvQ.buf), peak, bound)
-	}
-}
-
-// TestMsgQueueCompacts pins the queue's own bookkeeping: FIFO order across
-// resets and compactions, popped slots cleared, and a backing array that
-// stays bounded when the queue never empties.
-func TestMsgQueueCompacts(t *testing.T) {
-	var q MsgQueue
-	msgs := make([]Message, 1000)
-	next, popped := 0, 0
-	for round := 0; round < 200; round++ {
-		for i := 0; i < 5 && next < len(msgs); i++ {
-			q.Push(&msgs[next])
-			next++
-		}
-		for q.Len() > 3 {
-			if m := q.Pop(); m != &msgs[popped] {
-				t.Fatalf("popped message %d out of order", popped)
-			}
-			popped++
-		}
-		for i := 0; i < q.head; i++ {
-			if q.buf[i] != nil {
-				t.Fatalf("popped slot %d still holds a message", i)
-			}
-		}
-		if cap(q.buf) > 16 {
-			t.Fatalf("backing array grew to %d slots for at most 8 queued messages", cap(q.buf))
-		}
-	}
-	for q.Len() > 0 {
-		if q.Pop() != &msgs[popped] {
-			t.Fatalf("popped message %d out of order", popped)
-		}
-		popped++
-	}
-	if popped != len(msgs) || len(q.buf) != 0 || q.head != 0 {
-		t.Fatalf("popped %d of %d; queue not reset (len %d, head %d)", popped, len(msgs), len(q.buf), q.head)
+			c.rcvQ.Cap(), peak, bound)
 	}
 }
 
@@ -194,7 +156,7 @@ func testGrowFitsSends(t *testing.T, ce, se *sim.Engine, run func()) {
 	c.OnReadable = func(cc *Conn, m *Message) { cc.ReadHead() }
 	const n = 6
 	c.Grow(n)
-	rcvCap := cap(c.rcvQ.buf)
+	rcvCap := c.rcvQ.Cap()
 	if rcvCap < n {
 		t.Fatalf("Grow(%d) left receive capacity %d", n, rcvCap)
 	}
@@ -203,8 +165,8 @@ func testGrowFitsSends(t *testing.T, ce, se *sim.Engine, run func()) {
 		msgs[i].Size = 4096
 		c.Send(&msgs[i])
 	}
-	if cap(c.rcvQ.buf) != rcvCap {
-		t.Fatalf("%d Sends grew the receive queue: %d → %d", n, rcvCap, cap(c.rcvQ.buf))
+	if c.rcvQ.Cap() != rcvCap {
+		t.Fatalf("%d Sends grew the receive queue: %d → %d", n, rcvCap, c.rcvQ.Cap())
 	}
 	run()
 	if c.rcvQ.Len() != 0 || c.announced != 0 || c.undispatched != 0 {
@@ -245,5 +207,47 @@ func TestReadHeadNeedsDispatch(t *testing.T) {
 	}
 	if got != m || c.ReadHead() != m {
 		t.Fatalf("dispatched %p, want %p", got, m)
+	}
+}
+
+// TestMsgQueueCompacts runs the receive queue's type, a sim.Queue of
+// messages, as a queue that never drains: it must pop in push order, show
+// the unread messages from the head through At and stay within a small
+// multiple of its peak length; drained, it must be empty and keep its
+// backing array. That no slot keeps a popped message is sim.TestQueue's to
+// pin, as the slots are sim's.
+func TestMsgQueueCompacts(t *testing.T) {
+	var q sim.Queue[Message]
+	msgs := make([]Message, 1000)
+	next, popped := 0, 0
+	for round := 0; round < 200; round++ {
+		for i := 0; i < 5 && next < len(msgs); i++ {
+			q.Push(&msgs[next])
+			next++
+		}
+		for q.Len() > 3 {
+			if m := q.Pop(); m != &msgs[popped] {
+				t.Fatalf("popped message %d out of order", popped)
+			}
+			popped++
+		}
+		for i := 0; i < q.Len(); i++ {
+			if q.At(i) != &msgs[popped+i] {
+				t.Fatalf("At(%d) is not message %d", i, popped+i)
+			}
+		}
+		if q.Cap() > 16 {
+			t.Fatalf("backing array grew to %d slots for at most 8 queued messages", q.Cap())
+		}
+	}
+	c := q.Cap()
+	for q.Len() > 0 {
+		if q.Pop() != &msgs[popped] {
+			t.Fatalf("popped message %d out of order", popped)
+		}
+		popped++
+	}
+	if popped != len(msgs) || q.Len() != 0 || q.Cap() != c {
+		t.Fatalf("popped %d of %d; drained queue holds %d with capacity %d (was %d)", popped, len(msgs), q.Len(), q.Cap(), c)
 	}
 }

@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/pfs"
+	"repro/internal/qos"
 	"repro/internal/sim"
 )
 
@@ -66,17 +67,9 @@ func (c Config) Validate() error {
 }
 
 // AppPoint is one tick's snapshot of one application's counters at one
-// server (cumulative where qos.AppStats is cumulative, gauges otherwise).
-type AppPoint struct {
-	Requests    int64
-	Granted     int64
-	Queued      int64
-	QueuedBytes int64
-	Active      int64
-	InFlight    int64
-	BytesIn     int64
-	BytesDone   int64
-}
+// server, qos.AppStats stored whole (cumulative where its fields are,
+// gauges otherwise).
+type AppPoint = qos.AppStats
 
 // ServerPoint is one tick's snapshot of one server's device, NIC and
 // availability counters.
@@ -115,13 +108,7 @@ func (sm *serverSampler) OnEvent(op uint32, a, b int64) {
 	tel := sm.srv.Tel
 	base := k * sm.nApps
 	for i := 0; i < sm.nApps; i++ {
-		st := tel.App(i)
-		sm.app[base+i] = AppPoint{
-			Requests: st.Requests, Granted: st.Granted,
-			Queued: st.Queued, QueuedBytes: st.QueuedBytes,
-			Active: st.Active, InFlight: st.InFlight,
-			BytesIn: st.BytesIn, BytesDone: st.BytesDone,
-		}
+		sm.app[base+i] = tel.App(i)
 	}
 	ds := sm.srv.Dev.Stats()
 	av := tel.Avail(sm.srv.E.Now())

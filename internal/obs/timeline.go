@@ -52,11 +52,11 @@ func (t *Timeline) ClientAt(k, app int) ClientPoint {
 }
 
 // Timeline freezes the collector into an exportable result. apps names the
-// applications (len must be >= the attach-time app count is not required;
-// missing names render as their index). Trailing ticks during which no
-// sampled counter moved anywhere on the platform are trimmed, keeping one
-// flat tick so series visibly settle; a run that outlives the observation
-// horizon simply ends mid-series.
+// applications in order: an application without a name is named by its
+// index, and names past the attach-time app count are ignored. Trailing
+// ticks during which no sampled counter moved anywhere on the platform are
+// trimmed, keeping one flat tick so series visibly settle; a run that
+// outlives the observation horizon simply ends mid-series.
 func (c *Collector) Timeline(apps []string) *Timeline {
 	n := c.cfg.Samples
 	last := 0 // index of the last tick with movement

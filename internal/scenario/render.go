@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 // RenderBaselines tabulates the per-app alone completion vector of a result.
@@ -16,13 +19,30 @@ func RenderBaselines(r *Result) *report.Table {
 		if name == "" {
 			name = r.Matrix.Names[i]
 		}
-		pattern := a.Pattern
-		if pattern == "" {
-			pattern = "contiguous"
-		}
-		t.Add(name, a.Procs, pattern, r.Graph.Alone[i].Seconds(), a.StartS)
+		t.Add(name, a.Procs, patternLabel(a), r.Graph.Alone[i].Seconds(), a.StartS)
 	}
 	return t
+}
+
+// patternLabel names an app's access pattern: its burst's, or for an app
+// with phases the patterns of its io phases, each once in phase order,
+// joined by "+" ("none" when no phase does I/O).
+func patternLabel(a App) string {
+	if len(a.Phases) == 0 {
+		return a.IO.spec().Pattern.String()
+	}
+	var pats []string
+	for _, ph := range a.Phases {
+		if w := ph.compile(); w.Kind == workload.PhaseIO {
+			if p := w.IO.Pattern.String(); !slices.Contains(pats, p) {
+				pats = append(pats, p)
+			}
+		}
+	}
+	if len(pats) == 0 {
+		return "none"
+	}
+	return strings.Join(pats, "+")
 }
 
 // RenderGraph tabulates the δ-graph: one row per δ, per-app elapsed and IF

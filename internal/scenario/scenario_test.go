@@ -461,3 +461,50 @@ func TestRunDeterministicAcrossPools(t *testing.T) {
 		}
 	}
 }
+
+// TestRenderBaselinesPatterns pins the baselines table's pattern column:
+// a single-burst app shows its burst's pattern, and an app with phases the
+// patterns of its io phases, so the phased readers of periodic-checkpoint-4
+// and bursty-poisson-mix read strided, not the empty single burst's
+// contiguous.
+func TestRenderBaselinesPatterns(t *testing.T) {
+	io := func(pattern string) Phase {
+		return Phase{Kind: "io", IO: IO{Pattern: pattern, BlockMB: 4, TransferKB: 64}}
+	}
+	compute := Phase{Kind: "compute", ComputeS: 0.1}
+	hand := Spec{Name: "labels", Apps: []App{
+		{Name: "plain", Procs: 1, IO: IO{BlockMB: 4}},
+		{Name: "strided", Procs: 1, IO: IO{Pattern: "strided", BlockMB: 4, TransferKB: 64}},
+		{Name: "phased", Procs: 1, Phases: []Phase{compute, io("Strided"), compute, io("strided")}},
+		{Name: "mixed", Procs: 1, Phases: []Phase{io("strided"), {Kind: "barrier"}, io(""), io("contig")}},
+		{Name: "idle", Procs: 1, Phases: []Phase{compute}},
+	}}
+	want := map[string][]string{
+		"labels":                {"contiguous", "strided", "strided", "strided+contiguous", "none"},
+		"periodic-checkpoint-4": {"contiguous", "strided"},
+		"bursty-poisson-mix":    {"contiguous", "contiguous", "strided"},
+	}
+	specs := []Spec{hand}
+	for _, name := range []string{"periodic-checkpoint-4", "bursty-poisson-mix"} {
+		s, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	for _, s := range specs {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		r := &Result{Spec: s, Backend: cluster.HDD,
+			Graph:  &core.DeltaGraph{Alone: make([]sim.Time, len(s.Apps))},
+			Matrix: &core.IFMatrix{Names: AppNames(s)}}
+		var got []string
+		for _, row := range RenderBaselines(r).Rows {
+			got = append(got, row[2])
+		}
+		if !reflect.DeepEqual(got, want[s.Name]) {
+			t.Errorf("%s: pattern column %q, want %q", s.Name, got, want[s.Name])
+		}
+	}
+}

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // These tests pin the kernel's zero-allocation invariants: once the event
-// queue and waiter rings have reached steady-state capacity, executing
+// queue and waiter queues have reached steady-state capacity, executing
 // events — closures, Target calls, and the whole Sleep/wake proc path —
 // allocates nothing. The figure campaigns replay millions of these events,
 // so a regression here is a performance bug even though nothing breaks
@@ -116,9 +116,9 @@ func TestLineSendCallZeroAlloc(t *testing.T) {
 }
 
 // TestSleepWakeZeroAlloc drives one proc through a full park/wake/sleep
-// cycle per iteration: Semaphore.Release dequeues it from the waiter ring,
-// the resume event rides the queue's *Proc arm, the proc sleeps once and
-// parks again on Acquire. None of it may allocate.
+// cycle per iteration: Semaphore.Release dequeues it from the waiter
+// queue, the resume event rides the event queue's *Proc arm, the proc
+// sleeps once and parks again on Acquire. None of it may allocate.
 func TestSleepWakeZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	s := NewSemaphore(0)
@@ -129,7 +129,7 @@ func TestSleepWakeZeroAlloc(t *testing.T) {
 			p.Sleep(Microsecond)
 		}
 	})
-	e.Run() // proc is now parked on Acquire; ring and queue are primed
+	e.Run() // proc is now parked on Acquire; both queues are primed
 
 	if avg := testing.AllocsPerRun(1000, func() {
 		s.Release()
@@ -146,33 +146,49 @@ func TestSleepWakeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestWaitqFIFO exercises the ring buffer across wraparound and growth.
+// TestWaitqFIFO pins the waiter queues of Semaphore and Signal: parked
+// procs resume in the order they parked. Arrivals outpace the releases, so
+// the semaphore's queue grows and compacts behind a moving head without
+// emptying until the last release; the signal then wakes every proc at
+// once, in the order they awaited it.
 func TestWaitqFIFO(t *testing.T) {
-	var q waitq
-	mk := func(i int) *Proc { return &Proc{name: string(rune('a' + i))} }
-	procs := make([]*Proc, 40)
-	for i := range procs {
-		procs[i] = mk(i)
-	}
-	// Interleave pushes and pops so head wraps several times while the
-	// ring grows from 8 to 32.
-	next := 0
-	for i := 0; i < len(procs); i++ {
-		q.push(procs[i])
+	e := NewEngine()
+	s := NewSemaphore(0)
+	var fired Signal
+	const n = 40
+	var acquired, woke []int
+	for i := 0; i < n; i++ {
+		e.SpawnAt(Time(2*i), "waiter", func(p *Proc) {
+			s.Acquire(p)
+			acquired = append(acquired, i)
+			p.Await(&fired)
+			woke = append(woke, i)
+		})
 		if i%3 == 2 {
-			if got := q.pop(); got != procs[next] {
-				t.Fatalf("pop %d: got %q want %q", next, got.name, procs[next].name)
+			e.At(Time(2*i+1), s.Release)
+		}
+	}
+	e.At(Time(2*n), func() {
+		if s.Waiting() == 0 {
+			t.Fatal("every waiter was released before the last arrival")
+		}
+		for s.Waiting() > 0 {
+			s.Release()
+		}
+	})
+	e.At(Time(2*n+1), fired.Fire)
+	e.Run()
+	for what, got := range map[string][]int{"acquired": acquired, "woke": woke} {
+		if len(got) != n {
+			t.Fatalf("%s %d of %d procs", what, len(got), n)
+		}
+		for i, id := range got {
+			if id != i {
+				t.Fatalf("%s order %v, want parking order", what, got)
 			}
-			next++
 		}
 	}
-	for q.len() > 0 {
-		if got := q.pop(); got != procs[next] {
-			t.Fatalf("drain pop %d: got %q want %q", next, got.name, procs[next].name)
-		}
-		next++
-	}
-	if next != len(procs) {
-		t.Fatalf("popped %d procs, want %d", next, len(procs))
+	if e.Parked() != 0 || e.ProcsFinished() != n {
+		t.Fatalf("parked=%d finished=%d, want 0 and %d", e.Parked(), e.ProcsFinished(), n)
 	}
 }

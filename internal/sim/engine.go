@@ -176,8 +176,10 @@ func (e *Engine) ProcsSpawned() int { return e.spawned }
 // the tie key is non-decreasing in seq (see event), bucket 0 comes out of
 // a refill already sorted. Only another shard's posts, stamped with the
 // sender's clock, can arrive out of key order, so a refill insertion-sorts
-// bucket 0, which on a serial engine is one pass that moves nothing, and a
-// push due at the floor enters bucket 0 from the tail.
+// bucket 0, which on a serial engine is one pass that moves nothing. A
+// post is due past the window's deadline and so never at a floor: a push
+// due at the floor is local, orders after every entry already there, and
+// is appended to bucket 0.
 //
 // Slots are recycled LIFO through the free list and buckets keep their
 // capacity, so a steady-state queue allocates nothing; a freed slot keeps
@@ -266,30 +268,20 @@ func (e *Engine) insert(slot int64) {
 	e.mask |= 1 << k
 }
 
-// pushNow enters an entry due at the floor into bucket 0, from the tail by
-// the tie key; on a serial engine its place is always the tail. A bucket
-// that is full while its head has moved is compacted first, so a bucket 0
-// that never drains stays within its peak length.
+// pushNow appends an entry due at the floor to bucket 0. Only a local push
+// can be due at the floor (a cross-shard post is due past the window's
+// deadline, which no floor exceeds), and a local push orders after every
+// entry already due at the floor (see event), so the tail is its place. A
+// bucket that is full while its head has moved is compacted first, so a
+// bucket 0 that never drains stays within its peak length.
 func (e *Engine) pushNow(x qent) {
 	b := e.buckets[0]
 	if len(b) == cap(b) && e.head > 0 {
 		n := copy(b, b[e.head:])
 		b, e.head = b[:n], 0
 	}
-	b = append(b, x)
-	e.settle(b, e.head, len(b)-1)
-	e.buckets[0] = b
+	e.buckets[0] = append(b, x)
 	e.mask |= 1
-}
-
-// settle moves b[i] down past the entries of b[lo:i] that order after it
-// by the tie key, so b[lo:i+1] is in order if b[lo:i] was.
-func (e *Engine) settle(b []qent, lo, i int) {
-	x := b[i]
-	for ; i > lo && e.tieLess(x.slot, b[i-1].slot); i-- {
-		b[i] = b[i-1]
-	}
-	b[i] = x
 }
 
 // popDue removes and returns the earliest entry if it is due at or before
@@ -365,7 +357,11 @@ func (e *Engine) refill(k int, floor Time) {
 	}
 	b0 := e.buckets[0]
 	for i := 1; i < len(b0); i++ {
-		e.settle(b0, 0, i)
+		x, j := b0[i], i
+		for ; j > 0 && e.tieLess(x.slot, b0[j-1].slot); j-- {
+			b0[j] = b0[j-1]
+		}
+		b0[j] = x
 	}
 }
 

@@ -250,8 +250,14 @@ func (m *orderModel) id() int64 {
 func (m *orderModel) push() { m.pushAt(m.e.now + m.delay(m.rng)) }
 
 // pushAt schedules one event due at `at` through a randomly chosen path —
-// At, AtCall, or an injection with arbitrary ancestry and shard stamps
-// through insert, as a cross-shard PostCall makes it.
+// At, AtCall, or an injection through insert with another shard's stamps,
+// as a cross-shard PostCall makes it. Like a real post, an injection is
+// due strictly after now (a post is due past the window's deadline, so
+// never at a floor; at now it becomes now+1) and sent before it is due,
+// from a sender whose clock may be behind or ahead of this engine's. Its
+// sent time lies within 2 ns of now and its ancestry stamps a few
+// nanoseconds before that, so they tie with each other and with local
+// events, in arbitrary shard order.
 func (m *orderModel) pushAt(at Time) {
 	e := m.e
 	id := m.id()
@@ -263,16 +269,14 @@ func (m *orderModel) pushAt(at Time) {
 		e.AtCall(at, m, 0, id, 0)
 		m.pending[id] = m.stamped(at, e.seq)
 	default:
-		k := orderKey{
-			at:     at,
-			sched:  Time(m.rng.Intn(3)),
-			psched: Time(m.rng.Intn(3)),
-			gsched: Time(m.rng.Intn(3)),
-			src:    uint32(m.rng.Intn(3)),
-		}
+		back := func(t Time) Time { return max(0, t-Time(m.rng.Intn(3))) }
+		k := orderKey{at: max(at, e.now+1), src: uint32(m.rng.Intn(3))}
+		k.sched = min(k.at-1, back(back(e.now+2)))
+		k.psched = back(k.sched)
+		k.gsched = back(k.psched)
 		slot := e.alloc()
 		ev := &e.slots[slot]
-		ev.at, ev.fn, ev.p, ev.tgt = at, nil, nil, m
+		ev.at, ev.fn, ev.p, ev.tgt = k.at, nil, nil, m
 		ev.op, ev.a, ev.b = 0, id, 0
 		ev.sched, ev.psched, ev.gsched, ev.src = k.sched, k.psched, k.gsched, k.src
 		e.insert(slot)
@@ -391,7 +395,7 @@ func checkQueue(t *testing.T, e *Engine) {
 }
 
 // Property: whatever mix of pushes — At, AtCall, proc wake-ups, injections
-// with arbitrary (sched, psched, gsched, src) stamps — and pops,
+// stamped as another shard's posts (see pushAt) — and pops,
 // every executed event is the minimum of the pending set by the full
 // (at, sched, psched, gsched, src, seq) key, so the final drain equals a
 // sort by that key. Two input sets: delays of a few nanoseconds, popped one

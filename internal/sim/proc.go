@@ -99,55 +99,11 @@ func (p *Proc) Sleep(d Time) {
 // Yield gives other same-time events a chance to run before continuing.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// waitq is a FIFO of parked procs backed by a power-of-two ring buffer:
-// push and pop are O(1) with no copying, unlike the copy-shift dequeues a
-// plain slice needs. The buffer grows geometrically and is retained across
-// fill/drain cycles, so a waiter queue in steady state allocates nothing.
-type waitq struct {
-	buf  []*Proc // len is 0 or a power of two
-	head int
-	n    int
-}
-
-// push appends p to the tail.
-func (q *waitq) push(p *Proc) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
-	q.n++
-}
-
-// pop removes and returns the head. The queue must not be empty.
-func (q *waitq) pop() *Proc {
-	p := q.buf[q.head]
-	q.buf[q.head] = nil // release the reference; the proc may be long-lived
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return p
-}
-
-// len returns the number of queued procs.
-func (q *waitq) len() int { return q.n }
-
-// grow doubles the ring, unwrapping it to the front of the new buffer.
-func (q *waitq) grow() {
-	size := 2 * len(q.buf)
-	if size == 0 {
-		size = 8
-	}
-	nb := make([]*Proc, size)
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf, q.head = nb, 0
-}
-
 // A Signal is a one-shot broadcast: procs Await it, and once Fired all
 // current and future waiters proceed immediately. The zero value is usable.
 type Signal struct {
 	fired   bool
-	waiters waitq
+	waiters Queue[Proc]
 }
 
 // Fire releases all waiters. Waiters resume as separate events at the
@@ -157,8 +113,8 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	for s.waiters.len() > 0 {
-		s.waiters.pop().wake()
+	for s.waiters.Len() > 0 {
+		s.waiters.Pop().wake()
 	}
 }
 
@@ -168,7 +124,7 @@ func (p *Proc) Await(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.waiters.push(p)
+	s.waiters.Push(p)
 	p.park()
 }
 
@@ -214,7 +170,7 @@ func (g *Gate) Opened() bool { return g.opened.fired }
 // bound on in-flight operations (e.g. per-process outstanding I/O requests).
 type Semaphore struct {
 	avail   int
-	waiters waitq
+	waiters Queue[Proc]
 }
 
 // NewSemaphore returns a semaphore with n available tokens.
@@ -222,18 +178,18 @@ func NewSemaphore(n int) *Semaphore { return &Semaphore{avail: n} }
 
 // Acquire takes a token, blocking FIFO if none is available.
 func (s *Semaphore) Acquire(p *Proc) {
-	if s.avail > 0 && s.waiters.len() == 0 {
+	if s.avail > 0 && s.waiters.Len() == 0 {
 		s.avail--
 		return
 	}
-	s.waiters.push(p)
+	s.waiters.Push(p)
 	p.park()
 	// The token was passed to us directly by Release; nothing to decrement.
 }
 
 // TryAcquire takes a token without blocking and reports success.
 func (s *Semaphore) TryAcquire() bool {
-	if s.avail > 0 && s.waiters.len() == 0 {
+	if s.avail > 0 && s.waiters.Len() == 0 {
 		s.avail--
 		return true
 	}
@@ -244,8 +200,8 @@ func (s *Semaphore) TryAcquire() bool {
 // directly to the waiter (no barging). Dequeueing the waiter and scheduling
 // its resume are both allocation-free O(1) operations.
 func (s *Semaphore) Release() {
-	if s.waiters.len() > 0 {
-		s.waiters.pop().wake()
+	if s.waiters.Len() > 0 {
+		s.waiters.Pop().wake()
 		return
 	}
 	s.avail++
@@ -255,4 +211,4 @@ func (s *Semaphore) Release() {
 func (s *Semaphore) Available() int { return s.avail }
 
 // Waiting returns the number of blocked acquirers.
-func (s *Semaphore) Waiting() int { return s.waiters.len() }
+func (s *Semaphore) Waiting() int { return s.waiters.Len() }

@@ -33,9 +33,9 @@ type WriteCache struct {
 
 	copyLine *sim.Line
 	dirty    int64
-	flushQ   reqQueue
+	flushQ   sim.Queue[Request]
 	inFlight int
-	blocked  reqQueue
+	blocked  sim.Queue[Request]
 
 	absorbed     int64
 	flushed      int64
@@ -121,7 +121,7 @@ func (c *WriteCache) kickFlusher() {
 }
 
 func (c *WriteCache) admitBlocked() {
-	for c.blocked.Len() > 0 && c.hasRoom(c.blocked.Head()) {
+	for c.blocked.Len() > 0 && c.hasRoom(c.blocked.At(0)) {
 		c.admit(c.blocked.Pop())
 	}
 }

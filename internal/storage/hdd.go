@@ -43,7 +43,7 @@ type HDD struct {
 	P HDDParams
 
 	// perFile holds each file's FIFO of pending requests.
-	perFile map[FileID]reqQueue
+	perFile map[FileID]sim.Queue[Request]
 	// oldest and newest are the ends of a doubly linked list, through
 	// Request.prev and Request.next, of every queued request in
 	// submission order.
@@ -63,7 +63,7 @@ type HDD struct {
 
 // NewHDD returns an idle disk.
 func NewHDD(e *sim.Engine, p HDDParams) *HDD {
-	return &HDD{E: e, P: p, perFile: make(map[FileID]reqQueue)}
+	return &HDD{E: e, P: p, perFile: make(map[FileID]sim.Queue[Request])}
 }
 
 // Name implements Device.
@@ -106,8 +106,8 @@ func (d *HDD) pick() (*Request, bool) {
 	}
 	// Continuation of the current run?
 	if d.headSet && (d.P.MaxRun <= 0 || d.runBytes < d.P.MaxRun) {
-		if q := d.perFile[d.headFile]; q.Len() > 0 && q.Head().Offset == d.headOff {
-			return q.Head(), false
+		if q := d.perFile[d.headFile]; q.Len() > 0 && q.At(0).Offset == d.headOff {
+			return q.At(0), false
 		}
 	}
 	// Switch: serve the file whose head request has waited longest

@@ -17,7 +17,7 @@ type serial struct {
 	// previous one on the same file (mild on SSDs, zero elsewhere).
 	randPenalty sim.Time
 
-	queue       reqQueue
+	queue       sim.Queue[Request]
 	busy        bool
 	cur         *Request // request in service; completes at the next OnEvent
 	lastFile    FileID

@@ -56,9 +56,9 @@ type flash struct {
 	bw    float64  // per-channel bytes/second; zero means infinitely fast
 	opLat sim.Time // fixed per-request latency
 
-	queue       reqQueue   // requests waiting for a channel
-	cur         []*Request // per-channel request in service (nil = idle)
-	idle        int        // number of nil entries in cur
+	queue       sim.Queue[Request] // requests waiting for a channel
+	cur         []*Request         // per-channel request in service (nil = idle)
+	idle        int                // number of nil entries in cur
 	queuedBytes int64
 	stats       Stats
 }

@@ -135,3 +135,34 @@ func TestSerialSSDUnchangedByChannelsField(t *testing.T) {
 		}
 	}
 }
+
+// TestFlashDropsServedRequests drains a standing queue deep enough to
+// compact through a channel-parallel SSD: once a request's Done has run,
+// the device's queue must not hold it. That no slot past the queue's
+// length keeps a popped request either is sim.TestQueue's to pin.
+func TestFlashDropsServedRequests(t *testing.T) {
+	e := sim.NewEngine()
+	d := NewSSD(e, SSDParams{BW: 1e9, OpLat: sim.Microsecond, Channels: 2}).(*flash)
+	reqs := make([]Request, 3000)
+	served := make(map[*Request]bool)
+	for i := range reqs {
+		r := &reqs[i]
+		*r = Request{File: 1, Offset: int64(i) << 16, Size: 1 << 16}
+		r.Done = func() {
+			served[r] = true
+			if len(served)%50 != 0 {
+				return
+			}
+			for j := 0; j < d.queue.Len(); j++ {
+				if served[d.queue.At(j)] {
+					t.Fatalf("after %d completions the queue still holds a served request", len(served))
+				}
+			}
+		}
+		d.Submit(r)
+	}
+	e.Run()
+	if len(served) != len(reqs) {
+		t.Fatalf("served %d of %d", len(served), len(reqs))
+	}
+}
